@@ -1,11 +1,14 @@
 """Recover chain timing from phase-sweep datasets.
 
-The pipeline: smooth each frame, extract edge positions, track one edge
-trajectory per polarity through the sweep (unwrapping source-period wraps),
-pool positions per phase step across channels, and fit edge index against
-unwrapped phase.  The reciprocal slope is the per-element delay; transposing
-the same data gives the carry-index-to-time transfer function and its
-uncertainty, whose RMS is the single-shot precision.
+A frame is held as its runs (level, length).  Each frame is smoothed by
+merging short runs and its edges, both polarities, are read off the run
+boundaries once.  Each channel and polarity is then tracked once through the
+sweep (unwrapping source-period wraps), and the tracks are pooled per phase
+step across channels, once per polarity.  The same pooled trajectory feeds
+the straight-line fit of edge index against unwrapped phase, whose
+reciprocal slope is the per-element delay, and, with the same tracks, the
+carry-index-to-time transfer function and its uncertainty, whose RMS is the
+single-shot precision.
 """
 
 from __future__ import annotations
@@ -51,36 +54,36 @@ class EdgeObservation:
     polarity: str
 
 
-def smooth_bits(bits: np.ndarray, min_run: int) -> np.ndarray:
-    """Run-length smoothing: merge runs shorter than min_run into their
-    surroundings, shortest first."""
-    if min_run <= 1:
-        return np.asarray(bits, dtype=np.uint8)
-    runs: list[list[int]] = []  # [level, length]
-    for b in np.asarray(bits, dtype=np.uint8):
-        if runs and runs[-1][0] == b:
-            runs[-1][1] += 1
-        else:
-            runs.append([int(b), 1])
-    while len(runs) > 1:
-        lengths = [r[1] for r in runs]
+def _runs(bits) -> tuple[np.ndarray, np.ndarray]:
+    """Run-length encoding: the level and the length of each maximal run."""
+    b = np.asarray(bits, dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(b, prepend=2))  # 2 is no bit level
+    return b[starts], np.diff(starts, append=b.size)
+
+
+def _smooth_runs(bits, min_run: int) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of bits after merging runs shorter than min_run into their
+    surroundings, shortest first (ties go to the first such run)."""
+    levels, lengths = (a.tolist() for a in _runs(bits))
+    while len(lengths) > 1:
         shortest = min(lengths)
         if shortest >= min_run:
             break
         i = lengths.index(shortest)
-        if 0 < i < len(runs) - 1:
-            runs[i - 1][1] += runs[i][1] + runs[i + 1][1]
-            del runs[i : i + 2]
+        if 0 < i < len(lengths) - 1:
+            lengths[i - 1] += lengths[i] + lengths[i + 1]
+            del levels[i : i + 2], lengths[i : i + 2]
         else:
-            j = 1 if i == 0 else len(runs) - 2
-            runs[j][1] += runs[i][1]
-            del runs[i]
-    out = np.empty(sum(r[1] for r in runs), dtype=np.uint8)
-    pos = 0
-    for level, length in runs:
-        out[pos : pos + length] = level
-        pos += length
-    return out
+            j = 1 if i == 0 else len(lengths) - 2
+            lengths[j] += lengths[i]
+            del levels[i], lengths[i]
+    return np.array(levels, dtype=np.uint8), np.array(lengths, dtype=np.int64)
+
+
+def smooth_bits(bits: np.ndarray, min_run: int) -> np.ndarray:
+    """Run-length smoothing: merge runs shorter than min_run into their
+    surroundings, shortest first."""
+    return np.repeat(*_smooth_runs(bits, min_run))
 
 
 def extract_edges(
@@ -95,14 +98,13 @@ def extract_edges(
     """
     if min_run < 1:
         raise CalibrationError("min_run must be >= 1")
-    bits = frame.bits if isinstance(frame, CaptureFrame) else np.asarray(frame)
-    b = smooth_bits(bits, min_run).astype(np.int8)
-    d = b[:-1] - b[1:]  # +1 at rising (1 then 0), -1 at falling
-    out = []
-    for k in np.flatnonzero(d != 0):
-        pol = RISING if d[k] > 0 else FALLING
-        out.append(EdgeObservation(phase_shift_ps, int(k) + 1, pol))
-    return out
+    bits = frame.bits if isinstance(frame, CaptureFrame) else frame
+    levels, lengths = _smooth_runs(bits, min_run)
+    # an edge sits at the last sample of every run but the last
+    return [
+        EdgeObservation(phase_shift_ps, k, RISING if level else FALLING)
+        for k, level in zip(np.cumsum(lengths[:-1]).tolist(), levels[:-1].tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +112,8 @@ def extract_edges(
 # ---------------------------------------------------------------------------
 
 
-def _frame_edges(dataset: SweepDataset, min_run: int) -> list[tuple[int, float, list]]:
-    if dataset.sweep_spec is None:
-        raise CalibrationError("dataset has no sweep provenance (continuous run?)")
-    dt = dataset.sweep_spec.dt_ps
-    rows = []
-    for f in dataset.frames:
-        phi = f.phase_index * dt
-        rows.append((f.phase_index, phi, extract_edges(f, min_run, phi)))
-    return rows
+# {phase step: (edge index, wrap count)} of one edge trajectory
+_Track = dict[int, tuple[int, int]]
 
 
 def _estimate_step_carries(rows, polarity: str) -> float:
@@ -126,22 +121,19 @@ def _estimate_step_carries(rows, polarity: str) -> float:
     nonempty frames."""
     drops = []
     prev = None
-    for _, _, edges in rows:
+    for _, edges in rows:
         idx = [e.edge_index for e in edges if e.polarity == polarity]
         if prev and idx:
-            for x in prev:
-                below = [x - y for y in idx if 0 < x - y]
-                if below:
-                    drops.append(min(below))
+            x, y = np.array(prev), np.array(idx)  # extract_edges lists k ascending
+            below = np.searchsorted(y, x, side="left") - 1  # nearest y < x
+            drops.extend((x - y[below])[below >= 0].tolist())
         prev = idx or prev
     if not drops:
         raise CalibrationError(f"not enough {polarity} edges to track")
     return float(np.median(drops))
 
 
-def _track(
-    rows, polarity: str, period_ps: float, dt_ps: float
-) -> dict[int, tuple[int, int]]:
+def _track(rows, polarity: str, period_ps: float, dt_ps: float) -> _Track:
     """Follow one edge trajectory; returns {step: (edge_index, wrap_count)}.
 
     The tracked pulse is the one nearest the previous step's position; an
@@ -153,10 +145,10 @@ def _track(
     period_carries = period_ps / tau0
     tol = max(period_carries / 4.0, 3 * step)
 
-    out: dict[int, tuple[int, int]] = {}
+    out: _Track = {}
     predicted = None
     m = 0
-    for n, phi, edges in rows:
+    for n, edges in rows:
         idx = [e.edge_index for e in edges if e.polarity == polarity]
         if not idx:
             if predicted is not None:
@@ -183,31 +175,46 @@ def _track(
     return out
 
 
+def _tracks(
+    datasets: Sequence[SweepDataset], min_run: int, polarities: Sequence[str]
+) -> dict[str, list[_Track]]:
+    """Per polarity, one track per dataset; each frame is smoothed and its
+    edges, of every polarity, extracted once."""
+    if not datasets:
+        raise CalibrationError("no datasets")
+    spec = datasets[0].sweep_spec
+    for ds in datasets:
+        s = ds.sweep_spec
+        if s is None or s.dt_ps != spec.dt_ps or s.source.frequency_hz != spec.source.frequency_hz:
+            raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
+    out: dict[str, list[_Track]] = {pol: [] for pol in polarities}
+    for ds in datasets:
+        rows = [(f.phase_index, extract_edges(f, min_run)) for f in ds.frames]
+        for pol in polarities:
+            out[pol].append(_track(rows, pol, spec.source.period_ps, spec.dt_ps))
+    return out
+
+
 @dataclass(frozen=True)
 class _PooledTrajectory:
     steps: np.ndarray  # phase-step indices
+    wraps: np.ndarray  # source-period wrap count m per step
     u_ps: np.ndarray  # unwrapped phase, phi - m*period
     x_mean: np.ndarray
     x_std: np.ndarray  # nan where a step has a single observation
-    counts: np.ndarray
 
 
-def _pool(datasets: Sequence[SweepDataset], polarity: str, min_run: int) -> _PooledTrajectory:
+def _pool(
+    datasets: Sequence[SweepDataset], tracks: list[_Track], polarity: str
+) -> _PooledTrajectory:
     spec = datasets[0].sweep_spec
-    if spec is None:
-        raise CalibrationError("datasets lack sweep provenance")
-    period = spec.source.period_ps
-    dt = spec.dt_ps
+    period, dt = spec.source.period_ps, spec.dt_ps
     per_step: dict[int, list[tuple[int, int]]] = {}
-    for ds in datasets:
-        s = ds.sweep_spec
-        if s is None or s.dt_ps != dt or s.source.frequency_hz != spec.source.frequency_hz:
-            raise CalibrationError("datasets must share the sweep grid to be pooled")
-        rows = _frame_edges(ds, min_run)
-        for n, (x, m) in _track(rows, polarity, period, dt).items():
+    for track in tracks:
+        for n, (x, m) in track.items():
             per_step.setdefault(n, []).append((x, m))
 
-    steps, u, mean, std, counts = [], [], [], [], []
+    steps, wraps, u, mean, std = [], [], [], [], []
     for n in sorted(per_step):
         entries = per_step[n]
         ms = [m for _, m in entries]
@@ -216,18 +223,16 @@ def _pool(datasets: Sequence[SweepDataset], polarity: str, min_run: int) -> _Poo
         # steps not seen by every channel are censored (the edge sits within
         # jitter reach of a chain end, so only favorably-jittered channels
         # report it); keeping them tilts the fitted slope
-        if xs.size < len(datasets):
+        if xs.size < len(tracks):
             continue
         steps.append(n)
+        wraps.append(m_star)
         u.append(n * dt - m_star * period)
         mean.append(xs.mean())
         std.append(xs.std(ddof=1) if xs.size > 1 else float("nan"))
-        counts.append(xs.size)
     if len(steps) < 2:
         raise CalibrationError(f"fewer than two phase steps with {polarity} edges")
-    return _PooledTrajectory(
-        np.array(steps), np.array(u), np.array(mean), np.array(std), np.array(counts)
-    )
+    return _PooledTrajectory(*map(np.array, (steps, wraps, u, mean, std)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +272,7 @@ class CarryTimeFit:
     segment_taus_ps: tuple[float, ...] = ()
 
 
-def _fit_polarity(datasets, polarity, min_run) -> CarryTimeFit:
-    tr = _pool(datasets, polarity, min_run)
+def _fit_polarity(tr: _PooledTrajectory) -> CarryTimeFit:
     sigma = np.where(np.isnan(tr.x_std), np.nan, tr.x_std)
     if np.all(np.isnan(sigma)):
         sigma = np.full_like(tr.u_ps, 1.0)  # unweighted
@@ -288,9 +292,8 @@ def _fit_polarity(datasets, polarity, min_run) -> CarryTimeFit:
     # per-wrap-segment slopes capture systematic wiggle the pointwise errors
     # miss; the reported error is the larger of the two estimates
     seg_taus = []
-    wrap_id = np.round((tr.steps * datasets[0].sweep_spec.dt_ps - tr.u_ps)).astype(np.int64)
-    for wid in np.unique(wrap_id):
-        sel = wrap_id == wid
+    for m in np.unique(tr.wraps):
+        sel = tr.wraps == m
         if sel.sum() >= 8:
             _, bs, *_ = _wls_line(tr.u_ps[sel], tr.x_mean[sel], sigma[sel])
             if bs != 0 and np.isfinite(bs):
@@ -316,9 +319,8 @@ def fit_carry_times(
     datasets: Sequence[SweepDataset], min_run: int = 15
 ) -> dict[str, CarryTimeFit]:
     """Per-polarity carry times from pooled sweep data."""
-    if not datasets:
-        raise CalibrationError("no datasets")
-    return {pol: _fit_polarity(datasets, pol, min_run) for pol in (RISING, FALLING)}
+    tracks = _tracks(datasets, min_run, (RISING, FALLING))
+    return {pol: _fit_polarity(_pool(datasets, tracks[pol], pol)) for pol in tracks}
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +377,19 @@ def build_transfer_function(
     polarity: str = RISING,
 ) -> TransferFunction:
     """Transpose the edge trajectory into t(x) with dt(x) = t'(x) * dx."""
-    tr = _pool(datasets, polarity, min_run)
+    tracks = _tracks(datasets, min_run, (polarity,))[polarity]
+    return _transfer_function(tracks, _pool(datasets, tracks, polarity), polarity)
 
+
+def _transfer_function(
+    tracks: list[_Track], tr: _PooledTrajectory, polarity: str
+) -> TransferFunction:
     # every channel-level observation, placed at the negated unwrapped phase:
     # larger carry index = earlier signal time = more time before the capture
-    spec = datasets[0].sweep_spec
-    period, dt = spec.source.period_ps, spec.dt_ps
     step_u = dict(zip(tr.steps.tolist(), tr.u_ps.tolist()))
     by_index: dict[int, list[float]] = {}
-    for ds in datasets:
-        rows = _frame_edges(ds, min_run)
-        for n, (x, _m) in _track(rows, polarity, period, dt).items():
+    for track in tracks:
+        for n, (x, _m) in track.items():
             if n in step_u:
                 by_index.setdefault(x, []).append(-step_u[n])
 
@@ -451,19 +455,12 @@ def shrink_analysis(
     """Pulse width versus falling-edge position, binned and fit to a line."""
     samples = []
     for f in dataset.frames:
-        b = smooth_bits(f.bits, min_run).astype(np.int8)
-        padded = np.concatenate([[0], b, [0]])
-        d = np.diff(padded)
-        starts = np.flatnonzero(d == 1)  # 0-based start of 1-run
-        ends = np.flatnonzero(d == -1)  # one past 0-based end
-        for s, e in zip(starts, ends):
-            width = int(e - s)
-            if width < min_run:
-                continue
-            if s == 0 or e == b.size:  # truncated at a chain boundary
-                continue
-            fall_index = int(s)  # 1-based index of the 0 just below the run
-            samples.append((fall_index, width))
+        levels, widths = _smooth_runs(f.bits, min_run)
+        ends = np.cumsum(widths)  # one past the 0-based end of each run
+        starts = ends - widths  # 1-based index of the 0 just below a 1-run
+        # a pulse truncated at a chain boundary has no width to report
+        keep = (levels == 1) & (widths >= min_run) & (starts > 0) & (ends < f.k)
+        samples.extend(zip(starts[keep].tolist(), widths[keep].tolist()))
     if len(samples) < 2:
         raise CalibrationError("not enough pulses for a shrink fit")
 
@@ -529,9 +526,11 @@ class CalibrationResult:
 
 
 def calibrate(datasets: Sequence[SweepDataset], min_run: int = 15) -> CalibrationResult:
-    fits = fit_carry_times(datasets, min_run)
-    tf_rise = build_transfer_function(datasets, min_run, RISING)
-    tf_fall = build_transfer_function(datasets, min_run, FALLING)
+    tracks = _tracks(datasets, min_run, (RISING, FALLING))
+    pooled = {pol: _pool(datasets, tracks[pol], pol) for pol in tracks}
+    fits = {pol: _fit_polarity(pooled[pol]) for pol in tracks}
+    tf_rise = _transfer_function(tracks[RISING], pooled[RISING], RISING)
+    tf_fall = _transfer_function(tracks[FALLING], pooled[FALLING], FALLING)
     return CalibrationResult(
         tau_rise_ps=fits[RISING].tau_ps,
         tau_rise_err_ps=fits[RISING].tau_err_ps,

@@ -468,10 +468,14 @@ def cmd_report(args) -> int:
         if not path.exists():
             raise CliError(f"{path} does not exist")
         rep = json.loads(path.read_text())
-        kind = rep.get("kind")
+        kind = rep.get("kind") if isinstance(rep, dict) else None
         if kind not in _CHECKERS:
             raise CliError(f"{path}: unknown report kind {kind!r}")
-        for ok, desc in _CHECKERS[kind](rep):
+        try:
+            checks = _CHECKERS[kind](rep)
+        except (KeyError, TypeError) as exc:
+            raise CliError(f"{path}: malformed {kind} report: {exc!r}") from exc
+        for ok, desc in checks:
             failures += 0 if ok else 1
             print(f"{'PASS' if ok else 'FAIL'}  {d} [{kind}] {desc}")
     return 1 if failures else 0

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .calibrate import _runs
 from .chain import CaptureFrame
 from .sweep import SweepDataset
 
@@ -39,13 +40,12 @@ class CorrectionSpec:
             raise ValueError("dilation_factor must be in (0, 1]")
 
 
-def _zero_runs(bits: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal 0-runs as 1-based inclusive [l, r] intervals."""
-    padded = np.concatenate(([1], bits, [1])).astype(np.int8)
-    d = np.diff(padded)
-    starts = np.flatnonzero(d == -1) + 1
-    ends = np.flatnonzero(d == 1)
-    return list(zip(starts.tolist(), ends.tolist()))
+def _level_runs(bits: np.ndarray, level: int) -> list[tuple[int, int]]:
+    """Maximal runs of level as 1-based inclusive [l, r] intervals."""
+    levels, lengths = _runs(bits)
+    ends = np.cumsum(lengths)
+    sel = levels == level
+    return list(zip((ends - lengths + 1)[sel].tolist(), ends[sel].tolist()))
 
 
 def correct_frame(frame: CaptureFrame, spec: CorrectionSpec = CorrectionSpec()) -> CaptureFrame:
@@ -61,7 +61,7 @@ def correct_frame(frame: CaptureFrame, spec: CorrectionSpec = CorrectionSpec()) 
     bits = frame.bits
     k = bits.size
     regions = []
-    for l, r in _zero_runs(bits):
+    for l, r in _level_runs(bits, 0):
         if r - l + 1 < spec.gap_threshold:
             continue
         if r == k:
@@ -91,10 +91,6 @@ def correct_dataset(
     )
 
 
-def _one_runs(bits: np.ndarray) -> list[tuple[int, int]]:
-    return _zero_runs(1 - bits.astype(np.int8))
-
-
 @dataclass(frozen=True)
 class FidelityStats:
     """Width errors of pulses matched by interval overlap."""
@@ -117,8 +113,8 @@ def correction_fidelity(truth: CaptureFrame, test: CaptureFrame) -> FidelityStat
     """Match pulses between two same-length frames and compare widths."""
     if truth.k != test.k:
         raise ValueError("frames have different lengths")
-    truth_pulses = _one_runs(truth.bits)
-    test_pulses = _one_runs(test.bits)
+    truth_pulses = _level_runs(truth.bits, 1)
+    test_pulses = _level_runs(test.bits, 1)
     used = [False] * len(test_pulses)
     errors = []
     unmatched_truth = 0

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .calibrate import TransferFunction
+from .calibrate import TransferFunction, _runs
 from .sweep import SweepDataset
 from .units import ps_to_fs
 from .waveform import DigitalWaveform
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-class RingError(RuntimeError):
+class RingError(ValueError):
     pass
 
 
@@ -238,13 +238,10 @@ def measure_node_timescale(
     once, at full width.
     """
     series = stitch_frames(dataset, tau_ps)
-    padded = np.concatenate(([0], series.astype(np.int8), [0]))
-    d = np.diff(padded)
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    widths = ends - starts
-    interior = (starts > 0) & (ends < series.size)
-    widths = widths[interior & (widths >= min_run)]
+    levels, widths = _runs(series)
+    ends = np.cumsum(widths)
+    interior = (ends - widths > 0) & (ends < series.size)
+    widths = widths[(levels == 1) & interior & (widths >= min_run)]
     if widths.size < 2:
         raise RingError("not enough pulses to estimate a timescale")
     mean_w = float(widths.mean())

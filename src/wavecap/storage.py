@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+_PAYLOAD_FILES = frozenset({"spec.config", "frames.csv", "times.csv", "frames.pgm"})
 
 
 class StorageError(Exception):
@@ -328,14 +329,18 @@ def _load_manifest(d: Path) -> RunManifest:
         raise CorruptFileError(f"{path} is missing")
     try:
         raw = json.loads(path.read_text())
-        return RunManifest(
+        manifest = RunManifest(
             format_version=int(raw["format_version"]),
             tool_version=str(raw["tool_version"]),
             created_utc=str(raw["created_utc"]),
-            hashes=dict(raw["hashes"]),
+            hashes=raw["hashes"],
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path} is not a valid manifest: {exc}") from exc
+    # only the known payload names: a name like ../x would read outside d
+    if not isinstance(manifest.hashes, dict) or manifest.hashes.keys() != _PAYLOAD_FILES:
+        raise CorruptFileError(f"{path}: hashes must name exactly {sorted(_PAYLOAD_FILES)}")
+    return manifest
 
 
 def _parse_frames_csv(data: bytes, k: int) -> list[tuple[Optional[int], np.ndarray]]:

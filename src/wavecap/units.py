@@ -8,15 +8,11 @@ nearest femtosecond on entry).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 FS_PER_PS = 1000
 
 
 def ps_to_fs(t_ps: float) -> int:
     """Round a picosecond quantity to integer femtoseconds."""
-    if isinstance(t_ps, Fraction):
-        return int(round(t_ps * FS_PER_PS))
     return int(round(t_ps * FS_PER_PS))
 
 

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecap.calibrate import (
     CalibrationError,
@@ -84,6 +88,58 @@ def test_smooth_bits_merges_short_runs():
     assert np.all(smooth_bits(bits, 1) == bits)
 
 
+def smooth_bits_per_bit(bits, min_run):
+    """Reference: build the runs bit by bit, then merge shortest first."""
+    if min_run <= 1:
+        return np.asarray(bits, dtype=np.uint8)
+    runs = []  # [level, length]
+    for b in np.asarray(bits, dtype=np.uint8):
+        if runs and runs[-1][0] == b:
+            runs[-1][1] += 1
+        else:
+            runs.append([int(b), 1])
+    while len(runs) > 1:
+        lengths = [r[1] for r in runs]
+        shortest = min(lengths)
+        if shortest >= min_run:
+            break
+        i = lengths.index(shortest)
+        if 0 < i < len(runs) - 1:
+            runs[i - 1][1] += runs[i][1] + runs[i + 1][1]
+            del runs[i : i + 2]
+        else:
+            j = 1 if i == 0 else len(runs) - 2
+            runs[j][1] += runs[i][1]
+            del runs[i]
+    out = np.empty(sum(r[1] for r in runs), dtype=np.uint8)
+    pos = 0
+    for level, length in runs:
+        out[pos : pos + length] = level
+        pos += length
+    return out
+
+
+def edges_per_bit(bits, min_run):
+    """Reference: (index, polarity) where neighbouring smoothed bits differ."""
+    b = smooth_bits_per_bit(bits, min_run).astype(np.int8)
+    d = b[:-1] - b[1:]
+    return [(int(k) + 1, "rising" if d[k] > 0 else "falling") for k in np.flatnonzero(d)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 1), max_size=300),
+    min_run=st.integers(1, 20),
+)
+def test_smoothing_and_edges_match_per_bit_reference(bits, min_run):
+    b = np.array(bits, dtype=np.uint8)
+    smoothed = smooth_bits(b, min_run)
+    assert smoothed.dtype == np.uint8
+    assert np.array_equal(smoothed, smooth_bits_per_bit(b, min_run))
+    got = [(e.edge_index, e.polarity) for e in extract_edges(b, min_run)]
+    assert got == edges_per_bit(b, min_run)
+
+
 # -- fit_carry_times --------------------------------------------------------
 
 
@@ -128,6 +184,82 @@ def test_estimators_deterministic(reference_datasets):
     assert a.tau_rise_ps == b.tau_rise_ps
     assert a.single_shot_rise_ps == b.single_shot_rise_ps
     assert np.all(a.t_of_x.t_ps == b.t_of_x.t_ps)
+
+
+# -- golden values ----------------------------------------------------------
+# calibrate() on the fig4 fixture and on its jitter-free twin, pinned bit for
+# bit: a change to how calibration is computed must not move any of these.
+
+
+def sha256_of(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def check_golden(datasets, summary, digests):
+    result = calibrate(datasets, 15)
+    assert result.summary() == summary
+    tfs = {"rise": result.t_of_x, "fall": result.t_of_x_fall}
+    got = {
+        f"{pol}.{k}": sha256_of(getattr(tf, k))
+        for pol, tf in tfs.items()
+        for k in ("t_ps", "dt_ps")
+    }
+    assert got == digests
+    # the public entry points agree with calibrate() exactly
+    assert fit_carry_times(datasets, 15) == result.fits
+    fall = build_transfer_function(datasets, 15, "falling")
+    assert sha256_of(fall.t_ps) == digests["fall.t_ps"]
+    assert sha256_of(fall.dt_ps) == digests["fall.dt_ps"]
+
+
+def test_calibrate_golden(reference_datasets):
+    check_golden(
+        reference_datasets,
+        {
+            "tau_rise_ps": 4.909730711313455,
+            "tau_rise_err_ps": 0.0037212442758857243,
+            "tau_fall_ps": 4.538111374676239,
+            "tau_fall_err_ps": 0.004118791515046094,
+            "single_shot_rise_ps": 28.606178241945557,
+            "single_shot_fall_ps": 28.694165008304285,
+            "r2_rise": 0.9999582677834686,
+            "r2_fall": 0.9999537374526443,
+            "n_points_rise": 317,
+            "n_points_fall": 291,
+            "min_run": 15,
+        },
+        {
+            "rise.t_ps": "a999bb9c35b60924d8d047a60037b0170c6502ca636ddd87cf6f88fda2d5538f",
+            "rise.dt_ps": "97f8120d796a8c81f92d2b5c47548ff79d50557a41df5d8b3d5cc7d9f7aacfb8",
+            "fall.t_ps": "ea1b5f4738bb6179f1a606e2cf5b7e5ea0405923766ad5d61b113cec32800d75",
+            "fall.dt_ps": "14ae3ca32f1e743bcc6448395abaf33897da84d891bc3de088605cdca346789c",
+        },
+    )
+
+
+def test_calibrate_golden_jitter_free():
+    check_golden(
+        mlab_datasets(jitter=0.0),
+        {
+            "tau_rise_ps": 4.9097520815492555,
+            "tau_rise_err_ps": 0.00024129864585228556,
+            "tau_fall_ps": 4.539628791463174,
+            "tau_fall_err_ps": 0.0004747881715095009,
+            "single_shot_rise_ps": 1.8508261862000408,
+            "single_shot_fall_ps": 1.6053345321917332,
+            "r2_rise": 0.9999997003423021,
+            "r2_fall": 0.9999996654426924,
+            "n_points_rise": 320,
+            "n_points_fall": 295,
+            "min_run": 15,
+        },
+        {
+            "rise.t_ps": "a442ee65e4de9ca0e1a09e6bd12ef012e6445d7386d363ef8cbdc20017ff35c9",
+            "rise.dt_ps": "3bfa20fdc773ece8df40e3d6a41c16e328c5956937d318a061a70ee3687922fa",
+            "fall.t_ps": "3acb4c60bfa7d269b68976f978d470e23583083bac0f3faf3d607b55cbe5e570",
+            "fall.dt_ps": "f4ef5955872cf9e991845e901a71856d854acff36b7b073cb6669ddb53966e17",
+        },
+    )
 
 
 # -- transfer function ------------------------------------------------------

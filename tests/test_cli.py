@@ -163,3 +163,51 @@ def test_calibrate_accepts_existing_datasets(tmp_path):
 def test_missing_config_file(tmp_path, capsys):
     code = run("sweep", "--config", str(tmp_path / "nope.config"), "--out", str(tmp_path))
     assert code == 2
+
+
+def test_impossible_ring_config_exits_2(tmp_path, capsys):
+    from importlib import resources
+
+    text = (resources.files("wavecap.presets") / "appendix-ro19.config").read_text()
+    cfg = tmp_path / "ring.config"
+    cfg.write_text(text.replace("ring.min_pulse_ps = 50.0", "ring.min_pulse_ps = 300.0"))
+    assert run("ro", "--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet") == 2
+    assert "min_pulse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"kind": "calibrate"}, "truth"),
+        ({"kind": "ro", "recovered": {"a": 1.0}, "truth": "x"}, "malformed ro report"),
+        ([1], "unknown report kind"),
+    ],
+)
+def test_malformed_report_exits_2(tmp_path, capsys, report, message):
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    assert run("report", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda hashes, outside: {k: v for k, v in hashes.items() if k != "spec.config"},
+        lambda hashes, outside: {**hashes, "../outside.csv": outside},
+        lambda hashes, outside: sorted(hashes.items()),
+    ],
+    ids=["missing-spec", "outside-name", "list"],
+)
+def test_tampered_manifest_exits_2(tmp_path, capsys, tamper):
+    raw = tmp_path / "raw"
+    assert run("sweep", "--config", "preset:fig3c", "--out", str(raw), "--quiet") == 0
+    outside = tmp_path / "outside.csv"
+    outside.write_bytes(b"x")
+    manifest = json.loads((raw / "manifest.json").read_text())
+    manifest["hashes"] = tamper(
+        manifest["hashes"], hashlib.sha256(outside.read_bytes()).hexdigest()
+    )
+    (raw / "manifest.json").write_text(json.dumps(manifest))
+    code = run("correct", "--config", "preset:fig6", "--out", str(tmp_path / "y"), str(raw))
+    assert code == 2
+    assert "hashes must name exactly" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec
 from wavecap.calibrate import shrink_analysis
 from wavecap.correct import (
     CorrectionSpec,
+    _level_runs,
     correct_dataset,
     correct_frame,
     correction_fidelity,
@@ -102,6 +103,27 @@ def test_no_subthreshold_zero_runs(bits, alpha, threshold):
     starts = np.flatnonzero(d == -1)
     ends = np.flatnonzero(d == 1)
     assert np.all(ends - starts >= threshold)
+
+
+def runs_by_scan(bits, level):
+    """Reference: maximal runs of level as 1-based [l, r], one bit at a time."""
+    out, start = [], None
+    for i, b in enumerate(bits, start=1):
+        if b == level and start is None:
+            start = i
+        elif b != level and start is not None:
+            out.append((start, i - 1))
+            start = None
+    if start is not None:
+        out.append((start, len(bits)))
+    return out
+
+
+@settings(max_examples=1000, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), max_size=300))
+def test_level_runs_match_plain_scan(bits):
+    for level in (0, 1):
+        assert _level_runs(np.array(bits, dtype=np.uint8), level) == runs_by_scan(bits, level)
 
 
 # -- fidelity ---------------------------------------------------------------
