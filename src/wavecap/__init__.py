@@ -17,6 +17,7 @@ from .chain import (
     RegisterBank,
     RegisterSpec,
     capture,
+    capture_at,
     capture_oracle,
     sample_chain,
     sample_registers,

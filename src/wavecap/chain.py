@@ -7,8 +7,9 @@ them has shrunk to nothing and both edges stop propagating (this is pulse
 shrinking).  Registers sample each tap at the capture instant, perturbed by a
 shared clock jitter and static per-register skew.
 
-Two independent implementations of the capture are provided: ``capture``
-(pair-collision event queue, vectorized sampling) and ``capture_oracle``
+Two independent implementations of the capture are provided: ``capture_at``
+(pair-collision event queue, vectorized sampling, many frames of one
+waveform per call; ``capture`` is its one-frame form) and ``capture_oracle``
 (element-by-element timeline reconstruction).  They must agree bit-exactly.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "validate_config",
     "sample_chain",
     "sample_registers",
+    "capture_at",
     "capture",
     "capture_oracle",
 ]
@@ -152,9 +154,6 @@ class ChainInstance:
     def k(self) -> int:
         return int(self.tau_rise_fs.size)
 
-    def prefix_for(self, polarity: int) -> np.ndarray:
-        return self.prefix_rise_fs if polarity == RISING else self.prefix_fall_fs
-
 
 def _sample_delays(rng, mean_ps: float, ramp: np.ndarray, sigma_ps: float) -> np.ndarray:
     means_fs = mean_ps * ramp * FS_PER_PS
@@ -250,8 +249,15 @@ def _max_catchup_fs(chain: ChainInstance) -> int:
     return int(np.max(np.abs(chain.prefix_rise_fs - chain.prefix_fall_fs)))
 
 
+def _reach_fs(chain: ChainInstance) -> int:
+    """Entry delay plus the slowest path through the whole chain: a tap sample
+    at t reads the input no earlier than t minus this."""
+    max_delay = int(max(chain.prefix_rise_fs[-1], chain.prefix_fall_fs[-1]))
+    return ps_to_fs(chain.spec.entry_delay_ps) + max_delay
+
+
 def _annihilation_elements(
-    times_fs: np.ndarray, pols: np.ndarray, chain: ChainInstance
+    times_fs: np.ndarray, pols: np.ndarray, prefix_by_pol_fs: np.ndarray
 ) -> np.ndarray:
     """First element (1-based) at which each edge is annihilated; 0 = survives.
 
@@ -271,7 +277,7 @@ def _annihilation_elements(
 
     def first_crossing(i: int, j: int) -> int:
         gap = times_fs[j] - times_fs[i]
-        d = chain.prefix_for(pols[j]) - chain.prefix_for(pols[i])
+        d = prefix_by_pol_fs[pols[j]] - prefix_by_pol_fs[pols[i]]
         g = gap + d
         hits = np.nonzero(g <= 0)[0]
         return int(hits[0]) + 1 if hits.size else 0
@@ -297,33 +303,55 @@ def _annihilation_elements(
     return out
 
 
-def _window_edges(
-    w: DigitalWaveform, chain: ChainInstance, sample_lo_fs: int, sample_hi_fs: int, entry_fs: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Edges that can influence any tap sample, plus the level they start from.
+def capture_at(
+    w: DigitalWaveform, chain: ChainInstance, regs: RegisterBank, sample_fs
+) -> np.ndarray:
+    """Register the chain state at each of F instants (integer fs, clock
+    jitter included); returns bits[F, K].
 
-    Edges older than the slowest path are already past every tap at every
-    sample, but they can still annihilate a younger edge mid-chain, so the
-    window extends back by the maximum rise/fall catch-up.
+    Bit k of frame f is the level of the entry-filtered waveform delayed by
+    the entry gate plus the cumulative polarity-dependent element delays,
+    sampled at sample_fs[f] + skew_k (post-edge convention at exact
+    coincidence).  Edges older than the slowest path are already past every
+    tap, but they can still annihilate a younger edge mid-chain, so a frame's
+    edge window extends back by the maximum rise/fall catch-up.
     """
-    max_delay = int(max(chain.prefix_rise_fs[-1], chain.prefix_fall_fs[-1]))
-    lo = sample_lo_fs - entry_fs - max_delay
-    if not w.covers_fs(lo, sample_hi_fs):
-        raise LookbackError(
-            f"waveform does not cover [{fs_to_ps(lo)}, {fs_to_ps(sample_hi_fs)}] ps"
-        )
-    times = w.edge_times_fs
-    i0 = int(np.searchsorted(times, lo - _max_catchup_fs(chain), side="left"))
-    base_level = w.initial_level if i0 == 0 else w.level_after(i0 - 1)
-    sel = times[i0:]
-    keep = sel <= sample_hi_fs
-    sel = sel[keep]
-    pols = np.empty(sel.size, dtype=np.int64)
-    lvl = base_level
-    for j in range(sel.size):
-        lvl ^= 1
-        pols[j] = RISING if lvl == 1 else FALLING
-    return sel, pols, base_level
+    if regs.k != chain.k:
+        raise ChainError("register bank length does not match chain")
+    entry_fs = ps_to_fs(chain.spec.entry_delay_ps)
+    reach_fs = _reach_fs(chain)
+    t_fs = np.asarray(sample_fs, dtype=np.int64)
+    lo = t_fs + regs.skews_fs.min() - reach_fs
+    hi = t_fs + regs.skews_fs.max()
+
+    wf = reject_short_pulses(w, chain.spec.entry_min_pulse_ps)
+    times = wf.edge_times_fs
+    # the level after each edge, which is also its polarity (RISING == 1)
+    pols = wf.initial_level ^ ((np.arange(times.size) + 1) & 1)
+    first = np.searchsorted(times, lo - _max_catchup_fs(chain), side="left")
+    stop = np.searchsorted(times, hi, side="right")
+    prefix = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs])  # by polarity
+    k_idx = np.arange(1, chain.k + 1)
+
+    bits = np.empty((t_fs.size, chain.k), dtype=np.uint8)
+    for f in range(t_fs.size):
+        if not wf.covers_fs(int(lo[f]), int(hi[f])):
+            raise LookbackError(
+                f"waveform does not cover [{fs_to_ps(int(lo[f]))}, {fs_to_ps(int(hi[f]))}] ps"
+            )
+        i0, i1 = int(first[f]), int(stop[f])
+        base_level = wf.initial_level ^ (i0 & 1)
+        if i0 == i1:
+            bits[f] = base_level
+            continue
+        e_t, e_p = times[i0:i1], pols[i0:i1]
+        death = _annihilation_elements(e_t, e_p, prefix)
+        # edge e reaches tap k at arrival[e, k] and is present at taps k < death
+        arrivals = (e_t + entry_fs)[:, None] + prefix[e_p]
+        present = (death == 0)[:, None] | (k_idx[None, :] < death[:, None])
+        counted = present & (arrivals <= (t_fs[f] + regs.skews_fs)[None, :])
+        bits[f] = base_level ^ (counted.sum(axis=0) & 1)
+    return bits
 
 
 def capture(
@@ -334,40 +362,10 @@ def capture(
     clock_jitter_ps: float = 0.0,
     phase_index: Optional[int] = None,
 ) -> CaptureFrame:
-    """Register the chain state at capture time t.
-
-    Bit k is the level of the entry-filtered waveform delayed by the entry
-    gate plus the cumulative polarity-dependent element delays, sampled at
-    t + clock_jitter + skew_k (post-edge convention at exact coincidence).
-    """
-    if regs.k != chain.k:
-        raise ChainError("register bank length does not match chain")
-    spec = chain.spec
-    entry_fs = ps_to_fs(spec.entry_delay_ps)
+    """Register the chain state at capture time t: one frame of ``capture_at``
+    at t + clock_jitter."""
     t_fs = ps_to_fs(t_ps) + ps_to_fs(clock_jitter_ps)
-    samples = t_fs + regs.skews_fs  # (K,)
-    s_lo, s_hi = int(samples.min()), int(samples.max())
-
-    wf = reject_short_pulses(w, spec.entry_min_pulse_ps)
-    times, pols, base_level = _window_edges(wf, chain, s_lo, s_hi, entry_fs)
-
-    if times.size == 0:
-        return CaptureFrame(np.full(chain.k, base_level, dtype=np.uint8), t_fs, phase_index)
-
-    death = _annihilation_elements(times, pols, chain)
-    k_idx = np.arange(1, chain.k + 1)
-
-    # arrival[e, k] of edge e at tap k; edge present at taps k < death (1-based)
-    arr_rise = times[:, None] + entry_fs + chain.prefix_rise_fs[None, :]
-    arr_fall = times[:, None] + entry_fs + chain.prefix_fall_fs[None, :]
-    arrivals = np.where((pols == RISING)[:, None], arr_rise, arr_fall)
-    present = np.where(
-        (death == 0)[:, None], True, k_idx[None, :] < death[:, None]
-    )
-    counted = present & (arrivals <= samples[None, :])
-    counts = counted.sum(axis=0)
-    bits = (base_level ^ (counts & 1)).astype(np.uint8)
-    return CaptureFrame(bits, t_fs, phase_index)
+    return CaptureFrame(capture_at(w, chain, regs, [t_fs])[0], t_fs, phase_index)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .ringosc import (
 )
 from .storage import (
     StorageError,
+    bit_lines,
     chain_from_config,
     check_format_version,
     load_dataset,
@@ -357,9 +358,7 @@ def cmd_ro(args) -> int:
         )
         save_dataset(ds, out / f"node_{node}")
         series = stitch_frames(ds, tau_nominal)
-        (out / f"node_{node}_stitched.csv").write_text(
-            "".join(f"{int(b)}\n" for b in series)
-        )
+        (out / f"node_{node}_stitched.csv").write_bytes(bit_lines(series[:, None]).tobytes())
         width = int(np.ceil(np.sqrt(series.size)))
         pad = (-series.size) % width
         strip = np.concatenate([series, np.zeros(pad, dtype=series.dtype)])

@@ -10,7 +10,6 @@ than the gap threshold are treated as bubbles and filled.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 

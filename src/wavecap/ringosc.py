@@ -9,8 +9,8 @@ resulting per-node waveforms plug straight into the capture engine.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -45,6 +44,7 @@ __all__ = [
     "load_dataset",
     "write_report",
     "write_pgm",
+    "bit_lines",
 ]
 
 FORMAT_VERSION = 1
@@ -245,14 +245,23 @@ def config_to_specs(
 # ---------------------------------------------------------------------------
 
 
-def _frames_csv(dataset: SweepDataset) -> bytes:
-    k = dataset.k
-    header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1))
-    rows = [header]
-    for f in dataset.frames:
+def bit_lines(bits: np.ndarray) -> np.ndarray:
+    """A 0/1 matrix as ASCII text, one uint8 row per line: cells joined by
+    commas, newline last, so ``bit_lines(m).tobytes()`` is the whole text."""
+    m = np.asarray(bits, dtype=np.uint8)
+    out = np.full((m.shape[0], 2 * m.shape[1]), ord(","), dtype=np.uint8)
+    out[:, 0::2] = m + ord("0")
+    out[:, -1] = ord("\n")
+    return out
+
+
+def _frames_csv(dataset: SweepDataset, bits: np.ndarray) -> bytes:
+    header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, dataset.k + 1))
+    rows = [(header + "\n").encode()]
+    for f, line in zip(dataset.frames, bit_lines(bits)):
         idx = "" if f.phase_index is None else str(f.phase_index)
-        rows.append(idx + "," + ",".join(str(int(b)) for b in f.bits))
-    return ("\n".join(rows) + "\n").encode()
+        rows.append(f"{idx},".encode() + line.tobytes())
+    return b"".join(rows)
 
 
 def _times_csv(dataset: SweepDataset) -> bytes:
@@ -280,25 +289,16 @@ def _sha256(data: bytes) -> str:
 class RunManifest:
     format_version: int
     tool_version: str
-    created_utc: str
     hashes: dict[str, str]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format_version": self.format_version,
-                "tool_version": self.tool_version,
-                "created_utc": self.created_utc,
-                "hashes": self.hashes,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> RunManifest:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
+    bits = dataset.bits_matrix()
     payloads = {
         "spec.config": spec_to_config(
             dataset.chain_spec,
@@ -306,17 +306,16 @@ def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> RunManif
             dataset.sweep_spec,
             dataset.t_capture_ps,
         ).encode(),
-        "frames.csv": _frames_csv(dataset),
+        "frames.csv": _frames_csv(dataset, bits),
         "times.csv": _times_csv(dataset),
     }
     for name, data in payloads.items():
         (d / name).write_bytes(data)
-    write_pgm(dataset.bits_matrix(), d / "frames.pgm")
+    write_pgm(bits, d / "frames.pgm")
     payloads["frames.pgm"] = (d / "frames.pgm").read_bytes()
     manifest = RunManifest(
         format_version=FORMAT_VERSION,
         tool_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
         hashes={name: _sha256(data) for name, data in sorted(payloads.items())},
     )
     (d / "manifest.json").write_text(manifest.to_json() + "\n")
@@ -332,7 +331,6 @@ def _load_manifest(d: Path) -> RunManifest:
         manifest = RunManifest(
             format_version=int(raw["format_version"]),
             tool_version=str(raw["tool_version"]),
-            created_utc=str(raw["created_utc"]),
             hashes=raw["hashes"],
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -350,6 +348,18 @@ def _parse_frames_csv(data: bytes, k: int) -> list[tuple[Optional[int], np.ndarr
     expected_header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1))
     if lines[0] != expected_header:
         raise CorruptFileError("frames.csv header does not match the chain length")
+    # well-formed rows are checked in one numpy pass; a malformed row falls
+    # through to the row-by-row checks, which name it
+    split = [line.partition(",") for line in lines[1:]]
+    text = "".join(tail for _, _, tail in split)
+    if text.isascii() and all(len(tail) == 2 * k - 1 for _, _, tail in split):
+        cells = np.frombuffer(text.encode(), dtype=np.uint8).reshape(len(split), 2 * k - 1)
+        bits = cells[:, 0::2] - np.uint8(ord("0"))
+        if not (np.any(bits > 1) or np.any(cells[:, 1::2] != ord(","))):
+            try:
+                return [(None if h == "" else int(h), b) for (h, _, _), b in zip(split, bits)]
+            except ValueError:
+                pass
     out = []
     for row_no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -359,12 +369,12 @@ def _parse_frames_csv(data: bytes, k: int) -> list[tuple[Optional[int], np.ndarr
             )
         idx = None if cells[0] == "" else int(cells[0])
         try:
-            bits = np.array([int(c) for c in cells[1:]], dtype=np.uint8)
+            values = [int(c) for c in cells[1:]]
         except ValueError as exc:
             raise CorruptFileError(f"frames.csv row {row_no}: {exc}") from exc
-        if np.any(bits > 1):
+        if any(v not in (0, 1) for v in values):
             raise CorruptFileError(f"frames.csv row {row_no}: bits must be 0 or 1")
-        out.append((idx, bits))
+        out.append((idx, np.array(values, dtype=np.uint8)))
     return out
 
 

@@ -8,7 +8,7 @@ with no dead time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,13 +19,16 @@ from .chain import (
     ChainSpec,
     RegisterBank,
     RegisterSpec,
-    capture,
+    _max_catchup_fs,
+    _reach_fs,
+    capture,  # noqa: F401  (kept importable as wavecap.sweep.capture)
+    capture_at,
     sample_chain,
     sample_registers,
     validate_config,
 )
 from .units import fs_to_ps, ps_to_fs
-from .waveform import DigitalWaveform, PllOutputSpec, make_pll_output, shift_phase
+from .waveform import DigitalWaveform, PllOutputSpec, make_pll_output
 
 __all__ = ["SweepSpec", "SweepDataset", "run_sweep", "run_continuous"]
 
@@ -118,22 +121,21 @@ def run_sweep(
 
     rng = np.random.default_rng(spec.seed)
     dead_lo, dead_hi = spec.relock_dead_cycles
-    t_abs_fs = ps_to_fs(t0_ps)
-    t_cap_fs = ps_to_fs(spec.t_capture_ps)
-
-    frames = []
+    jitter_fs = np.zeros(spec.n_steps, dtype=np.int64)
+    dead = np.empty(spec.n_steps, dtype=np.int64)
     for n in range(spec.n_steps):
         if spec.crystal_jitter_sigma_ps > 0:
-            jitter = float(rng.normal(0.0, spec.crystal_jitter_sigma_ps))
-        else:
-            jitter = 0.0
-        dead = int(rng.integers(dead_lo, dead_hi + 1))
-        w = shift_phase(base, n * spec.dt_ps)
-        frame = capture(w, chain_inst, reg_bank, t0_ps, clock_jitter_ps=jitter, phase_index=n)
-        # record absolute time including relock dead cycles; phase bookkeeping
-        # is untouched because capture happens at a fixed clock phase
-        t_abs_fs += dead * t_cap_fs
-        frames.append(CaptureFrame(frame.bits, t_abs_fs, n))
+            jitter_fs[n] = ps_to_fs(float(rng.normal(0.0, spec.crystal_jitter_sigma_ps)))
+        dead[n] = int(rng.integers(dead_lo, dead_hi + 1))
+    # Capture is translation-equivariant in integer femtoseconds, so the
+    # source shifted n*dt later and captured at t0 reads the same bits as the
+    # unshifted source captured at t0 - n*dt.
+    shift_fs = np.array([ps_to_fs(n * spec.dt_ps) for n in range(spec.n_steps)], dtype=np.int64)
+    bits = capture_at(base, chain_inst, reg_bank, ps_to_fs(t0_ps) + jitter_fs - shift_fs)
+    # record absolute time including relock dead cycles; phase bookkeeping is
+    # untouched because capture happens at a fixed clock phase
+    t_abs_fs = ps_to_fs(t0_ps) + np.cumsum(dead) * ps_to_fs(spec.t_capture_ps)
+    frames = [CaptureFrame(b, int(t), n) for n, (b, t) in enumerate(zip(bits, t_abs_fs))]
 
     return SweepDataset(tuple(frames), chain_spec, reg_spec, spec)
 
@@ -155,33 +157,19 @@ def run_continuous(
     reg_bank = regs if isinstance(regs, RegisterBank) else sample_registers(
         regs, chain_inst.spec.k
     )
+    sigma = crystal_jitter_sigma_ps
     if t_start_ps is None:
-        lo = w.domain_fs[0]
-        lookback_ps = chain_inst.spec.k * chain_inst.spec.tau_rise_ps * 1.1
-        t_start_ps = (0.0 if lo is None else fs_to_ps(lo)) + lookback_ps + 1_000
+        # the earliest start whose first frame, jittered by up to ten sigma,
+        # reads only where the waveform is defined
+        earliest_fs = (w.domain_fs[0] or 0) + _reach_fs(chain_inst) + _max_catchup_fs(chain_inst)
+        t_start_ps = fs_to_ps(earliest_fs - int(reg_bank.skews_fs.min())) + 10 * sigma
 
     rng = np.random.default_rng(seed)
-    frames = []
-    for m in range(n_frames):
-        jitter = (
-            float(rng.normal(0.0, crystal_jitter_sigma_ps))
-            if crystal_jitter_sigma_ps > 0
-            else 0.0
-        )
-        frames.append(
-            capture(
-                w,
-                chain_inst,
-                reg_bank,
-                t_start_ps + m * t_capture_ps,
-                clock_jitter_ps=jitter,
-                phase_index=m,
-            )
-        )
-    return SweepDataset(
-        tuple(frames),
-        chain_inst.spec,
-        reg_bank.spec,
-        None,
-        t_capture_ps=t_capture_ps,
+    jitter_ps = rng.normal(0.0, sigma, n_frames) if sigma > 0 else np.zeros(n_frames)
+    sample_fs = np.array(
+        [ps_to_fs(t_start_ps + m * t_capture_ps) + ps_to_fs(j) for m, j in enumerate(jitter_ps)],
+        dtype=np.int64,
     )
+    bits = capture_at(w, chain_inst, reg_bank, sample_fs)
+    frames = [CaptureFrame(b, int(t), m) for m, (b, t) in enumerate(zip(bits, sample_fs))]
+    return SweepDataset(tuple(frames), chain_inst.spec, reg_bank.spec, t_capture_ps=t_capture_ps)

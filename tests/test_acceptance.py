@@ -212,15 +212,29 @@ def test_criterion_7_ring_oscillator(tmp_path):
 
 
 def test_criterion_8_determinism(tmp_path):
-    hashes = []
+    def output_hashes(out):
+        # every file, report.json without its wall-clock runtime_s
+        hashes = {}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.name == "report.json":
+                rep = json.loads(data)
+                rep.pop("runtime_s")
+                data = json.dumps(rep, sort_keys=True).encode()
+            hashes[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+        return hashes
+
+    runs = []
     for name in ("a", "b"):
         out = tmp_path / name
         assert run_cli("sweep", "--config", "preset:fig3a", "--out", str(out), "--quiet") == 0
-        hashes.append(hashlib.sha256((out / "frames.csv").read_bytes()).hexdigest())
+        runs.append(output_hashes(out))
+    names = runs[0].keys() | runs[1].keys()
+    differing = sorted(n for n in names if runs[0].get(n) != runs[1].get(n))
     verdict(
         "8 determinism",
-        hashes[0] == hashes[1],
-        f"frames.csv sha256 {hashes[0][:16]}... on both runs",
+        "manifest.json" in runs[0] and not differing,
+        f"{len(runs[0])} files, differing: {differing or 'none'}",
     )
 
 

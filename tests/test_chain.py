@@ -3,10 +3,12 @@ import pytest
 
 from wavecap.chain import (
     ChainError,
+    ChainInstance,
     ChainSpec,
     LookbackError,
     RegisterSpec,
     capture,
+    capture_at,
     capture_oracle,
     default_dnl_ramp,
     sample_chain,
@@ -317,3 +319,69 @@ def test_symmetric_pulse_width_quantization(
         if start > 0 and end < k:  # interior pulse only
             n = end - start
             assert n in (width_fs // tau_fs, width_fs // tau_fs + 1)
+
+
+# -- capture_at: many frames of one waveform against the oracle --------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 40),
+    tau_fall_fs=st.integers(2_000, 8_000),
+    asym_fs=st.integers(0, 2_000),
+    sigma_ps=st.sampled_from([0.0, 0.4]),
+    entry_delay_ps=st.floats(0.0, 80.0),
+    min_pulse_ps=st.floats(1.0, 30.0),
+    skew_ps=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**16),
+    initial_level=st.integers(0, 1),
+    gaps_fs=st.lists(st.integers(1, 80_000), min_size=2, max_size=40),
+    domain_lo_fs=st.one_of(st.none(), st.integers(-50_000, 50_000)),
+    positions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+def test_capture_at_equals_oracle(
+    k, tau_fall_fs, asym_fs, sigma_ps, entry_delay_ps, min_pulse_ps, skew_ps, seed,
+    initial_level, gaps_fs, domain_lo_fs, positions,
+):
+    spec = ChainSpec(
+        k,
+        (tau_fall_fs + asym_fs) / 1_000.0,
+        tau_fall_fs / 1_000.0,
+        tau_sigma_ps=sigma_ps,
+        entry_delay_ps=entry_delay_ps,
+        entry_min_pulse_ps=min_pulse_ps,
+        seed=seed,
+    )
+    chain = sample_chain(spec)
+    regs = sample_registers(RegisterSpec(skew_sigma_ps=skew_ps, seed=seed), k)
+    w = DigitalWaveform(initial_level, np.cumsum(gaps_fs, dtype=np.int64), (domain_lo_fs, None))
+    # frame instants spread over the edges and the chain's reach past them
+    reach_fs = int(max(chain.prefix_rise_fs[-1], chain.prefix_fall_fs[-1]))
+    span_fs = sum(gaps_fs) + reach_fs
+    sample_fs = np.array([reach_fs + round(p * span_fs) for p in positions], dtype=np.int64)
+
+    expected, lookback_fails = [], False
+    for t_fs in sample_fs:
+        try:
+            expected.append(capture_oracle(w, chain, regs, int(t_fs) / 1_000.0).bits)
+        except LookbackError:
+            lookback_fails = True
+    if lookback_fails:
+        with pytest.raises(LookbackError):
+            capture_at(w, chain, regs, sample_fs)
+    else:
+        assert np.array_equal(capture_at(w, chain, regs, sample_fs), np.stack(expected))
+
+
+def test_capture_at_keeps_edges_older_than_the_slowest_path():
+    # the fall gains on the rise for ten elements, then falls back: it dies
+    # at element 10 with a rise that has left the chain before every sample,
+    # yet would itself still be in the chain at the late taps
+    rise = np.full(20, 6_000)
+    fall = np.array([4_000] * 10 + [9_000] * 10)
+    chain = ChainInstance(ChainSpec(20, 6.0, 6.0), rise, fall)
+    regs = regs_for(chain)
+    w = DigitalWaveform.from_edges([(0.0, 1), (20.0, 0)])
+    sample_fs = np.arange(125_000, 155_001, 1_000)
+    expected = [capture_oracle(w, chain, regs, t / 1_000).bits for t in sample_fs]
+    assert np.array_equal(capture_at(w, chain, regs, sample_fs), np.stack(expected))

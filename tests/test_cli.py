@@ -43,6 +43,27 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert ha == hb
 
 
+# sha256 of preset outputs, recorded before sweeps captured the unshifted
+# source at t0 - n*dt and before frame bits were written in bulk
+GOLDEN = [
+    ("sweep", "fig3a", "frames.csv",
+     "1c476209e98c8c9f204b228f81f6589edf4ca4361e69997a81b8f8d113ec431d"),
+    ("sweep", "fig3c", "frames.csv",
+     "6ebbfe10b9dea53da0a6ceebe1452dc5fe1d1f2b4d2f4296647c626c7208c080"),
+    ("ro", "appendix-ro19", "node_0/frames.csv",
+     "534a72bbd79309e40fb69a9bc4d738e8cf19e1d0c6ecd869f8391548a47b4672"),
+    ("ro", "appendix-ro19", "node_0_stitched.csv",
+     "b093dc24ea25f454f2c360914e1e941683bbf3057e2644b149fd26112c345725"),
+]
+
+
+@pytest.mark.parametrize("command,preset,name,sha", GOLDEN)
+def test_preset_output_is_pinned(tmp_path, command, preset, name, sha):
+    out = tmp_path / "run"
+    assert run(command, "--config", f"preset:{preset}", "--out", str(out), "--quiet") == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
+
+
 def test_seed_override_changes_frames(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("sweep", "--config", "preset:fig3a", "--out", str(a), "--quiet") == 0

@@ -1,13 +1,19 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavecap.chain import ChainSpec, RegisterSpec
+from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec
 from wavecap.storage import (
     CorruptFileError,
     HashMismatchError,
     VersionSkewError,
+    _frames_csv,
+    _parse_frames_csv,
+    bit_lines,
     config_to_specs,
     load_dataset,
     parse_config_text,
@@ -15,7 +21,7 @@ from wavecap.storage import (
     spec_to_config,
     write_pgm,
 )
-from wavecap.sweep import SweepSpec, run_continuous, run_sweep
+from wavecap.sweep import SweepDataset, SweepSpec, run_continuous, run_sweep
 from wavecap.waveform import PllOutputSpec, make_pll_output
 
 
@@ -61,8 +67,16 @@ def test_save_is_byte_deterministic(small_dataset, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     save_dataset(small_dataset, a)
     save_dataset(small_dataset, b)
-    for name in ("spec.config", "frames.csv", "times.csv", "frames.pgm"):
+    for name in ("spec.config", "frames.csv", "times.csv", "frames.pgm", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_manifest_with_created_utc_still_loads(small_dataset, tmp_path):
+    save_dataset(small_dataset, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["created_utc"] = "2021-06-01T00:00:00+00:00"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert load_dataset(tmp_path).n_frames == small_dataset.n_frames
 
 
 def test_truncated_frames_csv_names_the_row(small_dataset, tmp_path):
@@ -160,3 +174,127 @@ def test_pgm_format(tmp_path):
     data = (tmp_path / "x.pgm").read_bytes()
     assert data.startswith(b"P5\n3 2\n255\n")
     assert data[-6:] == bytes([255, 0, 255, 0, 255, 0])
+
+
+# -- bulk frame encoding and parsing against the per-bit code they replaced ---
+
+
+def per_bit_frames_csv(dataset):
+    k = dataset.k
+    header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1))
+    rows = [header]
+    for f in dataset.frames:
+        idx = "" if f.phase_index is None else str(f.phase_index)
+        rows.append(idx + "," + ",".join(str(int(b)) for b in f.bits))
+    return ("\n".join(rows) + "\n").encode()
+
+
+def per_row_parse(data, k):
+    lines = data.decode().splitlines()
+    if not lines:
+        raise CorruptFileError("frames.csv is empty")
+    expected_header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1))
+    if lines[0] != expected_header:
+        raise CorruptFileError("frames.csv header does not match the chain length")
+    out = []
+    for row_no, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != k + 1:
+            raise CorruptFileError(
+                f"frames.csv row {row_no}: expected {k + 1} cells, got {len(cells)}"
+            )
+        idx = None if cells[0] == "" else int(cells[0])
+        try:
+            bits = np.array([int(c) for c in cells[1:]], dtype=np.uint8)
+        except ValueError as exc:
+            raise CorruptFileError(f"frames.csv row {row_no}: {exc}") from exc
+        if np.any(bits > 1):
+            raise CorruptFileError(f"frames.csv row {row_no}: bits must be 0 or 1")
+        out.append((idx, bits))
+    return out
+
+
+def outcome(parse, data, k):
+    try:
+        return [(idx, bits.tolist()) for idx, bits in parse(data, k)]
+    except (CorruptFileError, ValueError) as exc:  # ValueError: a bad phase index
+        return (type(exc), str(exc))
+    except OverflowError:  # the per-row parser on a cell outside uint8
+        return OverflowError
+
+
+frame_sets = st.integers(1, 12).flatmap(
+    lambda k: st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.integers(-5, 10**6)),
+            st.lists(st.integers(0, 1), min_size=k, max_size=k),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+def as_dataset(rows):
+    frames = tuple(CaptureFrame(np.array(bits), 0, idx) for idx, bits in rows)
+    return SweepDataset(frames, ChainSpec(len(rows[0][1]), 5.0, 5.0), RegisterSpec())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=frame_sets)
+def test_frames_csv_matches_per_bit_encoding(rows):
+    ds = as_dataset(rows)
+    assert _frames_csv(ds, ds.bits_matrix()) == per_bit_frames_csv(ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), max_size=200))
+def test_bit_lines_match_the_per_bit_stitched_text(bits):
+    series = np.array(bits, dtype=np.uint8)
+    text = "".join(f"{int(b)}\n" for b in series).encode()
+    assert bit_lines(series[:, None]).tobytes() == text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    rows=frame_sets,
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["set", "insert", "delete"]),
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from(list("01,2\n -+x\u00e9\u0663_")),
+        ),
+        max_size=3,
+    ),
+)
+def test_parse_frames_csv_matches_the_per_row_parser(rows, edits):
+    ds = as_dataset(rows)
+    text = per_bit_frames_csv(ds).decode()
+    for op, where, char in edits:
+        i = int(where * len(text))
+        if op == "set":
+            text = text[:i] + char + text[i + 1 :]
+        elif op == "insert":
+            text = text[:i] + char + text[i:]
+        else:
+            text = text[:i] + text[i + 1 :]
+    data = text.encode()
+    got, want = outcome(_parse_frames_csv, data, ds.k), outcome(per_row_parse, data, ds.k)
+    if want is OverflowError:
+        assert got[0] is CorruptFileError and got[1].endswith("bits must be 0 or 1")
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("cell", ["-1", "256", "99999999999999999999"])
+def test_out_of_range_bit_is_corrupt(small_dataset, tmp_path, cell):
+    save_dataset(small_dataset, tmp_path)
+    path = tmp_path / "frames.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3][: lines[3].rindex(",") + 1] + cell
+    path.write_text("\n".join(lines) + "\n")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["hashes"]["frames.csv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorruptFileError, match="row 4: bits must be 0 or 1"):
+        load_dataset(tmp_path)

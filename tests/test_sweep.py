@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavecap.chain import ChainSpec, RegisterSpec
+from wavecap.chain import ChainSpec, RegisterSpec, capture, sample_chain, sample_registers
 from wavecap.sweep import SweepDataset, SweepError, SweepSpec, run_continuous, run_sweep
-from wavecap.waveform import DigitalWaveform, PllOutputSpec, make_pll_output
+from wavecap.units import ps_to_fs
+from wavecap.waveform import DigitalWaveform, PllOutputSpec, make_pll_output, shift_phase
 
 
 MLAB = ChainSpec(1300, 4.91, 4.54)
@@ -116,3 +119,100 @@ def test_continuous_span_512_frames():
     ds = run_continuous(w, ChainSpec(64, 5.0, 5.0), REGS, 5_000, 512, t_start_ps=1_000)
     span_fs = ds.frames[-1].capture_time_fs - ds.frames[0].capture_time_fs
     assert span_fs == 511 * 5_000 * 1000  # 2.56 us total run
+
+
+def test_continuous_default_start_covers_entry_delay():
+    w = make_pll_output(PllOutputSpec(100e6, 0.25), 2e5)
+    chain = ChainSpec(64, 5.0, 4.9, entry_delay_ps=2000)
+    ds = run_continuous(w, chain, RegisterSpec(), 300, 4)
+    assert ds.n_frames == 4
+    # the default start is the exact look-back: entry delay plus 64 rise delays
+    # plus the 6.4 ps rise/fall catch-up
+    assert ds.frames[0].capture_time_fs == ps_to_fs(2000 + 64 * 5.0 + 64 * 0.1)
+
+
+def test_continuous_equals_per_frame_capture():
+    # one entry-filtered waveform, jittered frames and skewed registers
+    w = make_pll_output(PllOutputSpec(600e6, 0.5, period_jitter_sigma_ps=40, seed=3), 60_000)
+    chain = sample_chain(ChainSpec(256, 4.91, 4.54, tau_sigma_ps=0.1, entry_min_pulse_ps=50))
+    regs = sample_registers(RegisterSpec(skew_sigma_ps=3.0, seed=4), 256)
+    ds = run_continuous(w, chain, regs, 700, 40, t_start_ps=5_000, crystal_jitter_sigma_ps=20)
+    rng = np.random.default_rng(0)
+    for m, f in enumerate(ds.frames):
+        jitter = float(rng.normal(0.0, 20))
+        assert f == capture(w, chain, regs, 5_000 + m * 700, clock_jitter_ps=jitter, phase_index=m)
+
+
+# -- run_sweep against the shift-per-step loop it replaced -------------------
+
+
+def shift_per_step_sweep(spec, chain_spec, reg_spec):
+    """The sweep loop as first written: shift the whole source n*dt later at
+    every step and capture it at the fixed phase t0."""
+    chain = sample_chain(chain_spec)
+    regs = sample_registers(reg_spec, chain_spec.k)
+    lookback_ps = chain_spec.k * max(chain_spec.tau_rise_ps, chain_spec.tau_fall_ps) * (
+        1 + 6 * chain_spec.tau_sigma_ps / max(chain_spec.tau_rise_ps, 1e-9)
+    )
+    total_shift_ps = spec.dt_ps * (spec.n_steps - 1)
+    margin_ps = chain_spec.entry_delay_ps + 10 * spec.crystal_jitter_sigma_ps + 1_000
+    t0_ps = lookback_ps + total_shift_ps + margin_ps
+    base = make_pll_output(spec.source, t0_ps + margin_ps)
+    rng = np.random.default_rng(spec.seed)
+    dead_lo, dead_hi = spec.relock_dead_cycles
+    t_abs_fs = ps_to_fs(t0_ps)
+    frames = []
+    for n in range(spec.n_steps):
+        if spec.crystal_jitter_sigma_ps > 0:
+            jitter = float(rng.normal(0.0, spec.crystal_jitter_sigma_ps))
+        else:
+            jitter = 0.0
+        dead = int(rng.integers(dead_lo, dead_hi + 1))
+        w = shift_phase(base, n * spec.dt_ps)
+        frame = capture(w, chain, regs, t0_ps, clock_jitter_ps=jitter, phase_index=n)
+        t_abs_fs += dead * ps_to_fs(spec.t_capture_ps)
+        frames.append((frame.bits, t_abs_fs, n))
+    return frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(16, 64),
+    tau_fall_ps=st.floats(4.0, 6.0),
+    asym_ps=st.floats(0.0, 0.5),
+    sigma_ps=st.sampled_from([0.0, 0.05]),
+    entry_delay_ps=st.floats(0.0, 100.0),
+    min_pulse_ps=st.sampled_from([0.0, 50.0]),
+    skew_ps=st.sampled_from([0.0, 3.0]),
+    frequency_hz=st.floats(1e8, 1.2e9),
+    duty=st.floats(0.2, 0.8),
+    period_jitter_ps=st.sampled_from([0.0, 20.0]),
+    coverage=st.floats(0.5, 1.0),
+    dt_ps=st.floats(0.0, 150.0),
+    n_steps=st.integers(2, 12),
+    crystal_jitter_ps=st.sampled_from([0.0, 30.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_run_sweep_equals_shift_per_step_loop(
+    k, tau_fall_ps, asym_ps, sigma_ps, entry_delay_ps, min_pulse_ps, skew_ps, frequency_hz,
+    duty, period_jitter_ps, coverage, dt_ps, n_steps, crystal_jitter_ps, seed,
+):
+    chain = ChainSpec(
+        k, tau_fall_ps + asym_ps, tau_fall_ps, tau_sigma_ps=sigma_ps,
+        entry_delay_ps=entry_delay_ps, entry_min_pulse_ps=min_pulse_ps, seed=seed,
+    )
+    regs = RegisterSpec(skew_sigma_ps=skew_ps, seed=seed + 1)
+    spec = SweepSpec(
+        PllOutputSpec(frequency_hz, duty, period_jitter_sigma_ps=period_jitter_ps, seed=seed),
+        t_capture_ps=coverage * k * tau_fall_ps,
+        dt_ps=dt_ps,
+        n_steps=n_steps,
+        crystal_jitter_sigma_ps=crystal_jitter_ps,
+        seed=seed + 2,
+    )
+    ds = run_sweep(spec, chain, regs)
+    expected = shift_per_step_sweep(spec, chain, regs)
+    assert len(ds.frames) == len(expected)
+    for f, (bits, t_fs, n) in zip(ds.frames, expected):
+        assert np.array_equal(f.bits, bits)
+        assert (f.capture_time_fs, f.phase_index) == (t_fs, n)
