@@ -38,8 +38,10 @@ from .storage import (
     load_dataset,
     parse_config_text,
     regs_from_config,
+    reject_unknown_keys,
     save_dataset,
     sweep_from_config,
+    take,
     write_pgm,
     write_report,
 )
@@ -60,31 +62,23 @@ def _load_config(path: str) -> dict[str, str]:
             raise CliError(f"no preset named {name!r}")
         text = ref.read_text()
     else:
-        p = Path(path)
-        if not p.exists():
-            raise CliError(f"config file {path} does not exist")
-        text = p.read_text()
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise CliError(f"cannot read config file {path}: {exc.strerror}") from exc
     kv = parse_config_text(text)
     check_format_version(kv)
     return kv
-
-
-def _pop(kv: dict, key: str, conv, default):
-    if key not in kv:
-        return default
-    return conv(kv.pop(key))
-
-
-def _reject_leftovers(kv: dict) -> None:
-    if kv:
-        raise CliError(f"unknown config keys: {sorted(kv)}")
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     if not out.is_absolute():
         out = Path(os.environ.get(OUT_ROOT_ENV, ".")) / out
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot make output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -102,6 +96,21 @@ def _shift_seeds(chain, regs, sweep, offset: int):
     return chain, regs, sweep
 
 
+def _specs(args, kv: dict):
+    """The chain, register and sweep specs of a config whose command keys
+    were taken already, seeds shifted by --seed; any other key is an error.
+    A ring config has no kind and no sweep, the other commands need a sweep."""
+    chain = chain_from_config(kv)
+    regs = regs_from_config(kv)
+    sweep = None
+    if args.command != "ro":
+        if take(kv, "kind", str, "sweep") != "sweep":
+            raise CliError(f"{args.command} needs a config with kind = sweep")
+        sweep = sweep_from_config(kv)
+    reject_unknown_keys(kv)
+    return _shift_seeds(chain, regs, sweep, args.seed)
+
+
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -113,14 +122,7 @@ def _say(args, msg: str) -> None:
 
 
 def cmd_sweep(args) -> int:
-    kv = _load_config(args.config)
-    chain = chain_from_config(kv)
-    regs = regs_from_config(kv)
-    if _pop(kv, "kind", str, "sweep") != "sweep":
-        raise CliError("sweep needs a config with kind = sweep")
-    sweep = sweep_from_config(kv)
-    _reject_leftovers(kv)
-    chain, regs, sweep = _shift_seeds(chain, regs, sweep, args.seed)
+    chain, regs, sweep = _specs(args, _load_config(args.config))
     out = _out_dir(args)
     t0 = time.perf_counter()
     dataset = run_sweep(sweep, chain, regs)
@@ -139,35 +141,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_channels(kv: dict, seed_offset: int, n_channels: int):
-    chain = chain_from_config(kv)
-    regs = regs_from_config(kv)
-    if _pop(kv, "kind", str, "sweep") != "sweep":
-        raise CliError("calibration needs a config with kind = sweep")
-    sweep = sweep_from_config(kv)
-    datasets = []
-    for ch in range(n_channels):
-        c, r, s = _shift_seeds(chain, regs, sweep, seed_offset + 1000 * ch)
-        datasets.append(run_sweep(s, c, r))
-    return chain, datasets
-
-
 def cmd_calibrate(args) -> int:
     kv = _load_config(args.config)
-    n_channels = _pop(kv, "calibrate.n_channels", int, 1)
-    min_run = _pop(kv, "calibrate.min_run", int, 15)
+    n_channels = take(kv, "calibrate.n_channels", int, 1)
+    min_run = take(kv, "calibrate.min_run", int, 15)
+    chain, regs, sweep = _specs(args, kv)
     t0 = time.perf_counter()
     if args.inputs:
         datasets = [load_dataset(d) for d in args.inputs]
         chain = datasets[0].chain_spec
-        _pop(kv, "kind", str, "sweep")
-        for prefix in ("chain.", "regs.", "source.", "sweep."):
-            for key in [k for k in kv if k.startswith(prefix)]:
-                kv.pop(key)
-        _reject_leftovers(kv)
     else:
-        chain, datasets = _sweep_channels(kv, args.seed, n_channels)
-        _reject_leftovers(kv)
+        shifted = (_shift_seeds(chain, regs, sweep, 1000 * ch) for ch in range(n_channels))
+        datasets = [run_sweep(s, c, r) for c, r, s in shifted]
     result = calibrate(datasets, min_run=min_run)
     out = _out_dir(args)
     report = {
@@ -208,15 +193,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_shrink(args) -> int:
     kv = _load_config(args.config)
-    min_run = _pop(kv, "shrink.min_run", int, 15)
-    bin_width = _pop(kv, "shrink.bin_width", int, 25)
-    chain = chain_from_config(kv)
-    regs = regs_from_config(kv)
-    if _pop(kv, "kind", str, "sweep") != "sweep":
-        raise CliError("shrink needs a config with kind = sweep")
-    sweep = sweep_from_config(kv)
-    _reject_leftovers(kv)
-    chain, regs, sweep = _shift_seeds(chain, regs, sweep, args.seed)
+    min_run = take(kv, "shrink.min_run", int, 15)
+    bin_width = take(kv, "shrink.bin_width", int, 25)
+    chain, regs, sweep = _specs(args, kv)
     t0 = time.perf_counter()
     dataset = run_sweep(sweep, chain, regs)
     res = shrink_analysis(dataset, min_run=min_run, bin_width=bin_width)
@@ -238,109 +217,72 @@ def cmd_shrink(args) -> int:
 
 def cmd_correct(args) -> int:
     kv = _load_config(args.config)
-    gap_threshold = _pop(kv, "correct.gap_threshold", int, 15)
-    alpha_raw = _pop(kv, "correct.dilation_factor", str, "auto")
-    min_run = _pop(kv, "correct.min_run", int, 15)
-    bin_width = _pop(kv, "correct.bin_width", int, 25)
+    gap_threshold = take(kv, "correct.gap_threshold", int, 15)
+    # None: alpha = 1 - the contraction rate measured on the dataset
+    alpha = take(kv, "correct.dilation_factor", lambda s: None if s == "auto" else float(s), None)
+    min_run = take(kv, "correct.min_run", int, 15)
+    bin_width = take(kv, "correct.bin_width", int, 25)
+    # filter mode corrects an existing dataset and reads the specs only to
+    # validate the config; recovery mode generates the dataset and scores it
+    chain, regs, sweep = _specs(args, kv)
+    if len(args.inputs) > 1:
+        raise CliError("correct takes at most one input dataset")
     out = _out_dir(args)
     t0 = time.perf_counter()
-    if args.inputs:
-        # filter mode: correct an existing dataset directory
-        if len(args.inputs) != 1:
-            raise CliError("correct takes at most one input dataset")
-        for prefix in ("chain.", "regs.", "source.", "sweep.", "kind"):
-            for key in [k for k in kv if k.startswith(prefix)]:
-                kv.pop(key)
-        _reject_leftovers(kv)
-        dataset = load_dataset(args.inputs[0])
-        alpha = (
-            1.0 - shrink_analysis(dataset, min_run=min_run, bin_width=bin_width).rate
-            if alpha_raw == "auto"
-            else float(alpha_raw)
-        )
-        corrected = correct_dataset(dataset, CorrectionSpec(gap_threshold, alpha))
-        save_dataset(corrected, out)
-        write_report(
-            {
-                "kind": "correct",
-                "alpha": alpha,
-                "runtime_s": round(time.perf_counter() - t0, 3),
-            },
-            out / "report.json",
-        )
-        _say(args, f"corrected {dataset.n_frames} frames with alpha {alpha:.4f}")
-        return 0
-    # recovery mode: generate the dataset, an unshrunk truth twin, and score
-    chain = chain_from_config(kv)
-    regs = regs_from_config(kv)
-    if _pop(kv, "kind", str, "sweep") != "sweep":
-        raise CliError("correct needs a config with kind = sweep")
-    sweep = sweep_from_config(kv)
-    _reject_leftovers(kv)
-    chain, regs, sweep = _shift_seeds(chain, regs, sweep, args.seed)
-    dataset = run_sweep(sweep, chain, regs)
-    truth_chain = replace(chain, tau_fall_ps=chain.tau_rise_ps)
-    truth = run_sweep(sweep, truth_chain, regs)
-    rate = shrink_analysis(dataset, min_run=min_run, bin_width=bin_width).rate
-    alpha = 1.0 - rate if alpha_raw == "auto" else float(alpha_raw)
+    dataset = load_dataset(args.inputs[0]) if args.inputs else run_sweep(sweep, chain, regs)
+    if alpha is None or not args.inputs:
+        rate = shrink_analysis(dataset, min_run=min_run, bin_width=bin_width).rate
+    alpha = 1.0 - rate if alpha is None else alpha
     corrected = correct_dataset(dataset, CorrectionSpec(gap_threshold, alpha))
     save_dataset(corrected, out)
-    raw_err = dataset_fidelity(truth, dataset).mean_abs_error
-    fixed_err = dataset_fidelity(truth, corrected).mean_abs_error
-    write_report(
-        {
-            "kind": "correct",
-            "alpha": alpha,
-            "measured_rate": rate,
-            "recovered": {
-                "uncorrected_mean_abs_err": raw_err,
-                "corrected_mean_abs_err": fixed_err,
-                "improvement": 1.0 - fixed_err / raw_err if raw_err else 0.0,
-            },
-            "runtime_s": round(time.perf_counter() - t0, 3),
-        },
-        out / "report.json",
-    )
-    _say(
-        args,
-        f"width error {raw_err:.2f} -> {fixed_err:.2f} carries "
-        f"(alpha {alpha:.4f})",
-    )
+    report = {"kind": "correct", "alpha": alpha}
+    if args.inputs:
+        msg = f"corrected {dataset.n_frames} frames with alpha {alpha:.4f}"
+    else:
+        # score both against an unshrunk truth twin
+        truth = run_sweep(sweep, replace(chain, tau_fall_ps=chain.tau_rise_ps), regs)
+        raw_err = dataset_fidelity(truth, dataset).mean_abs_error
+        fixed_err = dataset_fidelity(truth, corrected).mean_abs_error
+        report["measured_rate"] = rate
+        report["recovered"] = {
+            "uncorrected_mean_abs_err": raw_err,
+            "corrected_mean_abs_err": fixed_err,
+            "improvement": 1.0 - fixed_err / raw_err if raw_err else 0.0,
+        }
+        msg = f"width error {raw_err:.2f} -> {fixed_err:.2f} carries (alpha {alpha:.4f})"
+    report["runtime_s"] = round(time.perf_counter() - t0, 3)
+    write_report(report, out / "report.json")
+    _say(args, msg)
     return 0
 
 
 def cmd_ro(args) -> int:
     kv = _load_config(args.config)
-    n = _pop(kv, "ring.n", int, None)
-    if n is None:
-        raise CliError("ring.n is required")
-    init_raw = _pop(kv, "ring.initial_state", str, "zeros")
-    if init_raw == "pulse":
-        init = stable_pulse_state(n)
-    elif init_raw == "zeros":
-        init = tuple(0 for _ in range(n))
-    else:
-        init = tuple(int(b) for b in init_raw.split(","))
+    n = take(kv, "ring.n", int)
+
+    def initial_state(s: str) -> tuple[int, ...]:
+        if s == "pulse":
+            return stable_pulse_state(n)
+        return (0,) * n if s == "zeros" else tuple(int(b) for b in s.split(","))
+
     ring = RingSpec(
         n=n,
-        tau_gate_ps=_pop(kv, "ring.tau_gate_ps", float, 240.0),
-        tau_sigma_ps=_pop(kv, "ring.tau_sigma_ps", float, 0.0),
-        tau_fall_extra_ps=_pop(kv, "ring.tau_fall_extra_ps", float, 0.0),
-        min_pulse_ps=_pop(kv, "ring.min_pulse_ps", float, 50.0),
-        initial_state=init,
-        release_time_ps=_pop(kv, "ring.release_time_ps", float, 0.0),
-        seed=_pop(kv, "ring.seed", int, 0) + args.seed,
+        tau_gate_ps=take(kv, "ring.tau_gate_ps", float, 240.0),
+        tau_sigma_ps=take(kv, "ring.tau_sigma_ps", float, 0.0),
+        tau_fall_extra_ps=take(kv, "ring.tau_fall_extra_ps", float, 0.0),
+        min_pulse_ps=take(kv, "ring.min_pulse_ps", float, 50.0),
+        initial_state=take(kv, "ring.initial_state", initial_state, (0,) * n),
+        release_time_ps=take(kv, "ring.release_time_ps", float, 0.0),
+        seed=take(kv, "ring.seed", int, 0) + args.seed,
     )
-    t_capture = _pop(kv, "ro.t_capture_ps", float, 5_000.0)
-    n_frames = _pop(kv, "ro.n_frames", int, 64)
-    t_start = _pop(kv, "ro.t_start_ps", float, 15_000.0)
-    nodes_raw = _pop(kv, "ro.capture_nodes", str, "0")
-    capture_nodes = [int(v) for v in nodes_raw.split(",")]
-    measure = _pop(kv, "ro.measure_timescale", str, "false") == "true"
-    chain = chain_from_config(kv)
-    regs = regs_from_config(kv)
-    _reject_leftovers(kv)
-    chain, regs, _ = _shift_seeds(chain, regs, None, args.seed)
+    t_capture = take(kv, "ro.t_capture_ps", float, 5_000.0)
+    n_frames = take(kv, "ro.n_frames", int, 64)
+    t_start = take(kv, "ro.t_start_ps", float, 15_000.0)
+    capture_nodes = take(kv, "ro.capture_nodes", lambda s: [int(v) for v in s.split(",")], [0])
+    if not all(0 <= node < n for node in capture_nodes):
+        raise CliError(f"ro.capture_nodes {capture_nodes} must lie in [0, {n})")
+    measure = take(kv, "ro.measure_timescale", bool, False)
+    chain, regs, _ = _specs(args, kv)
 
     out = _out_dir(args)
     t0 = time.perf_counter()

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -40,6 +41,8 @@ __all__ = [
     "sweep_from_config",
     "check_format_version",
     "parse_config_text",
+    "take",
+    "reject_unknown_keys",
     "save_dataset",
     "load_dataset",
     "write_report",
@@ -79,8 +82,6 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, (tuple, list)):
         return ",".join(_fmt(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -91,36 +92,9 @@ def spec_to_config(
     t_capture_ps: Optional[float] = None,
 ) -> str:
     """Serialize generating specs as flat key = value text."""
-    pairs = [("format_version", FORMAT_VERSION)]
-    pairs += [
-        ("chain.k", chain.k),
-        ("chain.tau_rise_ps", chain.tau_rise_ps),
-        ("chain.tau_fall_ps", chain.tau_fall_ps),
-        ("chain.tau_sigma_ps", chain.tau_sigma_ps),
-        ("chain.entry_delay_ps", chain.entry_delay_ps),
-        ("chain.entry_min_pulse_ps", chain.entry_min_pulse_ps),
-        ("chain.dnl_ramp", chain.dnl_ramp),
-        ("chain.seed", chain.seed),
-        ("chain.allow_inverted", chain.allow_inverted),
-        ("regs.clock_jitter_sigma_ps", regs.clock_jitter_sigma_ps),
-        ("regs.skew_sigma_ps", regs.skew_sigma_ps),
-        ("regs.seed", regs.seed),
-    ]
+    pairs = [("format_version", FORMAT_VERSION), *_spec_pairs(chain), *_spec_pairs(regs)]
     if sweep is not None:
-        pairs += [
-            ("kind", "sweep"),
-            ("source.frequency_hz", sweep.source.frequency_hz),
-            ("source.duty_cycle", sweep.source.duty_cycle),
-            ("source.phase_offset_ps", sweep.source.phase_offset_ps),
-            ("source.period_jitter_sigma_ps", sweep.source.period_jitter_sigma_ps),
-            ("source.seed", sweep.source.seed),
-            ("sweep.t_capture_ps", sweep.t_capture_ps),
-            ("sweep.dt_ps", sweep.dt_ps),
-            ("sweep.n_steps", sweep.n_steps),
-            ("sweep.relock_dead_cycles", sweep.relock_dead_cycles),
-            ("sweep.crystal_jitter_sigma_ps", sweep.crystal_jitter_sigma_ps),
-            ("sweep.seed", sweep.seed),
-        ]
+        pairs += [("kind", "sweep"), *_spec_pairs(sweep)]
     else:
         pairs += [("kind", "continuous"), ("continuous.t_capture_ps", t_capture_ps)]
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in pairs)
@@ -143,75 +117,104 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _take(kv: dict[str, str], key: str, conv):
+_REQUIRED = object()
+
+
+def take(kv: dict[str, str], key: str, conv, default=_REQUIRED):
+    """Pop ``key`` from ``kv`` and convert it; a key without a default must
+    be present, and a bad value names its key."""
     if key not in kv:
-        raise CorruptFileError(f"missing config key {key!r}")
-    return conv(kv.pop(key))
+        if default is _REQUIRED:
+            raise CorruptFileError(f"missing config key {key!r}")
+        return default
+    try:
+        return _PARSERS.get(conv, conv)(kv.pop(key))
+    except ValueError as exc:
+        raise CorruptFileError(f"config key {key!r}: {exc}") from exc
 
 
 def _as_bool(s: str) -> bool:
     if s not in ("true", "false"):
-        raise CorruptFileError(f"expected true/false, got {s!r}")
+        raise ValueError(f"expected true/false, got {s!r}")
     return s == "true"
 
 
 def _as_float_tuple(s: str):
     if s == "none":
         return None
-    return tuple(float(v) for v in s.split(","))
+    return () if s == "" else tuple(float(v) for v in s.split(","))
 
 
 def _as_int_pair(s: str) -> tuple[int, int]:
     parts = s.split(",")
     if len(parts) != 2:
-        raise CorruptFileError(f"expected two integers, got {s!r}")
+        raise ValueError(f"expected two integers, got {s!r}")
     return (int(parts[0]), int(parts[1]))
+
+
+# one parser per field annotation of the specs below; take() looks its
+# conv up here too, so take(kv, key, bool) accepts only true and false
+_PARSERS = {
+    int: int,
+    float: float,
+    bool: _as_bool,
+    Optional[tuple[float, ...]]: _as_float_tuple,
+    tuple[int, int]: _as_int_pair,
+}
+_PREFIXES = {ChainSpec: "chain", RegisterSpec: "regs", PllOutputSpec: "source", SweepSpec: "sweep"}
+
+
+def reject_unknown_keys(kv: dict[str, str]) -> None:
+    if kv:
+        raise CorruptFileError(f"unknown config keys: {sorted(kv)}")
+
+
+def _spec_keys(cls) -> list[tuple[str, Optional[str], object]]:
+    """(field, config key, annotation) for each field of a spec class; the
+    key is None for a nested spec, whose fields carry its own prefix."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if hint in _PREFIXES:
+            out.append((f.name, None, hint))
+        elif hint in _PARSERS:
+            out.append((f.name, f"{_PREFIXES[cls]}.{f.name}", hint))
+        else:
+            raise TypeError(f"no config parser for {cls.__name__}.{f.name}: {hint}")
+    return out
+
+
+def _spec_pairs(spec) -> list[tuple[str, object]]:
+    pairs = []
+    for name, key, _ in _spec_keys(type(spec)):
+        value = getattr(spec, name)
+        pairs += _spec_pairs(value) if key is None else [(key, value)]
+    return pairs
+
+
+def _spec_from_config(cls, kv: dict[str, str]):
+    return cls(**{
+        name: _spec_from_config(hint, kv) if key is None else take(kv, key, hint)
+        for name, key, hint in _spec_keys(cls)
+    })
 
 
 def chain_from_config(kv: dict[str, str]) -> ChainSpec:
     """Consume chain.* keys from an already-parsed config dict."""
-    return ChainSpec(
-        k=_take(kv, "chain.k", int),
-        tau_rise_ps=_take(kv, "chain.tau_rise_ps", float),
-        tau_fall_ps=_take(kv, "chain.tau_fall_ps", float),
-        tau_sigma_ps=_take(kv, "chain.tau_sigma_ps", float),
-        entry_delay_ps=_take(kv, "chain.entry_delay_ps", float),
-        entry_min_pulse_ps=_take(kv, "chain.entry_min_pulse_ps", float),
-        dnl_ramp=_take(kv, "chain.dnl_ramp", _as_float_tuple),
-        seed=_take(kv, "chain.seed", int),
-        allow_inverted=_take(kv, "chain.allow_inverted", _as_bool),
-    )
+    return _spec_from_config(ChainSpec, kv)
 
 
 def regs_from_config(kv: dict[str, str]) -> RegisterSpec:
-    return RegisterSpec(
-        clock_jitter_sigma_ps=_take(kv, "regs.clock_jitter_sigma_ps", float),
-        skew_sigma_ps=_take(kv, "regs.skew_sigma_ps", float),
-        seed=_take(kv, "regs.seed", int),
-    )
+    return _spec_from_config(RegisterSpec, kv)
 
 
 def sweep_from_config(kv: dict[str, str]) -> SweepSpec:
-    source = PllOutputSpec(
-        frequency_hz=_take(kv, "source.frequency_hz", float),
-        duty_cycle=_take(kv, "source.duty_cycle", float),
-        phase_offset_ps=_take(kv, "source.phase_offset_ps", float),
-        period_jitter_sigma_ps=_take(kv, "source.period_jitter_sigma_ps", float),
-        seed=_take(kv, "source.seed", int),
-    )
-    return SweepSpec(
-        source=source,
-        t_capture_ps=_take(kv, "sweep.t_capture_ps", float),
-        dt_ps=_take(kv, "sweep.dt_ps", float),
-        n_steps=_take(kv, "sweep.n_steps", int),
-        relock_dead_cycles=_take(kv, "sweep.relock_dead_cycles", _as_int_pair),
-        crystal_jitter_sigma_ps=_take(kv, "sweep.crystal_jitter_sigma_ps", float),
-        seed=_take(kv, "sweep.seed", int),
-    )
+    return _spec_from_config(SweepSpec, kv)
 
 
 def check_format_version(kv: dict[str, str]) -> None:
-    version = _take(kv, "format_version", int)
+    version = take(kv, "format_version", int)
     if version != FORMAT_VERSION:
         raise VersionSkewError(
             f"config format {version} not supported (expected {FORMAT_VERSION})"
@@ -226,17 +229,15 @@ def config_to_specs(
     check_format_version(kv)
     chain = chain_from_config(kv)
     regs = regs_from_config(kv)
-    kind = _take(kv, "kind", str)
-    sweep = None
-    t_capture = None
+    kind = take(kv, "kind", str)
+    sweep = t_capture = None
     if kind == "sweep":
         sweep = sweep_from_config(kv)
     elif kind == "continuous":
-        t_capture = _take(kv, "continuous.t_capture_ps", float)
+        t_capture = take(kv, "continuous.t_capture_ps", float)
     else:
         raise CorruptFileError(f"unknown dataset kind {kind!r}")
-    if kv:
-        raise CorruptFileError(f"unknown config keys: {sorted(kv)}")
+    reject_unknown_keys(kv)
     return chain, regs, sweep, t_capture
 
 
@@ -367,8 +368,8 @@ def _parse_frames_csv(data: bytes, k: int) -> list[tuple[Optional[int], np.ndarr
             raise CorruptFileError(
                 f"frames.csv row {row_no}: expected {k + 1} cells, got {len(cells)}"
             )
-        idx = None if cells[0] == "" else int(cells[0])
         try:
+            idx = None if cells[0] == "" else int(cells[0])
             values = [int(c) for c in cells[1:]]
         except ValueError as exc:
             raise CorruptFileError(f"frames.csv row {row_no}: {exc}") from exc
@@ -403,11 +404,16 @@ def load_dataset(directory: Union[str, Path]) -> SweepDataset:
     if len(time_lines) - 1 != len(rows):
         raise CorruptFileError("times.csv row count does not match frames.csv")
     frames = []
-    for (idx, bits), line in zip(rows, time_lines[1:]):
+    for row_no, ((idx, bits), line) in enumerate(zip(rows, time_lines[1:]), start=2):
         cells = line.split(",")
-        if len(cells) != 2:
-            raise CorruptFileError(f"times.csv: malformed row {line!r}")
-        frames.append(CaptureFrame(bits, int(cells[1]), idx))
+        try:
+            if len(cells) != 2:
+                raise ValueError(f"expected 2 cells, got {len(cells)}")
+            if cells[0] != ("" if idx is None else str(idx)):
+                raise ValueError(f"phase index {cells[0]!r} is not frames.csv's {idx}")
+            frames.append(CaptureFrame(bits, int(cells[1]), idx))
+        except ValueError as exc:
+            raise CorruptFileError(f"times.csv row {row_no}: {exc}") from exc
     return SweepDataset(tuple(frames), chain, regs, sweep, t_capture_ps=t_capture)
 
 

@@ -54,6 +54,13 @@ GOLDEN = [
      "534a72bbd79309e40fb69a9bc4d738e8cf19e1d0c6ecd869f8391548a47b4672"),
     ("ro", "appendix-ro19", "node_0_stitched.csv",
      "b093dc24ea25f454f2c360914e1e941683bbf3057e2644b149fd26112c345725"),
+    # recorded before specs were written and read from their dataclass fields
+    ("sweep", "fig3a", "spec.config",
+     "b8ec0dbf96c63a2211be0e26246ecae16490b608621159200dbb061364b93535"),
+    ("sweep", "fig3c", "spec.config",
+     "7b036cdba07c34a4cf6ebe5fe34e9dd56ef2666642f51a29ac5f052deb9cb9ce"),
+    ("ro", "appendix-ro19", "node_0/spec.config",
+     "e5d064d042c3e010a97179d777b9726a1e2a227b758b36701f735ea0345ed5b5"),
 ]
 
 
@@ -232,3 +239,67 @@ def test_tampered_manifest_exits_2(tmp_path, capsys, tamper):
     code = run("correct", "--config", "preset:fig6", "--out", str(tmp_path / "y"), str(raw))
     assert code == 2
     assert "hashes must name exactly" in capsys.readouterr().err
+
+
+def preset_config(tmp_path, preset, old="", new="", extra=""):
+    from importlib import resources
+
+    text = (resources.files("wavecap.presets") / f"{preset}.config").read_text()
+    assert old in text
+    cfg = tmp_path / f"{preset}-edited.config"
+    cfg.write_text(text.replace(old, new) + extra)
+    return str(cfg)
+
+
+@pytest.mark.parametrize(
+    "command, preset, old, new, key",
+    [
+        ("ro", "appendix-ro19", "ro.measure_timescale = true", "ro.measure_timescale = yes",
+         "'ro.measure_timescale': expected true/false"),
+        ("sweep", "fig3c", "chain.k = 1300", "chain.k = abc", "'chain.k': invalid literal"),
+        ("ro", "fig7", "ro.capture_nodes = 0,1,2", "ro.capture_nodes = 5",
+         "ro.capture_nodes [5] must lie in [0, 3)"),
+        ("ro", "fig7", "ro.capture_nodes = 0,1,2", "ro.capture_nodes = -1",
+         "ro.capture_nodes [-1] must lie in [0, 3)"),
+        ("ro", "fig7", "ring.initial_state = zeros", "ring.initial_state = 1,x,0",
+         "'ring.initial_state': invalid literal"),
+        ("correct", "fig6", "correct.dilation_factor = auto", "correct.dilation_factor = big",
+         "'correct.dilation_factor': could not convert"),
+    ],
+    ids=["measure-yes", "k-abc", "nodes-5", "nodes-minus-1", "initial-state", "dilation-big"],
+)
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, preset, old, new, key):
+    cfg = preset_config(tmp_path, preset, old, new)
+    out = tmp_path / "x"
+    assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture()
+def raw_sweep(tmp_path):
+    raw = tmp_path / "raw"
+    assert run("sweep", "--config", "preset:fig3c", "--out", str(raw), "--quiet") == 0
+    return str(raw)
+
+
+@pytest.mark.parametrize("command, preset", [("correct", "fig6"), ("calibrate", "fig4")])
+def test_filter_mode_rejects_stray_spec_keys(tmp_path, capsys, raw_sweep, command, preset):
+    cfg = preset_config(tmp_path, preset, extra="chain.bogus = 1\n")
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "y"), raw_sweep) == 2
+    assert "unknown config keys: ['chain.bogus']" in capsys.readouterr().err
+
+
+def test_filter_mode_needs_a_complete_config(tmp_path, capsys, raw_sweep):
+    cfg = tmp_path / "only-correct.config"
+    cfg.write_text("format_version = 1\ncorrect.gap_threshold = 15\n")
+    assert run("correct", "--config", str(cfg), "--out", str(tmp_path / "y"), raw_sweep) == 2
+    assert "missing config key 'chain.k'" in capsys.readouterr().err
+
+
+def test_bad_config_and_out_paths_exit_2(tmp_path, capsys):
+    assert run("sweep", "--config", str(tmp_path), "--out", str(tmp_path / "x")) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    (tmp_path / "taken").write_text("")
+    assert run("sweep", "--config", "preset:fig3c", "--out", str(tmp_path / "taken")) == 2
+    assert "cannot make output directory" in capsys.readouterr().err

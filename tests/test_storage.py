@@ -1,11 +1,13 @@
 import hashlib
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavecap import storage
 from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec
 from wavecap.storage import (
     CorruptFileError,
@@ -19,6 +21,7 @@ from wavecap.storage import (
     parse_config_text,
     save_dataset,
     spec_to_config,
+    take,
     write_pgm,
 )
 from wavecap.sweep import SweepDataset, SweepSpec, run_continuous, run_sweep
@@ -203,8 +206,8 @@ def per_row_parse(data, k):
             raise CorruptFileError(
                 f"frames.csv row {row_no}: expected {k + 1} cells, got {len(cells)}"
             )
-        idx = None if cells[0] == "" else int(cells[0])
         try:
+            idx = None if cells[0] == "" else int(cells[0])
             bits = np.array([int(c) for c in cells[1:]], dtype=np.uint8)
         except ValueError as exc:
             raise CorruptFileError(f"frames.csv row {row_no}: {exc}") from exc
@@ -217,7 +220,7 @@ def per_row_parse(data, k):
 def outcome(parse, data, k):
     try:
         return [(idx, bits.tolist()) for idx, bits in parse(data, k)]
-    except (CorruptFileError, ValueError) as exc:  # ValueError: a bad phase index
+    except CorruptFileError as exc:
         return (type(exc), str(exc))
     except OverflowError:  # the per-row parser on a cell outside uint8
         return OverflowError
@@ -297,4 +300,129 @@ def test_out_of_range_bit_is_corrupt(small_dataset, tmp_path, cell):
     manifest["hashes"]["frames.csv"] = hashlib.sha256(path.read_bytes()).hexdigest()
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(CorruptFileError, match="row 4: bits must be 0 or 1"):
+        load_dataset(tmp_path)
+
+
+# -- one config reader: every spec written and read from its fields ----------
+
+floats = st.floats(allow_nan=False, allow_infinity=False)
+nonneg = st.floats(0.0, 1e6)
+positive = st.floats(1e-3, 1e6)
+seeds = st.integers(0, 2**32)
+
+
+@st.composite
+def chain_specs(draw):
+    k = draw(st.integers(1, 2000))
+    rise, fall = draw(positive), draw(positive)
+    return ChainSpec(
+        k,
+        rise,
+        fall,
+        tau_sigma_ps=draw(nonneg),
+        entry_delay_ps=draw(nonneg),
+        entry_min_pulse_ps=draw(nonneg),
+        dnl_ramp=draw(st.none() | st.lists(floats, max_size=min(k, 6)).map(tuple)),
+        seed=draw(seeds),
+        allow_inverted=draw(st.booleans()) or rise < fall,
+    )
+
+
+reg_specs = st.builds(RegisterSpec, nonneg, nonneg, seeds)
+
+
+@st.composite
+def sweep_specs(draw):
+    lo = draw(st.integers(2, 100))
+    source = PllOutputSpec(
+        draw(positive),
+        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        draw(floats),
+        draw(nonneg),
+        draw(seeds),
+    )
+    return SweepSpec(
+        source,
+        draw(floats),
+        draw(nonneg),
+        draw(st.integers(2, 10**6)),
+        (lo, draw(st.integers(lo, 1000))),
+        draw(nonneg),
+        draw(seeds),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=chain_specs(), regs=reg_specs, sweep=st.none() | sweep_specs(), t=floats)
+def test_config_round_trip_of_random_specs(chain, regs, sweep, t):
+    text = spec_to_config(chain, regs, sweep, None if sweep else t)
+    want = (chain, regs, sweep, None if sweep else t)
+    assert config_to_specs(parse_config_text(text)) == want
+
+
+def test_config_writes_numpy_floats_as_plain_numbers():
+    chain = ChainSpec(16, np.float64(5.0), 4.5)
+    text = spec_to_config(chain, RegisterSpec(), t_capture_ps=100.0)
+    assert "chain.tau_rise_ps = 5.0\n" in text
+    assert config_to_specs(parse_config_text(text))[0] == chain
+
+
+def test_config_bad_values_name_their_key():
+    text = spec_to_config(ChainSpec(16, 5.0, 5.0), RegisterSpec(), t_capture_ps=100.0)
+    for key, value in [("chain.k", "abc"), ("chain.allow_inverted", "yes")]:
+        kv = parse_config_text(text)
+        kv[key] = value
+        with pytest.raises(CorruptFileError, match=f"config key '{key}'"):
+            config_to_specs(kv)
+
+
+def test_take_defaults_and_bools():
+    kv = {"a": "true", "b": "yes"}
+    assert take(kv, "a", bool) is True and "a" not in kv
+    assert take(kv, "missing", int, 7) == 7
+    with pytest.raises(CorruptFileError, match="config key 'b': expected true/false"):
+        take(kv, "b", bool, False)
+    with pytest.raises(CorruptFileError, match="missing config key 'c'"):
+        take(kv, "c", int)
+
+
+def test_spec_field_without_a_parser_fails_loudly(monkeypatch):
+    @dataclass(frozen=True)
+    class Odd:
+        n: int
+        z: complex
+
+    monkeypatch.setitem(storage._PREFIXES, Odd, "odd")
+    with pytest.raises(TypeError, match="Odd.z"):
+        storage._spec_pairs(Odd(1, 2j))
+    with pytest.raises(TypeError, match="Odd.z"):
+        storage._spec_from_config(Odd, {"odd.n": "1", "odd.z": "2j"})
+
+
+def rewrite_row(directory, name, row, edit):
+    """Edit one line of a payload file (row 1 is the header) and refresh the
+    manifest, so the content and not the hash is what load_dataset sees."""
+    path = directory / name
+    lines = path.read_text().splitlines()
+    lines[row - 1] = edit(lines[row - 1])
+    path.write_text("\n".join(lines) + "\n")
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["hashes"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("frames.csv", lambda ln: "abc" + ln[ln.index(","):], "frames.csv row 3: invalid"),
+        ("times.csv", lambda ln: ln[: ln.index(",") + 1] + "abc", "times.csv row 3: invalid"),
+        ("times.csv", lambda ln: "9" + ln, "times.csv row 3: phase index '9"),
+        ("times.csv", lambda ln: ln[ln.index(","):], "times.csv row 3: phase index ''"),
+    ],
+    ids=["frames-index", "times-time", "times-index", "times-index-missing"],
+)
+def test_bad_dataset_cell_names_file_and_row(small_dataset, tmp_path, name, edit, message):
+    save_dataset(small_dataset, tmp_path)
+    rewrite_row(tmp_path, name, 3, edit)
+    with pytest.raises(CorruptFileError, match=message):
         load_dataset(tmp_path)
