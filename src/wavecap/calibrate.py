@@ -1,19 +1,21 @@
 """Recover chain timing from phase-sweep datasets.
 
-A frame is held as its runs (level, length).  Each frame is smoothed by
-merging short runs and its edges, both polarities, are read off the run
-boundaries once.  Each channel and polarity is then tracked once through the
-sweep (unwrapping source-period wraps), and the tracks are pooled per phase
-step across channels, once per polarity.  The same pooled trajectory feeds
-the straight-line fit of edge index against unwrapped phase, whose
-reciprocal slope is the per-element delay, and, with the same tracks, the
-carry-index-to-time transfer function and its uncertainty, whose RMS is the
-single-shot precision.
+A dataset's frames are held as the runs (row, level, length) of its bits
+matrix.  Rows holding a short run are smoothed by merging it into its
+surroundings, and the edges of every frame, both polarities, are read off
+the run boundaries in one pass per dataset.  Each channel and polarity is
+then tracked once through the sweep (unwrapping source-period wraps), and
+the tracks are pooled per phase step across channels, once per polarity.
+The same pooled trajectory feeds the straight-line fit of edge index
+against unwrapped phase, whose reciprocal slope is the per-element delay,
+and, with the same tracks, the carry-index-to-time transfer function and
+its uncertainty, whose RMS is the single-shot precision.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,17 +56,20 @@ class EdgeObservation:
     polarity: str
 
 
-def _runs(bits) -> tuple[np.ndarray, np.ndarray]:
-    """Run-length encoding: the level and the length of each maximal run."""
-    b = np.asarray(bits, dtype=np.uint8)
-    starts = np.flatnonzero(np.diff(b, prepend=2))  # 2 is no bit level
-    return b[starts], np.diff(starts, append=b.size)
+def _runs(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run-length encoding of each row of a (frames, K) bit matrix, a 1-D
+    frame being one row: the row, level and length of every maximal run,
+    row by row."""
+    b = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    starts = np.ones(b.shape, dtype=bool)
+    np.not_equal(b[:, 1:], b[:, :-1], out=starts[:, 1:])
+    rows, cols = np.nonzero(starts)
+    return rows, b[rows, cols], np.diff(rows * b.shape[1] + cols, append=b.size)
 
 
-def _smooth_runs(bits, min_run: int) -> tuple[np.ndarray, np.ndarray]:
-    """Runs of bits after merging runs shorter than min_run into their
-    surroundings, shortest first (ties go to the first such run)."""
-    levels, lengths = (a.tolist() for a in _runs(bits))
+def _smooth_runs(levels: list[int], lengths: list[int], min_run: int) -> None:
+    """Merge the runs of one row shorter than min_run into their
+    surroundings, in place, shortest first (ties go to the first such run)."""
     while len(lengths) > 1:
         shortest = min(lengths)
         if shortest >= min_run:
@@ -77,13 +82,50 @@ def _smooth_runs(bits, min_run: int) -> tuple[np.ndarray, np.ndarray]:
             j = 1 if i == 0 else len(lengths) - 2
             lengths[j] += lengths[i]
             del levels[i], lengths[i]
-    return np.array(levels, dtype=np.uint8), np.array(lengths, dtype=np.int64)
+
+
+def _smoothed_runs(bits, min_run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_runs of each row after smoothing; only the rows holding a run shorter
+    than min_run go through the merge, every other row keeps its runs."""
+    rows, levels, lengths = _runs(bits)
+    redo = np.unique(rows[lengths < min_run])
+    if redo.size == 0:
+        return rows, levels, lengths
+    lo, hi = np.searchsorted(rows, redo), np.searchsorted(rows, redo, side="right")
+    keep = ~np.isin(rows, redo)
+    pieces = [(rows[keep], levels[keep], lengths[keep])]
+    for r, a, z in zip(redo.tolist(), lo.tolist(), hi.tolist()):
+        lv, ln = levels[a:z].tolist(), lengths[a:z].tolist()
+        _smooth_runs(lv, ln, min_run)
+        pieces.append((np.full(len(ln), r), np.array(lv, np.uint8), np.array(ln)))
+    # the merged rows come last; a stable sort by row puts them back in place
+    rows, levels, lengths = (np.concatenate(a) for a in zip(*pieces))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], levels[order], lengths[order]
 
 
 def smooth_bits(bits: np.ndarray, min_run: int) -> np.ndarray:
     """Run-length smoothing: merge runs shorter than min_run into their
     surroundings, shortest first."""
-    return np.repeat(*_smooth_runs(bits, min_run))
+    _, levels, lengths = _smoothed_runs(bits, min_run)
+    return np.repeat(levels, lengths)
+
+
+def _edges(bits, min_run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges of each smoothed row of a (frames, K) bit matrix: the row, the
+    1-based carry index and the level before the edge (1 = rising), row by
+    row with the index ascending.
+
+    Index 1 is the most recent sample, so a rising edge (0 -> 1 in signal
+    time) sits at k with bit_k = 1 and bit_{k+1} = 0.
+    """
+    if min_run < 1:
+        raise CalibrationError("min_run must be >= 1")
+    k = np.shape(bits)[-1]
+    rows, levels, lengths = _smoothed_runs(bits, min_run)
+    ends = np.cumsum(lengths) - rows * k  # last sample of each run, 1-based
+    edge = ends < k  # an edge sits at the end of every run but a row's last
+    return rows[edge], ends[edge], levels[edge]
 
 
 def extract_edges(
@@ -91,19 +133,12 @@ def extract_edges(
     min_run: int = 1,
     phase_shift_ps: float = float("nan"),
 ) -> list[EdgeObservation]:
-    """Edges of a smoothed frame.
-
-    Index 1 is the most recent sample, so a rising edge (0 -> 1 in signal
-    time) sits at k with bit_k = 1 and bit_{k+1} = 0.
-    """
-    if min_run < 1:
-        raise CalibrationError("min_run must be >= 1")
+    """Edges of one smoothed frame (see _edges)."""
     bits = frame.bits if isinstance(frame, CaptureFrame) else frame
-    levels, lengths = _smooth_runs(bits, min_run)
-    # an edge sits at the last sample of every run but the last
+    _, ks, levels = _edges(bits, min_run)
     return [
         EdgeObservation(phase_shift_ps, k, RISING if level else FALLING)
-        for k, level in zip(np.cumsum(lengths[:-1]).tolist(), levels[:-1].tolist())
+        for k, level in zip(ks.tolist(), levels.tolist())
     ]
 
 
@@ -121,12 +156,12 @@ def _estimate_step_carries(rows, polarity: str) -> float:
     nonempty frames."""
     drops = []
     prev = None
-    for _, edges in rows:
-        idx = [e.edge_index for e in edges if e.polarity == polarity]
+    for _, idx in rows:
         if prev and idx:
-            x, y = np.array(prev), np.array(idx)  # extract_edges lists k ascending
-            below = np.searchsorted(y, x, side="left") - 1  # nearest y < x
-            drops.extend((x - y[below])[below >= 0].tolist())
+            for x in prev:
+                below = bisect_left(idx, x)  # idx[below - 1] is the nearest y < x
+                if below:
+                    drops.append(x - idx[below - 1])
         prev = idx or prev
     if not drops:
         raise CalibrationError(f"not enough {polarity} edges to track")
@@ -134,7 +169,8 @@ def _estimate_step_carries(rows, polarity: str) -> float:
 
 
 def _track(rows, polarity: str, period_ps: float, dt_ps: float) -> _Track:
-    """Follow one edge trajectory; returns {step: (edge_index, wrap_count)}.
+    """Follow one edge trajectory through rows of (phase step, ascending edge
+    indices); returns {step: (edge_index, wrap_count)}.
 
     The tracked pulse is the one nearest the previous step's position; an
     upward jump close to a multiple of the per-period carry span is a
@@ -148,8 +184,7 @@ def _track(rows, polarity: str, period_ps: float, dt_ps: float) -> _Track:
     out: _Track = {}
     predicted = None
     m = 0
-    for n, edges in rows:
-        idx = [e.edge_index for e in edges if e.polarity == polarity]
+    for n, idx in rows:
         if not idx:
             if predicted is not None:
                 predicted -= step
@@ -178,8 +213,8 @@ def _track(rows, polarity: str, period_ps: float, dt_ps: float) -> _Track:
 def _tracks(
     datasets: Sequence[SweepDataset], min_run: int, polarities: Sequence[str]
 ) -> dict[str, list[_Track]]:
-    """Per polarity, one track per dataset; each frame is smoothed and its
-    edges, of every polarity, extracted once."""
+    """Per polarity, one track per dataset; the edges of a dataset, of every
+    polarity, come from one pass over its bits matrix."""
     if not datasets:
         raise CalibrationError("no datasets")
     spec = datasets[0].sweep_spec
@@ -189,9 +224,14 @@ def _tracks(
             raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
     out: dict[str, list[_Track]] = {pol: [] for pol in polarities}
     for ds in datasets:
-        rows = [(f.phase_index, extract_edges(f, min_run)) for f in ds.frames]
+        rows, ks, levels = _edges(ds.bits_matrix(), min_run)
+        steps = [f.phase_index for f in ds.frames]
         for pol in polarities:
-            out[pol].append(_track(rows, pol, spec.source.period_ps, spec.dt_ps))
+            idx: list[list[int]] = [[] for _ in steps]  # per frame, ascending
+            sel = levels == (1 if pol == RISING else 0)
+            for r, k in zip(rows[sel].tolist(), ks[sel].tolist()):
+                idx[r].append(k)
+            out[pol].append(_track(list(zip(steps, idx)), pol, spec.source.period_ps, spec.dt_ps))
     return out
 
 
@@ -209,30 +249,18 @@ def _pool(
 ) -> _PooledTrajectory:
     spec = datasets[0].sweep_spec
     period, dt = spec.source.period_ps, spec.dt_ps
-    per_step: dict[int, list[tuple[int, int]]] = {}
-    for track in tracks:
-        for n, (x, m) in track.items():
-            per_step.setdefault(n, []).append((x, m))
-
-    steps, wraps, u, mean, std = [], [], [], [], []
-    for n in sorted(per_step):
-        entries = per_step[n]
-        ms = [m for _, m in entries]
-        m_star = max(set(ms), key=ms.count)
-        xs = np.array([x for x, m in entries if m == m_star], dtype=float)
-        # steps not seen by every channel are censored (the edge sits within
-        # jitter reach of a chain end, so only favorably-jittered channels
-        # report it); keeping them tilts the fitted slope
-        if xs.size < len(tracks):
-            continue
-        steps.append(n)
-        wraps.append(m_star)
-        u.append(n * dt - m_star * period)
-        mean.append(xs.mean())
-        std.append(xs.std(ddof=1) if xs.size > 1 else float("nan"))
+    # steps not seen by every channel at one wrap count are censored (the
+    # edge sits within jitter reach of a chain end, so only
+    # favorably-jittered channels report it); keeping them tilts the slope
+    common = set(tracks[0]).intersection(*tracks[1:])
+    steps = sorted(n for n in common if len({track[n][1] for track in tracks}) == 1)
     if len(steps) < 2:
         raise CalibrationError(f"fewer than two phase steps with {polarity} edges")
-    return _PooledTrajectory(*map(np.array, (steps, wraps, u, mean, std)))
+    xs = np.array([[track[n][0] for track in tracks] for n in steps], dtype=float)  # steps x tracks
+    wraps = np.array([tracks[0][n][1] for n in steps])
+    steps = np.array(steps)
+    std = xs.std(axis=1, ddof=1) if len(tracks) > 1 else np.full(len(steps), np.nan)
+    return _PooledTrajectory(steps, wraps, steps * dt - wraps * period, xs.mean(axis=1), std)
 
 
 # ---------------------------------------------------------------------------
@@ -345,30 +373,23 @@ class TransferFunction:
 
 def _isotonic_increasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators, then break exact ties with an epsilon ramp."""
-    y = y.astype(float).copy()
-    n = y.size
     vals, wts, spans = [], [], []
-    for i in range(n):
-        vals.append(y[i])
-        wts.append(1.0)
-        spans.append(1)
-        while len(vals) > 1 and vals[-2] > vals[-1]:
-            v = (vals[-2] * wts[-2] + vals[-1] * wts[-1]) / (wts[-2] + wts[-1])
-            w = wts[-2] + wts[-1]
-            s = spans[-2] + spans[-1]
-            vals = vals[:-2] + [v]
-            wts = wts[:-2] + [w]
-            spans = spans[:-2] + [s]
-    out = np.empty(n)
-    pos = 0
-    for v, s in zip(vals, spans):
-        out[pos : pos + s] = v
-        pos += s
+    for v in y.astype(float).tolist():
+        w, s = 1.0, 1
+        while vals and vals[-1] > v:
+            v = (vals[-1] * wts[-1] + v * w) / (wts[-1] + w)
+            w += wts.pop()
+            s += spans.pop()
+            vals.pop()
+        vals.append(v)
+        wts.append(w)
+        spans.append(s)
+    out = np.repeat(vals, spans).tolist()
     eps = 1e-9
-    for i in range(1, n):
+    for i in range(1, len(out)):
         if out[i] <= out[i - 1]:
             out[i] = out[i - 1] + eps
-    return out
+    return np.array(out, dtype=float)
 
 
 def build_transfer_function(
@@ -453,14 +474,12 @@ def shrink_analysis(
     dataset: SweepDataset, min_run: int = 15, bin_width: int = 25
 ) -> ShrinkResult:
     """Pulse width versus falling-edge position, binned and fit to a line."""
-    samples = []
-    for f in dataset.frames:
-        levels, widths = _smooth_runs(f.bits, min_run)
-        ends = np.cumsum(widths)  # one past the 0-based end of each run
-        starts = ends - widths  # 1-based index of the 0 just below a 1-run
-        # a pulse truncated at a chain boundary has no width to report
-        keep = (levels == 1) & (widths >= min_run) & (starts > 0) & (ends < f.k)
-        samples.extend(zip(starts[keep].tolist(), widths[keep].tolist()))
+    rows, levels, widths = _smoothed_runs(dataset.bits_matrix(), min_run)
+    ends = np.cumsum(widths) - rows * dataset.k  # one past the 0-based end of each run
+    starts = ends - widths  # 1-based index of the 0 just below a 1-run
+    # a pulse truncated at a chain boundary has no width to report
+    keep = (levels == 1) & (widths >= min_run) & (starts > 0) & (ends < dataset.k)
+    samples = list(zip(starts[keep].tolist(), widths[keep].tolist()))
     if len(samples) < 2:
         raise CalibrationError("not enough pulses for a shrink fit")
 

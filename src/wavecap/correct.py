@@ -41,7 +41,7 @@ class CorrectionSpec:
 
 def _level_runs(bits: np.ndarray, level: int) -> list[tuple[int, int]]:
     """Maximal runs of level as 1-based inclusive [l, r] intervals."""
-    levels, lengths = _runs(bits)
+    _, levels, lengths = _runs(bits)
     ends = np.cumsum(lengths)
     sel = levels == level
     return list(zip((ends - lengths + 1)[sel].tolist(), ends[sel].tolist()))

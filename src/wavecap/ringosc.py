@@ -238,7 +238,7 @@ def measure_node_timescale(
     once, at full width.
     """
     series = stitch_frames(dataset, tau_ps)
-    levels, widths = _runs(series)
+    _, levels, widths = _runs(series)
     ends = np.cumsum(widths)
     interior = (ends - widths > 0) & (ends < series.size)
     widths = widths[(levels == 1) & interior & (widths >= min_run)]

@@ -297,6 +297,8 @@ class RunManifest:
 
 
 def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> RunManifest:
+    if dataset.sweep_spec is None and dataset.t_capture_ps is None:
+        raise StorageError("a dataset needs a sweep spec or t_capture_ps to be saved")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     bits = dataset.bits_matrix()

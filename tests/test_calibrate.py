@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,12 @@ from hypothesis import strategies as st
 
 from wavecap.calibrate import (
     CalibrationError,
+    EdgeObservation,
+    _edges,
+    _isotonic_increasing,
+    _pool,
+    _track,
+    _tracks,
     build_transfer_function,
     calibrate,
     extract_edges,
@@ -140,6 +147,40 @@ def test_smoothing_and_edges_match_per_bit_reference(bits, min_run):
     assert got == edges_per_bit(b, min_run)
 
 
+@st.composite
+def bit_matrices(draw):
+    """(frames, K) bit matrices mixing random rows, constant rows and rows
+    with short runs at both chain ends."""
+    f, k = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rows = []
+    for _ in range(f):
+        kind = draw(st.sampled_from(["random", "constant", "short ends"]))
+        if kind == "random":
+            row = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        else:
+            level = draw(st.integers(0, 1))
+            row = [level] * k
+            if kind == "short ends":
+                head, tail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+                row[: min(head, k)] = [1 - level] * min(head, k)
+                row[k - min(tail, k) :] = [1 - level] * min(tail, k)
+        rows.append(row)
+    return np.array(rows, dtype=np.uint8)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(bits=bit_matrices(), min_run=st.integers(1, 20))
+def test_dataset_pass_matches_per_frame_extract_edges(bits, min_run):
+    rows, ks, levels = _edges(bits, min_run)
+    got = [
+        [(k, "rising" if level else "falling") for r, k, level in zip(rows, ks, levels) if r == row]
+        for row in range(bits.shape[0])
+    ]
+    per_frame = [[(e.edge_index, e.polarity) for e in extract_edges(b, min_run)] for b in bits]
+    assert got == per_frame
+    assert got == [edges_per_bit(b, min_run) for b in bits]
+
+
 # -- fit_carry_times --------------------------------------------------------
 
 
@@ -184,6 +225,205 @@ def test_estimators_deterministic(reference_datasets):
     assert a.tau_rise_ps == b.tau_rise_ps
     assert a.single_shot_rise_ps == b.single_shot_rise_ps
     assert np.all(a.t_of_x.t_ps == b.t_of_x.t_ps)
+
+
+# -- tracking and pooling against the per-frame code they replaced ----------
+
+
+def estimate_step_carries_per_frame(rows, polarity):
+    drops = []
+    prev = None
+    for _, edges in rows:
+        idx = [e.edge_index for e in edges if e.polarity == polarity]
+        if prev and idx:
+            x, y = np.array(prev), np.array(idx)
+            below = np.searchsorted(y, x, side="left") - 1
+            drops.extend((x - y[below])[below >= 0].tolist())
+        prev = idx or prev
+    if not drops:
+        raise CalibrationError(f"not enough {polarity} edges to track")
+    return float(np.median(drops))
+
+
+def track_per_frame(rows, polarity, period_ps, dt_ps):
+    step = estimate_step_carries_per_frame(rows, polarity)
+    tau0 = dt_ps / step if step > 0 else float("nan")
+    period_carries = period_ps / tau0
+    tol = max(period_carries / 4.0, 3 * step)
+    out = {}
+    predicted = None
+    m = 0
+    for n, edges in rows:
+        idx = [e.edge_index for e in edges if e.polarity == polarity]
+        if not idx:
+            if predicted is not None:
+                predicted -= step
+            continue
+        if predicted is None:
+            x = max(idx)
+            out[n] = (x, m)
+            predicted = x - step
+            continue
+        best = min(idx, key=lambda v: abs(v - predicted))
+        jump = best - predicted
+        if abs(jump) <= tol:
+            out[n] = (best, m)
+            predicted = best - step
+        else:
+            wraps = round(jump / period_carries)
+            if wraps > 0 and abs(jump - wraps * period_carries) <= tol:
+                m += wraps
+                out[n] = (best, m)
+                predicted = best - step
+            else:
+                predicted -= step
+    return out
+
+
+def tracks_per_frame(datasets, min_run, polarities):
+    """Reference: every frame's edges as EdgeObservations, one frame at a time."""
+    spec = datasets[0].sweep_spec
+    out = {pol: [] for pol in polarities}
+    for ds in datasets:
+        rows = [(f.phase_index, extract_edges(f, min_run)) for f in ds.frames]
+        for pol in polarities:
+            out[pol].append(track_per_frame(rows, pol, spec.source.period_ps, spec.dt_ps))
+    return out
+
+
+def pool_per_step(datasets, tracks, polarity):
+    """Reference: one np.mean and np.std per phase step."""
+    spec = datasets[0].sweep_spec
+    period, dt = spec.source.period_ps, spec.dt_ps
+    per_step = {}
+    for track in tracks:
+        for n, (x, m) in track.items():
+            per_step.setdefault(n, []).append((x, m))
+    steps, wraps, u, mean, std = [], [], [], [], []
+    for n in sorted(per_step):
+        entries = per_step[n]
+        ms = [m for _, m in entries]
+        m_star = max(set(ms), key=ms.count)
+        xs = np.array([x for x, m in entries if m == m_star], dtype=float)
+        if xs.size < len(tracks):
+            continue
+        steps.append(n)
+        wraps.append(m_star)
+        u.append(n * dt - m_star * period)
+        mean.append(xs.mean())
+        std.append(xs.std(ddof=1) if xs.size > 1 else float("nan"))
+    if len(steps) < 2:
+        raise CalibrationError(f"fewer than two phase steps with {polarity} edges")
+    return tuple(map(np.array, (steps, wraps, u, mean, std)))
+
+
+def isotonic_by_slicing(y):
+    """Reference: pool-adjacent-violators rebuilding its lists on every merge."""
+    y = y.astype(float).copy()
+    n = y.size
+    vals, wts, spans = [], [], []
+    for i in range(n):
+        vals.append(y[i])
+        wts.append(1.0)
+        spans.append(1)
+        while len(vals) > 1 and vals[-2] > vals[-1]:
+            v = (vals[-2] * wts[-2] + vals[-1] * wts[-1]) / (wts[-2] + wts[-1])
+            w = wts[-2] + wts[-1]
+            s = spans[-2] + spans[-1]
+            vals = vals[:-2] + [v]
+            wts = wts[:-2] + [w]
+            spans = spans[:-2] + [s]
+    out = np.empty(n)
+    pos = 0
+    for v, s in zip(vals, spans):
+        out[pos : pos + s] = v
+        pos += s
+    eps = 1e-9
+    for i in range(1, n):
+        if out[i] <= out[i - 1]:
+            out[i] = out[i - 1] + eps
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pooled_same_bits(got, want):
+    fields = (got.steps, got.wraps, got.u_ps, got.x_mean, got.x_std)
+    return all(same_bits(g, w) for g, w in zip(fields, want))
+
+
+def test_tracks_match_per_frame_reference(reference_datasets):
+    pols = ("rising", "falling")
+    assert _tracks(reference_datasets, 15, pols) == tracks_per_frame(reference_datasets, 15, pols)
+    jitter_free = mlab_datasets(jitter=0.0)
+    assert _tracks(jitter_free, 15, pols) == tracks_per_frame(jitter_free, 15, pols)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    frames=st.lists(st.lists(st.integers(1, 200), max_size=4, unique=True), max_size=30),
+    dt=st.sampled_from([10.0, 78.0, 300.0]),
+)
+def test_track_on_edge_indices_matches_per_frame_reference(frames, dt):
+    rows = [(n, sorted(idx)) for n, idx in enumerate(frames)]
+    as_edges = [(n, [EdgeObservation(0.0, k, "rising") for k in idx]) for n, idx in rows]
+    try:
+        want = track_per_frame(as_edges, "rising", 1_000.0, dt)
+    except CalibrationError:
+        with pytest.raises(CalibrationError):
+            _track(rows, "rising", 1_000.0, dt)
+        return
+    assert _track(rows, "rising", 1_000.0, dt) == want
+
+
+POOL_GRID = [SimpleNamespace(sweep_spec=SweepSpec(PllOutputSpec(100e6, 0.25), 5_000, 78.0, 32))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    tracks=st.lists(
+        st.dictionaries(
+            st.integers(0, 24), st.tuples(st.integers(1, 1300), st.integers(0, 2)), max_size=25
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_pool_matches_per_step_reference(tracks):
+    try:
+        want = pool_per_step(POOL_GRID, tracks, "rising")
+    except CalibrationError as exc:
+        with pytest.raises(CalibrationError, match=str(exc)):
+            _pool(POOL_GRID, tracks, "rising")
+        return
+    assert pooled_same_bits(_pool(POOL_GRID, tracks, "rising"), want)
+
+
+def test_pool_censors_steps_at_mixed_wraps_or_missing_channels():
+    tracks = [
+        {0: (900, 0), 1: (880, 0), 2: (860, 0), 3: (840, 1), 4: (820, 1)},
+        {0: (901, 0), 1: (881, 0), 2: (861, 1), 3: (841, 1)},
+        {0: (899, 0), 1: (879, 0), 2: (859, 0), 3: (839, 1), 4: (819, 1)},
+    ]
+    got = _pool(POOL_GRID, tracks, "falling")
+    assert got.steps.tolist() == [0, 1, 3]
+    assert got.wraps.tolist() == [0, 0, 1]
+    assert pooled_same_bits(got, pool_per_step(POOL_GRID, tracks, "falling"))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    y=st.one_of(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, -1.0]), max_size=60),
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=60),
+    )
+)
+def test_isotonic_matches_slicing_reference(y):
+    y = np.array(y, dtype=float)
+    assert same_bits(_isotonic_increasing(y), isotonic_by_slicing(y))
 
 
 # -- golden values ----------------------------------------------------------
@@ -386,3 +626,21 @@ def test_shrink_rate_lab_set():
     ds = run_sweep(spec, ChainSpec(1100, 6.35, 5.60), RegisterSpec())
     res = shrink_analysis(ds, min_run=15, bin_width=25)
     assert 0.10 <= res.rate <= 0.20
+
+
+def shrink_samples_per_frame(dataset, min_run):
+    """Reference: (start, width) of each interior pulse, one frame at a time."""
+    samples = []
+    for f in dataset.frames:
+        b = smooth_bits_per_bit(f.bits, min_run)
+        starts = np.flatnonzero(np.diff(b.astype(np.int8), prepend=-1))
+        widths = np.diff(starts, append=b.size)
+        for start, width in zip(starts.tolist(), widths.tolist()):
+            if b[start] == 1 and width >= min_run and start > 0 and start + width < f.k:
+                samples.append((start, width))
+    return tuple(samples)
+
+
+def test_shrink_samples_match_per_frame_reference(multi_pulse_dataset):
+    res = shrink_analysis(multi_pulse_dataset, min_run=15, bin_width=25)
+    assert res.samples == shrink_samples_per_frame(multi_pulse_dataset, 15)

@@ -12,6 +12,7 @@ from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec
 from wavecap.storage import (
     CorruptFileError,
     HashMismatchError,
+    StorageError,
     VersionSkewError,
     _frames_csv,
     _parse_frames_csv,
@@ -64,6 +65,15 @@ def test_round_trip_continuous(tmp_path):
     assert back.sweep_spec is None
     assert back.t_capture_ps == 320.0
     assert np.array_equal(back.bits_matrix(), ds.bits_matrix())
+
+
+def test_save_without_sweep_or_frame_period_writes_nothing(tmp_path):
+    # neither a sweep spec nor t_capture_ps: the config could not be read back
+    frames = (CaptureFrame(np.zeros(16), 0, None),)
+    ds = SweepDataset(frames, ChainSpec(16, 5.0, 5.0), RegisterSpec())
+    with pytest.raises(StorageError, match="sweep spec or t_capture_ps"):
+        save_dataset(ds, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_is_byte_deterministic(small_dataset, tmp_path):
