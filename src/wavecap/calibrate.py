@@ -418,7 +418,11 @@ def _transfer_function(
         raise CalibrationError("fewer than two populated carry indices")
 
     xs = np.array(sorted(by_index))
-    t_raw = np.array([float(np.mean(by_index[x])) for x in xs])
+    counts = np.array([len(by_index[x]) for x in xs.tolist()])
+    t_raw = np.empty(xs.size)
+    for n in set(counts.tolist()):  # equal-length rows: mean(axis=1) is np.mean per row
+        rows = np.flatnonzero(counts == n)
+        t_raw[rows] = np.array([by_index[x] for x in xs[rows].tolist()]).mean(axis=1)
     t_raw -= t_raw[0]
     t_mono = _isotonic_increasing(t_raw)
 

@@ -8,8 +8,8 @@ shrinking).  Registers sample each tap at the capture instant, perturbed by a
 shared clock jitter and static per-register skew.
 
 Two independent implementations of the capture are provided: ``capture_at``
-(pair-collision event queue, vectorized sampling, many frames of one
-waveform per call; ``capture`` is its one-frame form) and ``capture_oracle``
+(frames grouped by edge window, pair-collision annihilation and arrivals once
+per group; ``capture`` is its one-frame form) and ``capture_oracle``
 (element-by-element timeline reconstruction).  They must agree bit-exactly.
 """
 
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .units import FS_PER_PS, fs_to_ps, ps_to_fs
+from .units import FS_PER_PS, fs_to_ps, ps_to_fs, require_finite
 from .waveform import DigitalWaveform, reject_short_pulses
 
 __all__ = [
@@ -76,6 +76,7 @@ class ChainSpec:
     allow_inverted: bool = False
 
     def __post_init__(self):
+        require_finite(self, ChainError)
         if self.k < 1:
             raise ChainError("chain must have at least one element")
         if self.tau_rise_ps <= 0 or self.tau_fall_ps <= 0:
@@ -184,6 +185,7 @@ class RegisterSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, ChainError)
         if self.clock_jitter_sigma_ps < 0 or self.skew_sigma_ps < 0:
             raise ChainError("register sigmas must be >= 0")
 
@@ -223,10 +225,6 @@ class CaptureFrame:
     @property
     def k(self) -> int:
         return int(self.bits.size)
-
-    @property
-    def capture_time_ps(self) -> float:
-        return fs_to_ps(self.capture_time_fs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CaptureFrame):
@@ -314,44 +312,50 @@ def capture_at(
     sampled at sample_fs[f] + skew_k (post-edge convention at exact
     coincidence).  Edges older than the slowest path are already past every
     tap, but they can still annihilate a younger edge mid-chain, so a frame's
-    edge window extends back by the maximum rise/fall catch-up.
+    edge window extends back by the maximum rise/fall catch-up.  Frames are
+    grouped by edge window: annihilation and each edge's due time per tap are
+    computed once per group, and an edge flips, in one comparison, every bit
+    of the group whose frame instant is at or past its due time.
     """
     if regs.k != chain.k:
         raise ChainError("register bank length does not match chain")
-    entry_fs = ps_to_fs(chain.spec.entry_delay_ps)
-    reach_fs = _reach_fs(chain)
     t_fs = np.asarray(sample_fs, dtype=np.int64)
-    lo = t_fs + regs.skews_fs.min() - reach_fs
+    lo = t_fs + regs.skews_fs.min() - _reach_fs(chain)
     hi = t_fs + regs.skews_fs.max()
 
     wf = reject_short_pulses(w, chain.spec.entry_min_pulse_ps)
+    uncovered = np.flatnonzero(~wf.covers_fs(lo, hi))
+    if uncovered.size:
+        f = uncovered[0]
+        raise LookbackError(
+            f"waveform does not cover [{fs_to_ps(int(lo[f]))}, {fs_to_ps(int(hi[f]))}] ps"
+        )
     times = wf.edge_times_fs
     # the level after each edge, which is also its polarity (RISING == 1)
     pols = wf.initial_level ^ ((np.arange(times.size) + 1) & 1)
     first = np.searchsorted(times, lo - _max_catchup_fs(chain), side="left")
     stop = np.searchsorted(times, hi, side="right")
     prefix = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs])  # by polarity
-    k_idx = np.arange(1, chain.k + 1)
+    # a live edge of polarity p at t_e is counted at tap k from t_e + due_by_pol[p, k] on
+    due_by_pol = ps_to_fs(chain.spec.entry_delay_ps) + prefix - regs.skews_fs
+    never = np.iinfo(np.int64).max
 
-    bits = np.empty((t_fs.size, chain.k), dtype=np.uint8)
-    for f in range(t_fs.size):
-        if not wf.covers_fs(int(lo[f]), int(hi[f])):
-            raise LookbackError(
-                f"waveform does not cover [{fs_to_ps(int(lo[f]))}, {fs_to_ps(int(hi[f]))}] ps"
-            )
-        i0, i1 = int(first[f]), int(stop[f])
-        base_level = wf.initial_level ^ (i0 & 1)
-        if i0 == i1:
-            bits[f] = base_level
-            continue
-        e_t, e_p = times[i0:i1], pols[i0:i1]
-        death = _annihilation_elements(e_t, e_p, prefix)
-        # edge e reaches tap k at arrival[e, k] and is present at taps k < death
-        arrivals = (e_t + entry_fs)[:, None] + prefix[e_p]
-        present = (death == 0)[:, None] | (k_idx[None, :] < death[:, None])
-        counted = present & (arrivals <= (t_fs[f] + regs.skews_fs)[None, :])
-        bits[f] = base_level ^ (counted.sum(axis=0) & 1)
-    return bits
+    # the frames of one edge window (first, stop) are one run of the sort order
+    order = np.lexsort((stop, first))
+    first, stop, t_sorted = first[order], stop[order], t_fs[order]
+    starts = np.flatnonzero(np.diff(first, prepend=-1) | np.diff(stop, prepend=-1)).tolist()
+    sorted_bits = np.empty((t_fs.size, chain.k), dtype=np.uint8)
+    for a, b in zip(starts, starts[1:] + [order.size]):
+        i0, i1 = int(first[a]), int(stop[a])
+        death = _annihilation_elements(times[i0:i1], pols[i0:i1], prefix)
+        due = times[i0:i1, None] + due_by_pol[pols[i0:i1]]
+        # an edge is present at the taps before its death (0: never annihilated)
+        due[np.arange(chain.k) >= np.where(death, death - 1, chain.k)[:, None]] = never
+        acc = sorted_bits[a:b]
+        acc[:] = wf.initial_level ^ (i0 & 1)
+        for row in due:
+            acc ^= row <= t_sorted[a:b, None]
+    return sorted_bits[np.argsort(order)]
 
 
 def capture(

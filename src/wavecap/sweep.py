@@ -27,7 +27,7 @@ from .chain import (
     sample_registers,
     validate_config,
 )
-from .units import fs_to_ps, ps_to_fs
+from .units import fs_to_ps, ps_to_fs, require_finite
 from .waveform import DigitalWaveform, PllOutputSpec, make_pll_output
 
 __all__ = ["SweepSpec", "SweepDataset", "run_sweep", "run_continuous"]
@@ -50,6 +50,7 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, SweepError)
         if self.dt_ps < 0:
             raise SweepError("phase increment must be >= 0")
         if self.n_steps < 2:

@@ -8,7 +8,16 @@ nearest femtosecond on entry).
 
 from __future__ import annotations
 
+import math
+
 FS_PER_PS = 1000
+
+
+def require_finite(spec, error: type[ValueError]) -> None:
+    """Raise ``error`` naming the first float field of a dataclass that is not finite."""
+    for name, value in vars(spec).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
 
 
 def ps_to_fs(t_ps: float) -> int:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .units import FS_PER_PS, format_fs_as_ps, fs_to_ps, ps_to_fs
+from .units import FS_PER_PS, format_fs_as_ps, fs_to_ps, ps_to_fs, require_finite
 
 __all__ = [
     "DigitalWaveform",
@@ -102,13 +102,10 @@ class DigitalWaveform:
         dom = (None if lo is None else lo + dt_fs, None if hi is None else hi + dt_fs)
         return DigitalWaveform(self.initial_level, self.edge_times_fs + np.int64(dt_fs), dom)
 
-    def covers_fs(self, lo: int, hi: int) -> bool:
+    def covers_fs(self, lo, hi) -> bool | np.ndarray:
+        """Whether [lo, hi] lies inside the domain; elementwise on arrays."""
         dlo, dhi = self.domain_fs
-        if dlo is not None and lo < dlo:
-            return False
-        if dhi is not None and hi > dhi:
-            return False
-        return True
+        return np.logical_and(dlo is None or lo >= dlo, dhi is None or hi <= dhi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitalWaveform):
@@ -164,9 +161,10 @@ class PllOutputSpec:
     period_jitter_sigma_ps: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        require_finite(self, WaveformError)
         if self.frequency_hz <= 0:
-            raise WaveformError(f"frequency must be positive, got {self.frequency_hz}")
+            raise WaveformError(f"frequency_hz must be positive, got {self.frequency_hz}")
         if not (0.0 < self.duty_cycle < 1.0):
             raise WaveformError(f"duty cycle must lie in (0, 1), got {self.duty_cycle}")
         if self.period_jitter_sigma_ps < 0:
@@ -188,7 +186,6 @@ def make_pll_output(spec: PllOutputSpec, duration_ps: float) -> DigitalWaveform:
     so non-integer periods (e.g. 600 MHz) do not drift over long trains.
     Per-edge Gaussian jitter is resampled when a draw would reorder edges.
     """
-    spec.validate()
     if duration_ps <= 0:
         raise WaveformError("duration must be positive")
     duration_fs = ps_to_fs(duration_ps)

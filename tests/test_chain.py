@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from wavecap import chain as chain_module
 from wavecap.chain import (
     ChainError,
     ChainInstance,
@@ -14,8 +17,18 @@ from wavecap.chain import (
     sample_chain,
     sample_registers,
     validate_config,
+    _annihilation_elements,
+    _max_catchup_fs,
+    _reach_fs,
 )
-from wavecap.waveform import DigitalWaveform, PllOutputSpec, make_pll_output, step_waveform
+from wavecap.units import fs_to_ps, ps_to_fs
+from wavecap.waveform import (
+    DigitalWaveform,
+    PllOutputSpec,
+    make_pll_output,
+    reject_short_pulses,
+    step_waveform,
+)
 
 
 def ideal_chain(k, tau_rise, tau_fall=None, **kw):
@@ -385,3 +398,107 @@ def test_capture_at_keeps_edges_older_than_the_slowest_path():
     sample_fs = np.arange(125_000, 155_001, 1_000)
     expected = [capture_oracle(w, chain, regs, t / 1_000).bits for t in sample_fs]
     assert np.array_equal(capture_at(w, chain, regs, sample_fs), np.stack(expected))
+
+
+# -- capture_at against the per-frame loop it replaced ------------------------
+
+
+def per_frame_capture_at(w, chain, regs, sample_fs):
+    """Reference: ``capture_at`` one frame at a time, annihilation and the
+    arrival matrix recomputed for every frame."""
+    if regs.k != chain.k:
+        raise ChainError("register bank length does not match chain")
+    entry_fs = ps_to_fs(chain.spec.entry_delay_ps)
+    reach_fs = _reach_fs(chain)
+    t_fs = np.asarray(sample_fs, dtype=np.int64)
+    lo = t_fs + regs.skews_fs.min() - reach_fs
+    hi = t_fs + regs.skews_fs.max()
+
+    wf = reject_short_pulses(w, chain.spec.entry_min_pulse_ps)
+    times = wf.edge_times_fs
+    pols = wf.initial_level ^ ((np.arange(times.size) + 1) & 1)
+    first = np.searchsorted(times, lo - _max_catchup_fs(chain), side="left")
+    stop = np.searchsorted(times, hi, side="right")
+    prefix = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs])
+    k_idx = np.arange(1, chain.k + 1)
+
+    bits = np.empty((t_fs.size, chain.k), dtype=np.uint8)
+    for f in range(t_fs.size):
+        if not wf.covers_fs(int(lo[f]), int(hi[f])):
+            raise LookbackError(
+                f"waveform does not cover [{fs_to_ps(int(lo[f]))}, {fs_to_ps(int(hi[f]))}] ps"
+            )
+        i0, i1 = int(first[f]), int(stop[f])
+        base_level = wf.initial_level ^ (i0 & 1)
+        if i0 == i1:
+            bits[f] = base_level
+            continue
+        e_t, e_p = times[i0:i1], pols[i0:i1]
+        death = _annihilation_elements(e_t, e_p, prefix)
+        arrivals = (e_t + entry_fs)[:, None] + prefix[e_p]
+        present = (death == 0)[:, None] | (k_idx[None, :] < death[:, None])
+        counted = present & (arrivals <= (t_fs[f] + regs.skews_fs)[None, :])
+        bits[f] = base_level ^ (counted.sum(axis=0) & 1)
+    return bits
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    k=st.integers(1, 40),
+    tau_fall_fs=st.integers(2_000, 8_000),
+    asym_fs=st.integers(0, 2_000),
+    sigma_ps=st.sampled_from([0.0, 0.4]),
+    entry_delay_ps=st.floats(0.0, 80.0),
+    min_pulse_ps=st.sampled_from([0.0, 5.0]),
+    skew_ps=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**16),
+    initial_level=st.integers(0, 1),
+    gaps_fs=st.lists(st.integers(1, 25_000), min_size=2, max_size=30),
+    domain_lo_fs=st.one_of(st.none(), st.integers(-50_000, 50_000)),
+    bases=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    late=st.booleans(),
+    offsets_fs=st.lists(st.integers(-8_000, 8_000), min_size=1, max_size=6),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_capture_at_equals_per_frame_loop(
+    k, tau_fall_fs, asym_fs, sigma_ps, entry_delay_ps, min_pulse_ps, skew_ps, seed,
+    initial_level, gaps_fs, domain_lo_fs, bases, late, offsets_fs, shuffle,
+):
+    spec = ChainSpec(
+        k,
+        (tau_fall_fs + asym_fs) / 1_000.0,
+        tau_fall_fs / 1_000.0,
+        tau_sigma_ps=sigma_ps,
+        entry_delay_ps=entry_delay_ps,
+        entry_min_pulse_ps=min_pulse_ps,
+        seed=seed,
+    )
+    chain = sample_chain(spec)
+    regs = sample_registers(RegisterSpec(skew_sigma_ps=skew_ps, seed=seed), k)
+    w = DigitalWaveform(initial_level, np.cumsum(gaps_fs, dtype=np.int64), (domain_lo_fs, None))
+    # a few base instants, each repeated at small offsets (zero offsets are
+    # exact duplicates), so frames share edge windows; a late base instant,
+    # past every edge, and any before the first edge have empty windows
+    reach_fs = _reach_fs(chain) + _max_catchup_fs(chain)
+    bases_fs = [reach_fs + round(b * sum(gaps_fs)) for b in bases]
+    bases_fs += [reach_fs + sum(gaps_fs) + 100_000] * late
+    instants = [b + o for b in bases_fs for o in offsets_fs]
+    shuffle.shuffle(instants)
+    sample_fs = np.array(instants, dtype=np.int64)
+
+    try:
+        expected = per_frame_capture_at(w, chain, regs, sample_fs)
+    except LookbackError as exc:
+        with pytest.raises(LookbackError) as got:
+            capture_at(w, chain, regs, sample_fs)
+        assert str(got.value) == str(exc)
+        return
+    with mock.patch.object(
+        chain_module, "_annihilation_elements", wraps=_annihilation_elements
+    ) as annihilate:
+        bits = capture_at(w, chain, regs, sample_fs)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, expected)
+    # annihilation runs once per edge window, however its frames are ordered
+    windows = [c.args[0].tobytes() for c in annihilate.call_args_list if c.args[0].size]
+    assert len(windows) == len(set(windows))

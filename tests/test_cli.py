@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -61,6 +63,15 @@ GOLDEN = [
      "7b036cdba07c34a4cf6ebe5fe34e9dd56ef2666642f51a29ac5f052deb9cb9ce"),
     ("ro", "appendix-ro19", "node_0/spec.config",
      "e5d064d042c3e010a97179d777b9726a1e2a227b758b36701f735ea0345ed5b5"),
+    # recorded before capture grouped the frames of a call by edge window
+    ("correct", "fig6", "frames.csv",
+     "4aa11eb9e39bd10d71d478beacc45437bc6b12c3620acf31d7cc5b69b9c63bd6"),
+    ("ro", "fig7", "node_0/frames.csv",
+     "266b00fc51298c0724672f0343bc8294a2508b8f710eceb05036f3fc6a840259"),
+    ("ro", "fig7", "node_1/frames.csv",
+     "4fd9b087413c8112d2fbefe77461e544f2d8f399bbe5b8334f114548a1bb6503"),
+    ("ro", "fig7", "node_2/frames.csv",
+     "fc6df5c07d0fc871060d48690aaa1b708cac1da0ce830fa82467cab944d40b25"),
 ]
 
 
@@ -90,14 +101,35 @@ def test_out_root_env(tmp_path, monkeypatch):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    from importlib import resources
-
     text = (resources.files("wavecap.presets") / "fig3c.config").read_text()
     cfg = tmp_path / "bad.config"
     cfg.write_text(text + "sweep.bogus_knob = 1\n")
     code = run("sweep", "--config", str(cfg), "--out", str(tmp_path / "x"))
     assert code == 2
     assert "bogus_knob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("chain.entry_delay_ps", "inf"),
+        ("chain.tau_rise_ps", "nan"),
+        ("source.phase_offset_ps", "inf"),
+        ("source.period_jitter_sigma_ps", "inf"),
+        ("source.frequency_hz", "0"),
+        ("regs.clock_jitter_sigma_ps", "inf"),
+        ("sweep.dt_ps", "inf"),
+    ],
+)
+def test_non_finite_or_zero_config_value_exits_2(tmp_path, capsys, key, value):
+    text = (resources.files("wavecap.presets") / "fig6.config").read_text()
+    edited, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert n == 1
+    cfg = tmp_path / "bad.config"
+    cfg.write_text(edited)
+    # an escaping exception would fail the test instead of returning
+    assert run("correct", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    assert key.split(".")[1] in capsys.readouterr().err
 
 
 def test_shrink_and_report(tmp_path, capsys):
