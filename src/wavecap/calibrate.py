@@ -224,8 +224,8 @@ def _tracks(
             raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
     out: dict[str, list[_Track]] = {pol: [] for pol in polarities}
     for ds in datasets:
-        rows, ks, levels = _edges(ds.bits_matrix(), min_run)
-        steps = [f.phase_index for f in ds.frames]
+        rows, ks, levels = _edges(ds.bits, min_run)
+        steps = ds.phase_index.tolist()
         for pol in polarities:
             idx: list[list[int]] = [[] for _ in steps]  # per frame, ascending
             sel = levels == (1 if pol == RISING else 0)
@@ -478,7 +478,7 @@ def shrink_analysis(
     dataset: SweepDataset, min_run: int = 15, bin_width: int = 25
 ) -> ShrinkResult:
     """Pulse width versus falling-edge position, binned and fit to a line."""
-    rows, levels, widths = _smoothed_runs(dataset.bits_matrix(), min_run)
+    rows, levels, widths = _smoothed_runs(dataset.bits, min_run)
     ends = np.cumsum(widths) - rows * dataset.k  # one past the 0-based end of each run
     starts = ends - widths  # 1-based index of the 0 just below a 1-run
     # a pulse truncated at a chain boundary has no width to report

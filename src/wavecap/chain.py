@@ -226,16 +226,6 @@ class CaptureFrame:
     def k(self) -> int:
         return int(self.bits.size)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CaptureFrame):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and bool(np.all(self.bits == other.bits))
-            and self.capture_time_fs == other.capture_time_fs
-            and self.phase_index == other.phase_index
-        )
-
 
 # ---------------------------------------------------------------------------
 # capture: pair-collision propagation

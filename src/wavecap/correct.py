@@ -39,55 +39,48 @@ class CorrectionSpec:
             raise ValueError("dilation_factor must be in (0, 1]")
 
 
-def _level_runs(bits: np.ndarray, level: int) -> list[tuple[int, int]]:
-    """Maximal runs of level as 1-based inclusive [l, r] intervals."""
-    _, levels, lengths = _runs(bits)
-    ends = np.cumsum(lengths)
+def _level_runs(bits, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of level in each row of a (frames, K) bit matrix, a 1-D
+    frame being one row: the row and 1-based inclusive ends l, r of each."""
+    rows, levels, lengths = _runs(bits)
+    ends = np.cumsum(lengths) - rows * np.shape(bits)[-1]
     sel = levels == level
-    return list(zip((ends - lengths + 1)[sel].tolist(), ends[sel].tolist()))
+    return rows[sel], (ends - lengths + 1)[sel], ends[sel]
+
+
+def _corrected(bits, spec: CorrectionSpec) -> np.ndarray:
+    """correct_frame applied to every row of a (frames, K) bit matrix."""
+    k = bits.shape[1]
+    rows, l, r = _level_runs(bits, 0)
+    r = np.where(r == k, r, np.floor(spec.dilation_factor * r).astype(np.int64))
+    keep = r - l + 1 >= spec.gap_threshold
+    # kept runs are disjoint and never touch, so no two marks share a cell
+    step = np.zeros((len(bits), k + 1), dtype=np.int8)
+    step[rows[keep], l[keep] - 1] = 1
+    step[rows[keep], r[keep]] = -1
+    return (np.cumsum(step[:, :k], axis=1, dtype=np.int8) == 0).astype(np.uint8)
 
 
 def correct_frame(frame: CaptureFrame, spec: CorrectionSpec = CorrectionSpec()) -> CaptureFrame:
     """Fill bubbles and rescale wide zero-gaps toward the chain entry.
 
-    Zero-runs shorter than the gap threshold vanish (bubble fill).  Each
-    remaining run [l, r] keeps its left end while the right end moves to
-    floor(a * r); overlapping adjusted runs merge, and an adjusted run that
-    no longer clears the threshold is dropped.  A run still touching the far
-    end of the chain is the not-yet-arrived signal, not a shrunken gap, so it
-    passes through unscaled.
+    Each zero-run [l, r] keeps its left end while the right end moves to
+    r' = floor(a * r); it stays zero when r' - l + 1 clears the gap threshold
+    and is filled with ones otherwise, which fills every bubble.  A run still
+    touching the far end of the chain is the not-yet-arrived signal, not a
+    shrunken gap, so it passes through unscaled.
+
+    Adjusted runs never merge: maximal zero-runs have a 1 between them, so
+    the next one starts at l' >= r + 2, while floor(a * r) <= r for
+    0 < a <= 1 because float rounding is monotone.
     """
-    bits = frame.bits
-    k = bits.size
-    regions = []
-    for l, r in _level_runs(bits, 0):
-        if r - l + 1 < spec.gap_threshold:
-            continue
-        if r == k:
-            regions.append((l, r))
-            continue
-        regions.append((l, int(np.floor(spec.dilation_factor * r))))
-    # merge overlapping or touching intervals
-    merged: list[list[int]] = []
-    for l, r in sorted(regions):
-        if merged and l <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], r)
-        else:
-            merged.append([l, r])
-    out = np.ones(k, dtype=np.uint8)
-    for l, r in merged:
-        if r - l + 1 < spec.gap_threshold:
-            continue
-        out[l - 1 : r] = 0
-    return replace(frame, bits=out)
+    return replace(frame, bits=_corrected(frame.bits[None], spec)[0])
 
 
 def correct_dataset(
     dataset: SweepDataset, spec: CorrectionSpec = CorrectionSpec()
 ) -> SweepDataset:
-    return replace(
-        dataset, frames=tuple(correct_frame(f, spec) for f in dataset.frames)
-    )
+    return replace(dataset, bits=_corrected(dataset.bits, spec))
 
 
 @dataclass(frozen=True)
@@ -108,36 +101,41 @@ class FidelityStats:
         return float(np.mean(np.abs(self.errors))) if self.errors.size else 0.0
 
 
-def correction_fidelity(truth: CaptureFrame, test: CaptureFrame) -> FidelityStats:
-    """Match pulses between two same-length frames and compare widths."""
-    if truth.k != test.k:
+def _fidelity(truth_bits, test_bits) -> FidelityStats:
+    """Width errors of the pulses of each row pair of two bit matrices: each
+    true pulse takes the free measured pulse of its row overlapping it most."""
+    if np.shape(truth_bits)[-1] != np.shape(test_bits)[-1]:
         raise ValueError("frames have different lengths")
-    truth_pulses = _level_runs(truth.bits, 1)
-    test_pulses = _level_runs(test.bits, 1)
-    used = [False] * len(test_pulses)
+    t_rows, t_l, t_r = (a.tolist() for a in _level_runs(truth_bits, 1))
+    m_rows, m_l, m_r = (a.tolist() for a in _level_runs(test_bits, 1))
+    lo = np.searchsorted(m_rows, t_rows).tolist()
+    hi = np.searchsorted(m_rows, t_rows, side="right").tolist()
+    used = [False] * len(m_l)
     errors = []
-    unmatched_truth = 0
-    for tl, tr in truth_pulses:
+    for tl, tr, a, z in zip(t_l, t_r, lo, hi):
         best = None
         best_ov = 0
-        for j, (ml, mr) in enumerate(test_pulses):
+        for j in range(a, z):
             if used[j]:
                 continue
-            ov = min(tr, mr) - max(tl, ml) + 1
+            ov = min(tr, m_r[j]) - max(tl, m_l[j]) + 1
             if ov > best_ov:
                 best_ov, best = ov, j
         if best is None:
-            unmatched_truth += 1
             continue
         used[best] = True
-        ml, mr = test_pulses[best]
-        errors.append((mr - ml) - (tr - tl))
+        errors.append((m_r[best] - m_l[best]) - (tr - tl))
     return FidelityStats(
         errors=np.array(errors, dtype=float),
         n_matched=len(errors),
-        n_unmatched_truth=unmatched_truth,
+        n_unmatched_truth=len(t_l) - len(errors),
         n_unmatched_test=used.count(False),
     )
+
+
+def correction_fidelity(truth: CaptureFrame, test: CaptureFrame) -> FidelityStats:
+    """Match pulses between two same-length frames and compare widths."""
+    return _fidelity(truth.bits, test.bits)
 
 
 def dataset_fidelity(
@@ -146,10 +144,4 @@ def dataset_fidelity(
     """Pooled pulse-width errors over paired frames."""
     if truth.n_frames != test.n_frames:
         raise ValueError("datasets have different frame counts")
-    parts = [correction_fidelity(a, b) for a, b in zip(truth.frames, test.frames)]
-    return FidelityStats(
-        errors=np.concatenate([p.errors for p in parts]) if parts else np.empty(0),
-        n_matched=sum(p.n_matched for p in parts),
-        n_unmatched_truth=sum(p.n_unmatched_truth for p in parts),
-        n_unmatched_test=sum(p.n_unmatched_test for p in parts),
-    )
+    return _fidelity(truth.bits, test.bits)

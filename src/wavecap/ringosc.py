@@ -191,13 +191,10 @@ def stitch_frames(
     calib: Union[float, TransferFunction],
     window_ps: Optional[float] = None,
 ) -> np.ndarray:
-    """Concatenate contiguous frames into one time-ordered bit series.
-
-    Each frame is truncated to the taps covering one capture period, then
-    reversed so index order matches signal time, then concatenated in frame
-    order.  calib is either a nominal carry time in ps or a transfer
-    function.
-    """
+    """Concatenate contiguous frames into one time-ordered bit series: the
+    taps covering one capture period, reversed so index order matches signal
+    time, read row by row off the bits matrix.  calib is either a nominal
+    carry time in ps or a transfer function."""
     if dataset.t_capture_ps is None:
         raise ValueError("dataset was not captured at a fixed period")
     window = dataset.t_capture_ps if window_ps is None else window_ps
@@ -206,7 +203,7 @@ def stitch_frames(
         raise ValueError("capture period shorter than one carry")
     if k_t > dataset.k:
         raise ValueError("chain too short to cover the capture period")
-    return np.concatenate([f.bits[:k_t][::-1] for f in dataset.frames])
+    return dataset.bits[:, k_t - 1 :: -1].ravel()
 
 
 # ---------------------------------------------------------------------------

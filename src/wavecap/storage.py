@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import __version__
-from .chain import CaptureFrame, ChainSpec, RegisterSpec
+from .chain import ChainSpec, RegisterSpec
 from .sweep import SweepDataset, SweepSpec
 from .waveform import PllOutputSpec
 
@@ -256,20 +256,18 @@ def bit_lines(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frames_csv(dataset: SweepDataset, bits: np.ndarray) -> bytes:
+def _frames_csv(dataset: SweepDataset) -> bytes:
     header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, dataset.k + 1))
     rows = [(header + "\n").encode()]
-    for f, line in zip(dataset.frames, bit_lines(bits)):
-        idx = "" if f.phase_index is None else str(f.phase_index)
+    for idx, line in zip(dataset.phase_index.tolist(), bit_lines(dataset.bits)):
         rows.append(f"{idx},".encode() + line.tobytes())
     return b"".join(rows)
 
 
 def _times_csv(dataset: SweepDataset) -> bytes:
     rows = ["phase_index,capture_time_fs"]
-    for f in dataset.frames:
-        idx = "" if f.phase_index is None else str(f.phase_index)
-        rows.append(f"{idx},{int(f.capture_time_fs)}")
+    for idx, t in zip(dataset.phase_index.tolist(), dataset.capture_time_fs.tolist()):
+        rows.append(f"{idx},{t}")
     return ("\n".join(rows) + "\n").encode()
 
 
@@ -301,7 +299,6 @@ def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> RunManif
         raise StorageError("a dataset needs a sweep spec or t_capture_ps to be saved")
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    bits = dataset.bits_matrix()
     payloads = {
         "spec.config": spec_to_config(
             dataset.chain_spec,
@@ -309,12 +306,12 @@ def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> RunManif
             dataset.sweep_spec,
             dataset.t_capture_ps,
         ).encode(),
-        "frames.csv": _frames_csv(dataset, bits),
+        "frames.csv": _frames_csv(dataset),
         "times.csv": _times_csv(dataset),
     }
     for name, data in payloads.items():
         (d / name).write_bytes(data)
-    write_pgm(bits, d / "frames.pgm")
+    write_pgm(dataset.bits, d / "frames.pgm")
     payloads["frames.pgm"] = (d / "frames.pgm").read_bytes()
     manifest = RunManifest(
         format_version=FORMAT_VERSION,
@@ -344,7 +341,14 @@ def _load_manifest(d: Path) -> RunManifest:
     return manifest
 
 
-def _parse_frames_csv(data: bytes, k: int) -> list[tuple[Optional[int], np.ndarray]]:
+def _int64(cell: str) -> int:
+    if -(2**63) <= int(cell) < 2**63:
+        return int(cell)
+    raise ValueError(f"{cell!r} is outside int64")
+
+
+def _parse_frames_csv(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phase indices and the (frames, K) bits matrix of frames.csv."""
     lines = data.decode().splitlines()
     if not lines:
         raise CorruptFileError("frames.csv is empty")
@@ -360,10 +364,10 @@ def _parse_frames_csv(data: bytes, k: int) -> list[tuple[Optional[int], np.ndarr
         bits = cells[:, 0::2] - np.uint8(ord("0"))
         if not (np.any(bits > 1) or np.any(cells[:, 1::2] != ord(","))):
             try:
-                return [(None if h == "" else int(h), b) for (h, _, _), b in zip(split, bits)]
+                return np.array([_int64(h) for h, _, _ in split], dtype=np.int64), bits
             except ValueError:
                 pass
-    out = []
+    indices, rows = [], []
     for row_no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != k + 1:
@@ -371,14 +375,14 @@ def _parse_frames_csv(data: bytes, k: int) -> list[tuple[Optional[int], np.ndarr
                 f"frames.csv row {row_no}: expected {k + 1} cells, got {len(cells)}"
             )
         try:
-            idx = None if cells[0] == "" else int(cells[0])
+            indices.append(_int64(cells[0]))
             values = [int(c) for c in cells[1:]]
         except ValueError as exc:
             raise CorruptFileError(f"frames.csv row {row_no}: {exc}") from exc
         if any(v not in (0, 1) for v in values):
             raise CorruptFileError(f"frames.csv row {row_no}: bits must be 0 or 1")
-        out.append((idx, np.array(values, dtype=np.uint8)))
-    return out
+        rows.append(values)
+    return np.array(indices, dtype=np.int64), np.array(rows, dtype=np.uint8).reshape(-1, k)
 
 
 def load_dataset(directory: Union[str, Path]) -> SweepDataset:
@@ -401,22 +405,22 @@ def load_dataset(directory: Union[str, Path]) -> SweepDataset:
     chain, regs, sweep, t_capture = config_to_specs(
         parse_config_text(blobs["spec.config"].decode())
     )
-    rows = _parse_frames_csv(blobs["frames.csv"], chain.k)
+    indices, bits = _parse_frames_csv(blobs["frames.csv"], chain.k)
     time_lines = blobs["times.csv"].decode().splitlines()
-    if len(time_lines) - 1 != len(rows):
+    if len(time_lines) - 1 != len(indices):
         raise CorruptFileError("times.csv row count does not match frames.csv")
-    frames = []
-    for row_no, ((idx, bits), line) in enumerate(zip(rows, time_lines[1:]), start=2):
+    times = []
+    for row_no, (idx, line) in enumerate(zip(indices.tolist(), time_lines[1:]), start=2):
         cells = line.split(",")
         try:
             if len(cells) != 2:
                 raise ValueError(f"expected 2 cells, got {len(cells)}")
-            if cells[0] != ("" if idx is None else str(idx)):
+            if cells[0] != str(idx):
                 raise ValueError(f"phase index {cells[0]!r} is not frames.csv's {idx}")
-            frames.append(CaptureFrame(bits, int(cells[1]), idx))
+            times.append(_int64(cells[1]))
         except ValueError as exc:
             raise CorruptFileError(f"times.csv row {row_no}: {exc}") from exc
-    return SweepDataset(tuple(frames), chain, regs, sweep, t_capture_ps=t_capture)
+    return SweepDataset(bits, times, indices, chain, regs, sweep, t_capture_ps=t_capture)
 
 
 def write_report(report: dict, path: Union[str, Path]) -> None:

@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from .chain import (
-    CaptureFrame,
     ChainInstance,
     ChainSpec,
     RegisterBank,
@@ -67,31 +66,34 @@ class SweepSpec:
         return min(self.source.duty_cycle, 1.0 - self.source.duty_cycle) * p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepDataset:
-    """Ordered frames plus the specs that produced them."""
+    """A run as one (frames, K) bit matrix, row f frame f with tap 1 first,
+    plus each frame's capture instant and phase step, and its specs."""
 
-    frames: tuple[CaptureFrame, ...]
+    bits: np.ndarray
+    capture_time_fs: np.ndarray
+    phase_index: np.ndarray  # continuous runs: the frame number
     chain_spec: ChainSpec
     reg_spec: RegisterSpec
     sweep_spec: Optional[SweepSpec] = None
     t_capture_ps: Optional[float] = None  # continuous runs: frame period
 
     def __post_init__(self):
-        ks = {f.k for f in self.frames}
-        if len(ks) > 1:
-            raise SweepError("frames have inconsistent chain lengths")
+        dtypes = {"bits": np.uint8, "capture_time_fs": np.int64, "phase_index": np.int64}
+        for name, dtype in dtypes.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        per_frame = {self.capture_time_fs.shape, self.phase_index.shape}
+        if self.bits.ndim != 2 or per_frame != {(len(self.bits),)}:
+            raise SweepError("a dataset needs (frames, K) bits and one time and index per frame")
 
     @property
     def k(self) -> int:
-        return self.frames[0].k
+        return self.bits.shape[1]
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
-
-    def bits_matrix(self) -> np.ndarray:
-        return np.stack([f.bits for f in self.frames])
+        return self.bits.shape[0]
 
 
 def run_sweep(
@@ -136,9 +138,7 @@ def run_sweep(
     # record absolute time including relock dead cycles; phase bookkeeping is
     # untouched because capture happens at a fixed clock phase
     t_abs_fs = ps_to_fs(t0_ps) + np.cumsum(dead) * ps_to_fs(spec.t_capture_ps)
-    frames = [CaptureFrame(b, int(t), n) for n, (b, t) in enumerate(zip(bits, t_abs_fs))]
-
-    return SweepDataset(tuple(frames), chain_spec, reg_spec, spec)
+    return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain_spec, reg_spec, spec)
 
 
 def run_continuous(
@@ -172,5 +172,7 @@ def run_continuous(
         dtype=np.int64,
     )
     bits = capture_at(w, chain_inst, reg_bank, sample_fs)
-    frames = [CaptureFrame(b, int(t), m) for m, (b, t) in enumerate(zip(bits, sample_fs))]
-    return SweepDataset(tuple(frames), chain_inst.spec, reg_bank.spec, t_capture_ps=t_capture_ps)
+    return SweepDataset(
+        bits, sample_fs, np.arange(n_frames), chain_inst.spec, reg_bank.spec,
+        t_capture_ps=t_capture_ps,
+    )

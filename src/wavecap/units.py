@@ -14,15 +14,18 @@ FS_PER_PS = 1000
 
 
 def require_finite(spec, error: type[ValueError]) -> None:
-    """Raise ``error`` naming the first float field of a dataclass that is not finite."""
+    """Raise ``error`` naming the first float field of a dataclass not finite in femtoseconds."""
     for name, value in vars(spec).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise error(f"{name} must be finite, got {value}")
+        if isinstance(value, float) and not math.isfinite(value * FS_PER_PS):
+            raise error(f"{name} must be finite in femtoseconds, got {value}")
 
 
 def ps_to_fs(t_ps: float) -> int:
     """Round a picosecond quantity to integer femtoseconds."""
-    return int(round(t_ps * FS_PER_PS))
+    t_fs = t_ps * FS_PER_PS
+    if not math.isfinite(t_fs):
+        raise ValueError(f"{t_ps} ps is not a finite number of femtoseconds")
+    return int(round(t_fs))
 
 
 def fs_to_ps(t_fs: int) -> float:

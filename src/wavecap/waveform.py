@@ -30,6 +30,11 @@ class WaveformError(ValueError):
     pass
 
 
+# make_pll_output's work bounds: edges per source, jitter draws per edge
+MAX_SOURCE_EDGES = 1_000_000
+MAX_JITTER_REDRAWS = 1_000
+
+
 @dataclass(frozen=True, eq=False)
 class DigitalWaveform:
     """Piecewise-constant binary signal.
@@ -188,6 +193,8 @@ def make_pll_output(spec: PllOutputSpec, duration_ps: float) -> DigitalWaveform:
     """
     if duration_ps <= 0:
         raise WaveformError("duration must be positive")
+    if 2 * (duration_ps - spec.phase_offset_ps) * spec.frequency_hz / 1e12 > MAX_SOURCE_EDGES:
+        raise WaveformError(f"a {duration_ps} ps source has over {MAX_SOURCE_EDGES} edges")
     duration_fs = ps_to_fs(duration_ps)
     period = spec.period_fraction_fs()
     width = period * Fraction(spec.duty_cycle)
@@ -212,10 +219,12 @@ def make_pll_output(spec: PllOutputSpec, duration_ps: float) -> DigitalWaveform:
         jittered = np.empty_like(times)
         prev = np.iinfo(np.int64).min
         for i, t in enumerate(times):
-            while True:
+            for _ in range(MAX_JITTER_REDRAWS):
                 cand = t + int(round(rng.normal(0.0, sigma_fs)))
                 if cand > prev:
                     break
+            else:
+                raise WaveformError(f"edge {i} found no ordered jitter draw in {MAX_JITTER_REDRAWS}")
             jittered[i] = cand
             prev = cand
         times = jittered

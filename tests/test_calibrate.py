@@ -285,7 +285,7 @@ def tracks_per_frame(datasets, min_run, polarities):
     spec = datasets[0].sweep_spec
     out = {pol: [] for pol in polarities}
     for ds in datasets:
-        rows = [(f.phase_index, extract_edges(f, min_run)) for f in ds.frames]
+        rows = [(n, extract_edges(b, min_run)) for n, b in zip(ds.phase_index.tolist(), ds.bits)]
         for pol in polarities:
             out[pol].append(track_per_frame(rows, pol, spec.source.period_ps, spec.dt_ps))
     return out
@@ -631,12 +631,12 @@ def test_shrink_rate_lab_set():
 def shrink_samples_per_frame(dataset, min_run):
     """Reference: (start, width) of each interior pulse, one frame at a time."""
     samples = []
-    for f in dataset.frames:
-        b = smooth_bits_per_bit(f.bits, min_run)
+    for bits in dataset.bits:
+        b = smooth_bits_per_bit(bits, min_run)
         starts = np.flatnonzero(np.diff(b.astype(np.int8), prepend=-1))
         widths = np.diff(starts, append=b.size)
         for start, width in zip(starts.tolist(), widths.tolist()):
-            if b[start] == 1 and width >= min_run and start > 0 and start + width < f.k:
+            if b[start] == 1 and width >= min_run and start > 0 and start + width < dataset.k:
                 samples.append((start, width))
     return tuple(samples)
 

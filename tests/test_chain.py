@@ -242,7 +242,8 @@ def test_capture_jitter_determinism():
     w = make_pll_output(PllOutputSpec(600e6, 0.5), 20_000)
     a = capture(w, chain, regs, 15_000, clock_jitter_ps=12.5)
     b = capture(w, chain, regs, 15_000, clock_jitter_ps=12.5)
-    assert a == b
+    assert np.array_equal(a.bits, b.bits)
+    assert (a.capture_time_fs, a.phase_index) == (b.capture_time_fs, b.phase_index)
     c = capture_oracle(w, chain, regs, 15_000, clock_jitter_ps=12.5)
     assert np.all(a.bits == c.bits)
 

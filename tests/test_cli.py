@@ -72,6 +72,11 @@ GOLDEN = [
      "4fd9b087413c8112d2fbefe77461e544f2d8f399bbe5b8334f114548a1bb6503"),
     ("ro", "fig7", "node_2/frames.csv",
      "fc6df5c07d0fc871060d48690aaa1b708cac1da0ce830fa82467cab944d40b25"),
+    # recorded before a dataset was held as one bits matrix
+    ("sweep", "fig3a", "times.csv",
+     "4a152a806c1fd5f2af51774c92c0fae711e39ff4f6bbf22f7017e4139f9bca6e"),
+    ("ro", "appendix-ro19", "node_0/times.csv",
+     "a6ad040e45d3d70b376eb77bb3780a80ab787d78fea120807c2aaa6cb6a2f5e8"),
 ]
 
 
@@ -89,9 +94,7 @@ def test_seed_override_changes_frames(tmp_path):
         run("sweep", "--config", "preset:fig3a", "--out", str(b), "--seed", "7", "--quiet")
         == 0
     )
-    assert not np.array_equal(
-        load_dataset(a).bits_matrix(), load_dataset(b).bits_matrix()
-    )
+    assert not np.array_equal(load_dataset(a).bits, load_dataset(b).bits)
 
 
 def test_out_root_env(tmp_path, monkeypatch):
@@ -119,17 +122,47 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("source.frequency_hz", "0"),
         ("regs.clock_jitter_sigma_ps", "inf"),
         ("sweep.dt_ps", "inf"),
+        ("chain.entry_min_pulse_ps", "1e308"),
+        ("source.phase_offset_ps", "1e308"),
     ],
 )
 def test_non_finite_or_zero_config_value_exits_2(tmp_path, capsys, key, value):
-    text = (resources.files("wavecap.presets") / "fig6.config").read_text()
+    cfg = set_config_value(tmp_path, "fig6", key, value)
+    # an escaping exception would fail the test instead of returning
+    assert run("correct", "--config", cfg, "--out", str(tmp_path / "x")) == 2
+    assert key.split(".")[1] in capsys.readouterr().err
+
+
+def set_config_value(tmp_path, preset, key, value):
+    text = (resources.files("wavecap.presets") / f"{preset}.config").read_text()
     edited, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
     assert n == 1
     cfg = tmp_path / "bad.config"
     cfg.write_text(edited)
-    # an escaping exception would fail the test instead of returning
-    assert run("correct", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
-    assert key.split(".")[1] in capsys.readouterr().err
+    return str(cfg)
+
+
+@pytest.mark.parametrize("key,value", [("ring.tau_gate_ps", "inf"), ("ro.t_start_ps", "1e308")])
+def test_ring_time_beyond_femtoseconds_exits_2(tmp_path, capsys, key, value):
+    cfg = set_config_value(tmp_path, "fig7", key, value)
+    assert run("ro", "--config", cfg, "--out", str(tmp_path / "x")) == 2
+    assert "is not a finite number of femtoseconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("chain.entry_delay_ps", "1e300", "edges"),
+        ("chain.tau_sigma_ps", "99999999", "edges"),
+        ("sweep.crystal_jitter_sigma_ps", "99999999", "edges"),
+        ("source.period_jitter_sigma_ps", "1e9", "no ordered jitter draw"),
+    ],
+)
+def test_unbounded_source_exits_2(tmp_path, capsys, key, value, message):
+    # each edit once made the source generator run without bound
+    cfg = set_config_value(tmp_path, "fig6", key, value)
+    assert run("correct", "--config", cfg, "--out", str(tmp_path / "x")) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_shrink_and_report(tmp_path, capsys):
@@ -160,6 +193,16 @@ def test_correct_recovery_mode(tmp_path):
     assert ds.n_frames == 256
 
 
+def test_correct_recovery_report_is_pinned(tmp_path):
+    # recorded before correction and fidelity became one pass per dataset
+    out = tmp_path / "corr"
+    assert run("correct", "--config", "preset:fig6", "--out", str(out), "--quiet") == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["alpha"] == 0.9246246382588122
+    assert rep["recovered"]["uncorrected_mean_abs_err"] == 43.06298449612403
+    assert rep["recovered"]["corrected_mean_abs_err"] == 0.627906976744186
+
+
 def test_correct_filter_mode_preserves_phase_index(tmp_path):
     raw = tmp_path / "raw"
     out = tmp_path / "fixed"
@@ -170,8 +213,8 @@ def test_correct_filter_mode_preserves_phase_index(tmp_path):
     )
     a = load_dataset(raw)
     b = load_dataset(out)
-    assert [f.phase_index for f in a.frames] == [f.phase_index for f in b.frames]
-    assert np.any(a.bits_matrix() != b.bits_matrix())
+    assert np.array_equal(a.phase_index, b.phase_index)
+    assert np.any(a.bits != b.bits)
 
 
 def test_ro_fig7_artifacts(tmp_path):

@@ -13,7 +13,7 @@ from wavecap.correct import (
     correction_fidelity,
     dataset_fidelity,
 )
-from wavecap.sweep import SweepSpec, run_sweep
+from wavecap.sweep import SweepDataset, SweepSpec, run_sweep
 from wavecap.waveform import PllOutputSpec
 
 
@@ -120,10 +120,124 @@ def runs_by_scan(bits, level):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(bits=st.lists(st.integers(0, 1), max_size=300))
-def test_level_runs_match_plain_scan(bits):
+@given(bits=st.lists(st.integers(0, 1), max_size=300), n_rows=st.integers(1, 4))
+def test_level_runs_match_plain_scan(bits, n_rows):
+    k = len(bits) // n_rows
+    rows = [bits[f * k : (f + 1) * k] for f in range(n_rows)]
     for level in (0, 1):
-        assert _level_runs(np.array(bits, dtype=np.uint8), level) == runs_by_scan(bits, level)
+        got = _level_runs(np.array(rows, dtype=np.uint8).reshape(len(rows), -1), level)
+        want = [(f, l, r) for f, row in enumerate(rows) for l, r in runs_by_scan(row, level)]
+        assert list(zip(*(a.tolist() for a in got))) == want
+
+
+# -- the matrix forms against the per-frame code they replaced ---------------
+
+
+def correct_frame_per_frame(bits, spec):
+    """Reference: correction as first written, one frame at a time: drop the
+    narrow zero-runs, scale the rest, merge overlapping or touching results,
+    then drop what no longer clears the threshold."""
+    k = bits.size
+    regions = []
+    for l, r in runs_by_scan(bits.tolist(), 0):
+        if r - l + 1 < spec.gap_threshold:
+            continue
+        if r == k:
+            regions.append((l, r))
+            continue
+        regions.append((l, int(np.floor(spec.dilation_factor * r))))
+    merged: list[list[int]] = []
+    for l, r in sorted(regions):
+        if merged and l <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], r)
+        else:
+            merged.append([l, r])
+    out = np.ones(k, dtype=np.uint8)
+    for l, r in merged:
+        if r - l + 1 < spec.gap_threshold:
+            continue
+        out[l - 1 : r] = 0
+    return out
+
+
+def fidelity_per_frame(truth_bits, test_bits):
+    """Reference: the greedy best-overlap match of each frame pair, summed
+    over frames; returns (errors, matched, unmatched truth, unmatched test)."""
+    errors, unmatched_truth, unmatched_test = [], 0, 0
+    for truth, test in zip(truth_bits, test_bits):
+        test_pulses = runs_by_scan(test.tolist(), 1)
+        used = [False] * len(test_pulses)
+        for tl, tr in runs_by_scan(truth.tolist(), 1):
+            best = None
+            best_ov = 0
+            for j, (ml, mr) in enumerate(test_pulses):
+                if used[j]:
+                    continue
+                ov = min(tr, mr) - max(tl, ml) + 1
+                if ov > best_ov:
+                    best_ov, best = ov, j
+            if best is None:
+                unmatched_truth += 1
+                continue
+            used[best] = True
+            ml, mr = test_pulses[best]
+            errors.append((mr - ml) - (tr - tl))
+        unmatched_test += used.count(False)
+    return errors, len(errors), unmatched_truth, unmatched_test
+
+
+@st.composite
+def run_rows(draw, k):
+    """One row of k bits built from runs of 1-40 bits, so that zero-runs
+    both below and above every gap threshold occur."""
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=k))
+    levels = (np.arange(len(lengths)) % 2) ^ draw(st.integers(0, 1))
+    return np.resize(np.repeat(levels, lengths), k).astype(np.uint8)
+
+
+bit_matrices = st.tuples(st.integers(1, 5), st.integers(1, 120)).flatmap(
+    lambda fk: st.lists(run_rows(fk[1]), min_size=fk[0], max_size=fk[0]).map(np.array)
+)
+alphas = st.one_of(
+    st.just(1.0), st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0, exclude_min=True)
+)
+
+
+def dataset_of(bits):
+    chain = ChainSpec(bits.shape[1], 5.0, 5.0)
+    return SweepDataset(bits, np.zeros(len(bits)), np.arange(len(bits)), chain, RegisterSpec())
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=bit_matrices, alpha=alphas, threshold=st.integers(1, 30))
+def test_correct_dataset_matches_per_frame_reference(bits, alpha, threshold):
+    spec = CorrectionSpec(threshold, alpha)
+    got = correct_dataset(dataset_of(bits), spec).bits
+    want = np.array([correct_frame_per_frame(row, spec) for row in bits])
+    assert np.array_equal(got, want)
+    assert np.array_equal(correct_frame(frame_of(bits[0]), spec).bits, want[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    truth=bit_matrices,
+    noise=st.floats(0.0, 0.3),
+    independent=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_dataset_fidelity_matches_per_frame_reference(truth, noise, independent, seed, data):
+    # the measured matrix is either drawn on its own or the truth with bits
+    # flipped, so that pulses overlap several candidates and ties occur
+    if independent:
+        test = np.array([data.draw(run_rows(truth.shape[1])) for _ in truth])
+    else:
+        flips = np.random.default_rng(seed).random(truth.shape) < noise
+        test = truth ^ flips.astype(np.uint8)
+    stats = dataset_fidelity(dataset_of(truth), dataset_of(test))
+    errors, *counts = fidelity_per_frame(truth, test)
+    assert stats.errors.tolist() == errors
+    assert [stats.n_matched, stats.n_unmatched_truth, stats.n_unmatched_test] == counts
 
 
 # -- fidelity ---------------------------------------------------------------
@@ -173,8 +287,8 @@ def test_uncorrected_error_tracks_travel_distance(shrink_pair):
     truth_ds, meas_ds = shrink_pair
     rate = (4.91 - 4.54) / 4.91
     errs = []
-    for t, m in zip(truth_ds.frames, meas_ds.frames):
-        stats = correction_fidelity(t, m)
+    for t, m in zip(truth_ds.bits, meas_ds.bits):
+        stats = correction_fidelity(frame_of(t), frame_of(m))
         errs.append(stats.mean_error)
     # pulses live across the whole chain; average travel ~ half the length
     mean_travel = 650.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavecap import storage
-from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec
+from wavecap.chain import ChainSpec, RegisterSpec
 from wavecap.storage import (
     CorruptFileError,
     HashMismatchError,
@@ -50,10 +50,8 @@ def test_round_trip_sweep(small_dataset, tmp_path):
     assert back.reg_spec == small_dataset.reg_spec
     assert back.sweep_spec == small_dataset.sweep_spec
     assert back.n_frames == small_dataset.n_frames
-    for a, b in zip(back.frames, small_dataset.frames):
-        assert np.array_equal(a.bits, b.bits)
-        assert a.capture_time_fs == b.capture_time_fs
-        assert a.phase_index == b.phase_index
+    for name in ("bits", "capture_time_fs", "phase_index"):
+        assert np.array_equal(getattr(back, name), getattr(small_dataset, name))
 
 
 def test_round_trip_continuous(tmp_path):
@@ -64,13 +62,12 @@ def test_round_trip_continuous(tmp_path):
     back = load_dataset(tmp_path)
     assert back.sweep_spec is None
     assert back.t_capture_ps == 320.0
-    assert np.array_equal(back.bits_matrix(), ds.bits_matrix())
+    assert np.array_equal(back.bits, ds.bits)
 
 
 def test_save_without_sweep_or_frame_period_writes_nothing(tmp_path):
     # neither a sweep spec nor t_capture_ps: the config could not be read back
-    frames = (CaptureFrame(np.zeros(16), 0, None),)
-    ds = SweepDataset(frames, ChainSpec(16, 5.0, 5.0), RegisterSpec())
+    ds = SweepDataset(np.zeros((1, 16)), [0], [0], ChainSpec(16, 5.0, 5.0), RegisterSpec())
     with pytest.raises(StorageError, match="sweep spec or t_capture_ps"):
         save_dataset(ds, tmp_path)
     assert list(tmp_path.iterdir()) == []
@@ -196,9 +193,8 @@ def per_bit_frames_csv(dataset):
     k = dataset.k
     header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1))
     rows = [header]
-    for f in dataset.frames:
-        idx = "" if f.phase_index is None else str(f.phase_index)
-        rows.append(idx + "," + ",".join(str(int(b)) for b in f.bits))
+    for idx, bits in zip(dataset.phase_index.tolist(), dataset.bits):
+        rows.append(str(idx) + "," + ",".join(str(int(b)) for b in bits))
     return ("\n".join(rows) + "\n").encode()
 
 
@@ -217,19 +213,23 @@ def per_row_parse(data, k):
                 f"frames.csv row {row_no}: expected {k + 1} cells, got {len(cells)}"
             )
         try:
-            idx = None if cells[0] == "" else int(cells[0])
+            idx = int(cells[0])  # an empty cell is malformed too
+            if not -(2**63) <= idx < 2**63:
+                raise ValueError(f"{cells[0]!r} is outside int64")
             bits = np.array([int(c) for c in cells[1:]], dtype=np.uint8)
         except ValueError as exc:
             raise CorruptFileError(f"frames.csv row {row_no}: {exc}") from exc
         if np.any(bits > 1):
             raise CorruptFileError(f"frames.csv row {row_no}: bits must be 0 or 1")
         out.append((idx, bits))
-    return out
+    indices = np.array([idx for idx, _ in out], dtype=np.int64)
+    return indices, np.array([bits for _, bits in out], dtype=np.uint8).reshape(-1, k)
 
 
 def outcome(parse, data, k):
     try:
-        return [(idx, bits.tolist()) for idx, bits in parse(data, k)]
+        indices, bits = parse(data, k)
+        return indices.tolist(), bits.tolist()
     except CorruptFileError as exc:
         return (type(exc), str(exc))
     except OverflowError:  # the per-row parser on a cell outside uint8
@@ -239,7 +239,7 @@ def outcome(parse, data, k):
 frame_sets = st.integers(1, 12).flatmap(
     lambda k: st.lists(
         st.tuples(
-            st.one_of(st.none(), st.integers(-5, 10**6)),
+            st.integers(-5, 10**6),
             st.lists(st.integers(0, 1), min_size=k, max_size=k),
         ),
         min_size=1,
@@ -249,15 +249,16 @@ frame_sets = st.integers(1, 12).flatmap(
 
 
 def as_dataset(rows):
-    frames = tuple(CaptureFrame(np.array(bits), 0, idx) for idx, bits in rows)
-    return SweepDataset(frames, ChainSpec(len(rows[0][1]), 5.0, 5.0), RegisterSpec())
+    index, bits = zip(*rows)
+    chain = ChainSpec(len(bits[0]), 5.0, 5.0)
+    return SweepDataset(np.array(bits), np.zeros(len(rows)), index, chain, RegisterSpec())
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=frame_sets)
 def test_frames_csv_matches_per_bit_encoding(rows):
     ds = as_dataset(rows)
-    assert _frames_csv(ds, ds.bits_matrix()) == per_bit_frames_csv(ds)
+    assert _frames_csv(ds) == per_bit_frames_csv(ds)
 
 
 @settings(max_examples=200, deadline=None)
@@ -316,6 +317,7 @@ def test_out_of_range_bit_is_corrupt(small_dataset, tmp_path, cell):
 # -- one config reader: every spec written and read from its fields ----------
 
 floats = st.floats(allow_nan=False, allow_infinity=False)
+fs_floats = st.floats(-1e300, 1e300)  # a spec time must stay finite in femtoseconds
 nonneg = st.floats(0.0, 1e6)
 positive = st.floats(1e-3, 1e6)
 seeds = st.integers(0, 2**32)
@@ -347,13 +349,13 @@ def sweep_specs(draw):
     source = PllOutputSpec(
         draw(positive),
         draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        draw(floats),
+        draw(fs_floats),
         draw(nonneg),
         draw(seeds),
     )
     return SweepSpec(
         source,
-        draw(floats),
+        draw(fs_floats),
         draw(nonneg),
         draw(st.integers(2, 10**6)),
         (lo, draw(st.integers(lo, 1000))),
@@ -428,8 +430,14 @@ def rewrite_row(directory, name, row, edit):
         ("times.csv", lambda ln: ln[: ln.index(",") + 1] + "abc", "times.csv row 3: invalid"),
         ("times.csv", lambda ln: "9" + ln, "times.csv row 3: phase index '9"),
         ("times.csv", lambda ln: ln[ln.index(","):], "times.csv row 3: phase index ''"),
+        ("frames.csv", lambda ln: ln[ln.index(","):], "frames.csv row 3: invalid literal"),
+        ("frames.csv", lambda ln: f"{2**63}" + ln[ln.index(","):],
+         "frames.csv row 3: '9223372036854775808' is outside int64"),
+        ("times.csv", lambda ln: ln[: ln.index(",") + 1] + f"{2**63}",
+         "times.csv row 3: '9223372036854775808' is outside int64"),
     ],
-    ids=["frames-index", "times-time", "times-index", "times-index-missing"],
+    ids=["frames-index", "times-time", "times-index", "times-index-missing",
+         "frames-index-missing", "frames-index-2**63", "times-time-2**63"],
 )
 def test_bad_dataset_cell_names_file_and_row(small_dataset, tmp_path, name, edit, message):
     save_dataset(small_dataset, tmp_path)

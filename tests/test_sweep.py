@@ -25,8 +25,8 @@ def test_sweep_pulse_walks_monotonically():
     ds = run_sweep(spec, MLAB, REGS)
     assert ds.n_frames == 64
     last = None
-    for f in ds.frames:
-        idx = rising_indices(f.bits)
+    for bits in ds.bits:
+        idx = rising_indices(bits)
         if not idx:
             last = None
             continue
@@ -40,8 +40,8 @@ def test_sweep_600mhz_multiple_pulses_per_frame():
     spec = SweepSpec(PllOutputSpec(600e6, 0.5), dt_ps=104, n_steps=16)
     ds = run_sweep(spec, MLAB, REGS)
     counts = []
-    for f in ds.frames:
-        b = np.concatenate([[0], f.bits.astype(int), [0]])
+    for bits in ds.bits:
+        b = np.concatenate([[0], bits.astype(int), [0]])
         counts.append(int((np.diff(b) == 1).sum()))
     assert all(3 <= c <= 4 for c in counts)
 
@@ -49,9 +49,9 @@ def test_sweep_600mhz_multiple_pulses_per_frame():
 def test_sweep_dt_zero_all_frames_identical():
     spec = SweepSpec(PllOutputSpec(100e6, 0.25), dt_ps=0, n_steps=8)
     ds = run_sweep(spec, MLAB, REGS)
-    first = ds.frames[0].bits
-    for f in ds.frames[1:]:
-        assert np.all(f.bits == first)
+    first = ds.bits[0]
+    for bits in ds.bits[1:]:
+        assert np.all(bits == first)
 
 
 def test_sweep_config_violation_propagates():
@@ -64,7 +64,7 @@ def test_sweep_edge_index_matches_closed_form():
     # ideal chain, no jitter: index = floor of ((C - n*dt) / tau) up to offset
     spec = SweepSpec(PllOutputSpec(100e6, 0.25), dt_ps=78, n_steps=40)
     ds = run_sweep(spec, IDEAL, REGS)
-    obs = [(n, rising_indices(f.bits)) for n, f in enumerate(ds.frames)]
+    obs = [(n, rising_indices(bits)) for n, bits in enumerate(ds.bits)]
     obs = [(n, idx[0]) for n, idx in obs if idx]
     assert len(obs) >= 5
     n0, x0 = obs[0]
@@ -88,15 +88,29 @@ def test_sweep_deterministic():
     )
     a = run_sweep(spec, MLAB, REGS)
     b = run_sweep(spec, MLAB, REGS)
-    for fa, fb in zip(a.frames, b.frames):
-        assert fa == fb
+    for name in ("bits", "capture_time_fs", "phase_index"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize(
+    "bits, times, index",
+    [
+        (np.zeros(16), [0], [0]),
+        (np.zeros((2, 16)), [0], [0, 1]),
+        (np.zeros((2, 16)), [0, 1], [[0, 1]]),
+    ],
+    ids=["bits-1d", "times-short", "index-2d"],
+)
+def test_dataset_rejects_disagreeing_shapes(bits, times, index):
+    with pytest.raises(SweepError, match="one time and index per frame"):
+        SweepDataset(bits, times, index, ChainSpec(16, 5.0, 5.0), REGS)
 
 
 def test_continuous_constant_high():
     w = DigitalWaveform(1, np.array([], dtype=np.int64))
     ds = run_continuous(w, MLAB, REGS, 5_000, 4, t_start_ps=10_000)
-    for f in ds.frames:
-        assert np.all(f.bits == 1)
+    for bits in ds.bits:
+        assert np.all(bits == 1)
     assert ds.t_capture_ps == 5_000
 
 
@@ -106,7 +120,7 @@ def test_continuous_lone_pulse_appears_in_consecutive_frames():
     chain = ChainSpec(1300, 5.0, 5.0)
     pulse = DigitalWaveform.from_edges([(20_000, 1), (21_000, 0)])
     ds = run_continuous(pulse, chain, REGS, 5_000, 6, t_start_ps=16_000)
-    hits = [(m, rising_indices(f.bits)) for m, f in enumerate(ds.frames)]
+    hits = [(m, rising_indices(bits)) for m, bits in enumerate(ds.bits)]
     seen = [(m, idx[0]) for m, idx in hits if idx]
     assert len(seen) == 2
     (m1, x1), (m2, x2) = seen
@@ -117,7 +131,7 @@ def test_continuous_lone_pulse_appears_in_consecutive_frames():
 def test_continuous_span_512_frames():
     w = DigitalWaveform(1, np.array([], dtype=np.int64))
     ds = run_continuous(w, ChainSpec(64, 5.0, 5.0), REGS, 5_000, 512, t_start_ps=1_000)
-    span_fs = ds.frames[-1].capture_time_fs - ds.frames[0].capture_time_fs
+    span_fs = ds.capture_time_fs[-1] - ds.capture_time_fs[0]
     assert span_fs == 511 * 5_000 * 1000  # 2.56 us total run
 
 
@@ -128,7 +142,7 @@ def test_continuous_default_start_covers_entry_delay():
     assert ds.n_frames == 4
     # the default start is the exact look-back: entry delay plus 64 rise delays
     # plus the 6.4 ps rise/fall catch-up
-    assert ds.frames[0].capture_time_fs == ps_to_fs(2000 + 64 * 5.0 + 64 * 0.1)
+    assert ds.capture_time_fs[0] == ps_to_fs(2000 + 64 * 5.0 + 64 * 0.1)
 
 
 def test_continuous_equals_per_frame_capture():
@@ -138,9 +152,11 @@ def test_continuous_equals_per_frame_capture():
     regs = sample_registers(RegisterSpec(skew_sigma_ps=3.0, seed=4), 256)
     ds = run_continuous(w, chain, regs, 700, 40, t_start_ps=5_000, crystal_jitter_sigma_ps=20)
     rng = np.random.default_rng(0)
-    for m, f in enumerate(ds.frames):
+    for m, (bits, t_fs, n) in enumerate(zip(ds.bits, ds.capture_time_fs, ds.phase_index)):
         jitter = float(rng.normal(0.0, 20))
-        assert f == capture(w, chain, regs, 5_000 + m * 700, clock_jitter_ps=jitter, phase_index=m)
+        f = capture(w, chain, regs, 5_000 + m * 700, clock_jitter_ps=jitter, phase_index=m)
+        assert np.array_equal(bits, f.bits)
+        assert (t_fs, n) == (f.capture_time_fs, f.phase_index)
 
 
 # -- run_sweep against the shift-per-step loop it replaced -------------------
@@ -212,7 +228,9 @@ def test_run_sweep_equals_shift_per_step_loop(
     )
     ds = run_sweep(spec, chain, regs)
     expected = shift_per_step_sweep(spec, chain, regs)
-    assert len(ds.frames) == len(expected)
-    for f, (bits, t_fs, n) in zip(ds.frames, expected):
-        assert np.array_equal(f.bits, bits)
-        assert (f.capture_time_fs, f.phase_index) == (t_fs, n)
+    assert ds.n_frames == len(expected)
+    for row, t_row, n_row, (bits, t_fs, n) in zip(
+        ds.bits, ds.capture_time_fs, ds.phase_index, expected
+    ):
+        assert np.array_equal(row, bits)
+        assert (t_row, n_row) == (t_fs, n)
