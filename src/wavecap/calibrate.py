@@ -478,6 +478,8 @@ def shrink_analysis(
     dataset: SweepDataset, min_run: int = 15, bin_width: int = 25
 ) -> ShrinkResult:
     """Pulse width versus falling-edge position, binned and fit to a line."""
+    if min_run < 1 or bin_width < 1:
+        raise CalibrationError("min_run and bin_width must be >= 1")
     rows, levels, widths = _smoothed_runs(dataset.bits, min_run)
     ends = np.cumsum(widths) - rows * dataset.k  # one past the 0-based end of each run
     starts = ends - widths  # 1-based index of the 0 just below a 1-run

@@ -4,8 +4,11 @@ A configured chain is sampled into per-element rise/fall delays.  Capturing a
 waveform propagates each input edge down the chain at its polarity's speed;
 when a faster trailing edge catches the edge ahead of it the pulse between
 them has shrunk to nothing and both edges stop propagating (this is pulse
-shrinking).  Registers sample each tap at the capture instant, perturbed by a
-shared clock jitter and static per-register skew.
+shrinking).  Registers sample each tap at the capture instant plus a static
+per-register skew.  ``RegisterSpec.clock_jitter_sigma_ps`` is read, validated
+and saved with each dataset but never applied: capture jitter comes from the
+sweep's crystal jitter.  The benchmark configs set the key, so removing it
+waits for a change to them.
 
 Two independent implementations of the capture are provided: ``capture_at``
 (frames grouped by edge window, pair-collision annihilation and arrivals once
@@ -16,6 +19,7 @@ per group; ``capture`` is its one-frame form) and ``capture_oracle``
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -93,6 +97,9 @@ class ChainSpec:
             object.__setattr__(self, "dnl_ramp", tuple(float(x) for x in self.dnl_ramp))
             if len(self.dnl_ramp) > self.k:
                 raise ChainError("dnl_ramp longer than the chain")
+            slowest_fs = max(self.tau_rise_ps, self.tau_fall_ps) * FS_PER_PS
+            if not all(x > 0 and math.isfinite(x * slowest_fs) for x in self.dnl_ramp):
+                raise ChainError("dnl_ramp multipliers must be positive, delays finite in fs")
 
     def ramp_multipliers(self) -> np.ndarray:
         m = np.ones(self.k)
@@ -158,15 +165,17 @@ class ChainInstance:
 
 def _sample_delays(rng, mean_ps: float, ramp: np.ndarray, sigma_ps: float) -> np.ndarray:
     means_fs = mean_ps * ramp * FS_PER_PS
-    if sigma_ps == 0:
-        return np.round(means_fs).astype(np.int64)
-    sigma_fs = sigma_ps * FS_PER_PS
-    out = np.round(rng.normal(means_fs, sigma_fs)).astype(np.int64)
-    bad = out <= 0
-    while np.any(bad):  # truncate positive by rejection
-        out[bad] = np.round(rng.normal(means_fs[bad], sigma_fs)).astype(np.int64)
+    out = np.round(means_fs)
+    if sigma_ps > 0:
+        sigma_fs = sigma_ps * FS_PER_PS
+        out = np.round(rng.normal(means_fs, sigma_fs))
         bad = out <= 0
-    return out
+        while np.any(bad):  # truncate positive by rejection
+            out[bad] = np.round(rng.normal(means_fs[bad], sigma_fs))
+            bad = out <= 0
+    if not np.all(out < 2**63):
+        raise ChainError(f"element delay {out.max()} fs does not fit int64 femtoseconds")
+    return out.astype(np.int64)
 
 
 def sample_chain(spec: ChainSpec) -> ChainInstance:

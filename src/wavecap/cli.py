@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -22,36 +22,77 @@ import numpy as np
 
 from . import __version__
 from .calibrate import calibrate, shrink_analysis
+from .chain import ChainSpec, RegisterSpec
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
-from .ringosc import (
-    RingSpec,
-    measure_node_timescale,
-    simulate_ring,
-    stable_pulse_state,
-    stitch_frames,
-)
+from .ringosc import RingSpec, measure_node_timescale, simulate_ring, stitch_frames
 from .storage import (
     StorageError,
     bit_lines,
-    chain_from_config,
     check_format_version,
     load_dataset,
     parse_config_text,
-    regs_from_config,
     reject_unknown_keys,
     save_dataset,
-    sweep_from_config,
+    spec_from_config,
     take,
     write_pgm,
     write_report,
 )
-from .sweep import run_continuous, run_sweep
+from .sweep import SweepSpec, run_continuous, run_sweep
+from .units import require_finite
 
 OUT_ROOT_ENV = "WAVECAP_OUT_ROOT"
 
 
 class CliError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class CalibrateOptions:
+    n_channels: int = 1  # sweeps generated, each with seeds shifted by 1000
+    min_run: int = 15
+
+
+@dataclass(frozen=True)
+class ShrinkOptions:
+    min_run: int = 15
+    bin_width: int = 25
+
+
+@dataclass(frozen=True)
+class CorrectOptions(ShrinkOptions):
+    """The contraction-rate options plus those of the correction."""
+
+    gap_threshold: int = 15
+    dilation_factor: Optional[float] = None  # auto: 1 - the measured contraction rate
+
+    def __post_init__(self):
+        alpha = 1.0 if self.dilation_factor is None else self.dilation_factor
+        CorrectionSpec(self.gap_threshold, alpha)
+
+
+@dataclass(frozen=True)
+class RoOptions:
+    t_capture_ps: float = 5_000.0
+    n_frames: int = 64
+    t_start_ps: float = 15_000.0
+    capture_nodes: tuple[int, ...] = (0,)
+    measure_timescale: bool = False
+
+    def __post_init__(self):
+        require_finite(self, ValueError)
+
+
+# the spec read from each config key prefix, per command
+_SWEEP_SPECS = {"chain": ChainSpec, "regs": RegisterSpec, "sweep": SweepSpec}
+_SPECS = {
+    "sweep": _SWEEP_SPECS,
+    "calibrate": {"calibrate": CalibrateOptions, **_SWEEP_SPECS},
+    "shrink": {"shrink": ShrinkOptions, **_SWEEP_SPECS},
+    "correct": {"correct": CorrectOptions, **_SWEEP_SPECS},
+    "ro": {"ring": RingSpec, "ro": RoOptions, "chain": ChainSpec, "regs": RegisterSpec},
+}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -82,33 +123,26 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _shift_seeds(chain, regs, sweep, offset: int):
-    if offset == 0:
-        return chain, regs, sweep
-    chain = replace(chain, seed=chain.seed + offset)
-    regs = replace(regs, seed=regs.seed + offset)
-    if sweep is not None:
-        sweep = replace(
-            sweep,
-            seed=sweep.seed + offset,
-            source=replace(sweep.source, seed=sweep.source.seed + offset),
-        )
-    return chain, regs, sweep
+def _shift_seeds(spec, offset: int):
+    """spec with offset added to its seed and to those of its nested specs."""
+    if offset == 0 or not is_dataclass(spec):
+        return spec
+    changes = {f.name: _shift_seeds(getattr(spec, f.name), offset) for f in fields(spec)}
+    if "seed" in changes:
+        changes["seed"] += offset
+    return replace(spec, **changes)
 
 
-def _specs(args, kv: dict):
-    """The chain, register and sweep specs of a config whose command keys
-    were taken already, seeds shifted by --seed; any other key is an error.
-    A ring config has no kind and no sweep, the other commands need a sweep."""
-    chain = chain_from_config(kv)
-    regs = regs_from_config(kv)
-    sweep = None
-    if args.command != "ro":
-        if take(kv, "kind", str, "sweep") != "sweep":
-            raise CliError(f"{args.command} needs a config with kind = sweep")
-        sweep = sweep_from_config(kv)
+def _specs(args) -> list:
+    """The specs of the command's config in _SPECS order, each validated and
+    its seeds shifted by --seed; any other key is an error.  A ring config
+    has no kind, the other commands need kind = sweep."""
+    kv = _load_config(args.config)
+    if args.command != "ro" and take(kv, "kind", str, "sweep") != "sweep":
+        raise CliError(f"{args.command} needs a config with kind = sweep")
+    specs = [spec_from_config(cls, p, kv) for p, cls in _SPECS[args.command].items()]
     reject_unknown_keys(kv)
-    return _shift_seeds(chain, regs, sweep, args.seed)
+    return [_shift_seeds(spec, args.seed) for spec in specs]
 
 
 def _say(args, msg: str) -> None:
@@ -117,15 +151,16 @@ def _say(args, msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads and validates its specs, runs, and only then
+# creates --out and writes, so a failed run leaves no output behind
 # ---------------------------------------------------------------------------
 
 
 def cmd_sweep(args) -> int:
-    chain, regs, sweep = _specs(args, _load_config(args.config))
-    out = _out_dir(args)
+    chain, regs, sweep = _specs(args)
     t0 = time.perf_counter()
     dataset = run_sweep(sweep, chain, regs)
+    out = _out_dir(args)
     save_dataset(dataset, out)
     write_report(
         {
@@ -142,18 +177,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    kv = _load_config(args.config)
-    n_channels = take(kv, "calibrate.n_channels", int, 1)
-    min_run = take(kv, "calibrate.min_run", int, 15)
-    chain, regs, sweep = _specs(args, kv)
+    opts, chain, regs, sweep = _specs(args)
     t0 = time.perf_counter()
     if args.inputs:
         datasets = [load_dataset(d) for d in args.inputs]
         chain = datasets[0].chain_spec
     else:
-        shifted = (_shift_seeds(chain, regs, sweep, 1000 * ch) for ch in range(n_channels))
-        datasets = [run_sweep(s, c, r) for c, r, s in shifted]
-    result = calibrate(datasets, min_run=min_run)
+        datasets = [
+            run_sweep(*(_shift_seeds(spec, 1000 * ch) for spec in (sweep, chain, regs)))
+            for ch in range(opts.n_channels)
+        ]
+    result = calibrate(datasets, min_run=opts.min_run)
     out = _out_dir(args)
     report = {
         "kind": "calibrate",
@@ -172,7 +206,7 @@ def cmd_calibrate(args) -> int:
             else 0.0
         ),
         "n_channels": len(datasets),
-        "min_run": min_run,
+        "min_run": opts.min_run,
         "runtime_s": round(time.perf_counter() - t0, 3),
     }
     write_report(report, out / "report.json")
@@ -192,13 +226,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_shrink(args) -> int:
-    kv = _load_config(args.config)
-    min_run = take(kv, "shrink.min_run", int, 15)
-    bin_width = take(kv, "shrink.bin_width", int, 25)
-    chain, regs, sweep = _specs(args, kv)
+    opts, chain, regs, sweep = _specs(args)
     t0 = time.perf_counter()
     dataset = run_sweep(sweep, chain, regs)
-    res = shrink_analysis(dataset, min_run=min_run, bin_width=bin_width)
+    res = shrink_analysis(dataset, min_run=opts.min_run, bin_width=opts.bin_width)
     out = _out_dir(args)
     save_dataset(dataset, out)
     truth_rate = (chain.tau_rise_ps - chain.tau_fall_ps) / chain.tau_rise_ps
@@ -216,25 +247,18 @@ def cmd_shrink(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    kv = _load_config(args.config)
-    gap_threshold = take(kv, "correct.gap_threshold", int, 15)
-    # None: alpha = 1 - the contraction rate measured on the dataset
-    alpha = take(kv, "correct.dilation_factor", lambda s: None if s == "auto" else float(s), None)
-    min_run = take(kv, "correct.min_run", int, 15)
-    bin_width = take(kv, "correct.bin_width", int, 25)
     # filter mode corrects an existing dataset and reads the specs only to
     # validate the config; recovery mode generates the dataset and scores it
-    chain, regs, sweep = _specs(args, kv)
+    opts, chain, regs, sweep = _specs(args)
     if len(args.inputs) > 1:
         raise CliError("correct takes at most one input dataset")
-    out = _out_dir(args)
     t0 = time.perf_counter()
     dataset = load_dataset(args.inputs[0]) if args.inputs else run_sweep(sweep, chain, regs)
+    alpha = opts.dilation_factor
     if alpha is None or not args.inputs:
-        rate = shrink_analysis(dataset, min_run=min_run, bin_width=bin_width).rate
+        rate = shrink_analysis(dataset, min_run=opts.min_run, bin_width=opts.bin_width).rate
     alpha = 1.0 - rate if alpha is None else alpha
-    corrected = correct_dataset(dataset, CorrectionSpec(gap_threshold, alpha))
-    save_dataset(corrected, out)
+    corrected = correct_dataset(dataset, CorrectionSpec(opts.gap_threshold, alpha))
     report = {"kind": "correct", "alpha": alpha}
     if args.inputs:
         msg = f"corrected {dataset.n_frames} frames with alpha {alpha:.4f}"
@@ -250,6 +274,8 @@ def cmd_correct(args) -> int:
             "improvement": 1.0 - fixed_err / raw_err if raw_err else 0.0,
         }
         msg = f"width error {raw_err:.2f} -> {fixed_err:.2f} carries (alpha {alpha:.4f})"
+    out = _out_dir(args)
+    save_dataset(corrected, out)
     report["runtime_s"] = round(time.perf_counter() - t0, 3)
     write_report(report, out / "report.json")
     _say(args, msg)
@@ -257,47 +283,29 @@ def cmd_correct(args) -> int:
 
 
 def cmd_ro(args) -> int:
-    kv = _load_config(args.config)
-    n = take(kv, "ring.n", int)
-
-    def initial_state(s: str) -> tuple[int, ...]:
-        if s == "pulse":
-            return stable_pulse_state(n)
-        return (0,) * n if s == "zeros" else tuple(int(b) for b in s.split(","))
-
-    ring = RingSpec(
-        n=n,
-        tau_gate_ps=take(kv, "ring.tau_gate_ps", float, 240.0),
-        tau_sigma_ps=take(kv, "ring.tau_sigma_ps", float, 0.0),
-        tau_fall_extra_ps=take(kv, "ring.tau_fall_extra_ps", float, 0.0),
-        min_pulse_ps=take(kv, "ring.min_pulse_ps", float, 50.0),
-        initial_state=take(kv, "ring.initial_state", initial_state, (0,) * n),
-        release_time_ps=take(kv, "ring.release_time_ps", float, 0.0),
-        seed=take(kv, "ring.seed", int, 0) + args.seed,
-    )
-    t_capture = take(kv, "ro.t_capture_ps", float, 5_000.0)
-    n_frames = take(kv, "ro.n_frames", int, 64)
-    t_start = take(kv, "ro.t_start_ps", float, 15_000.0)
-    capture_nodes = take(kv, "ro.capture_nodes", lambda s: [int(v) for v in s.split(",")], [0])
-    if not all(0 <= node < n for node in capture_nodes):
-        raise CliError(f"ro.capture_nodes {capture_nodes} must lie in [0, {n})")
-    measure = take(kv, "ro.measure_timescale", bool, False)
-    chain, regs, _ = _specs(args, kv)
-
-    out = _out_dir(args)
+    ring, opts, chain, regs = _specs(args)
+    if not all(0 <= node < ring.n for node in opts.capture_nodes):
+        raise CliError(f"ro.capture_nodes {list(opts.capture_nodes)} must lie in [0, {ring.n})")
     t0 = time.perf_counter()
-    duration = t_start + n_frames * t_capture + 1_000
-    trace = simulate_ring(ring, duration)
-    report: dict = {
-        "kind": "ro",
-        "truth": {"tau_gate_ps": ring.tau_gate_ps, "n": ring.n},
-    }
+    trace = simulate_ring(ring, opts.t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
+    report: dict = {"kind": "ro", "truth": {"tau_gate_ps": ring.tau_gate_ps, "n": ring.n}}
     tau_nominal = chain.tau_fall_ps
-    for node in capture_nodes:
-        (out / f"node_{node}_edges.csv").write_text(trace.node(node).to_csv())
-        ds = run_continuous(
-            trace.node(node), chain, regs, t_capture, n_frames, t_start_ps=t_start
+    datasets = {}
+    for node in opts.capture_nodes:
+        ds = datasets[node] = run_continuous(
+            trace.node(node), chain, regs, opts.t_capture_ps, opts.n_frames,
+            t_start_ps=opts.t_start_ps,
         )
+        stitch_frames(ds, tau_nominal)  # fails here, before any file is written
+        if opts.measure_timescale:
+            m = measure_node_timescale(ring, ds, tau_nominal)
+            rec = report.setdefault("recovered", {})
+            rec[f"node_{node}_per_inverter_ps"] = m.per_node_ps
+            rec[f"node_{node}_err_ps"] = m.err_ps
+            _say(args, f"node {node}: {m.per_node_ps:.2f} +- {m.err_ps:.2f} ps/inverter")
+    out = _out_dir(args)
+    for node, ds in datasets.items():
+        (out / f"node_{node}_edges.csv").write_text(trace.node(node).to_csv())
         save_dataset(ds, out / f"node_{node}")
         series = stitch_frames(ds, tau_nominal)
         (out / f"node_{node}_stitched.csv").write_bytes(bit_lines(series[:, None]).tobytes())
@@ -305,13 +313,6 @@ def cmd_ro(args) -> int:
         pad = (-series.size) % width
         strip = np.concatenate([series, np.zeros(pad, dtype=series.dtype)])
         write_pgm(strip.reshape(-1, width), out / f"node_{node}_stitched.pgm")
-        if measure:
-            m = measure_node_timescale(ring, ds, tau_nominal)
-            report.setdefault("recovered", {})[f"node_{node}_per_inverter_ps"] = (
-                m.per_node_ps
-            )
-            report["recovered"][f"node_{node}_err_ps"] = m.err_ps
-            _say(args, f"node {node}: {m.per_node_ps:.2f} +- {m.err_ps:.2f} ps/inverter")
     report["runtime_s"] = round(time.perf_counter() - t0, 3)
     write_report(report, out / "report.json")
     _say(args, f"ring artifacts in {out}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .calibrate import TransferFunction, _runs
 from .sweep import SweepDataset
-from .units import ps_to_fs
+from .units import FS_PER_PS, ps_to_fs, require_finite
 from .waveform import DigitalWaveform
 
 __all__ = [
@@ -34,34 +34,38 @@ class RingError(ValueError):
     pass
 
 
+# simulate_ring's work bound: events processed per run
+MAX_RING_EVENTS = 5_000_000
+
+
 @dataclass(frozen=True)
 class RingSpec:
-    """An N-inverter unidirectional ring."""
+    """An N-inverter unidirectional ring.  initial_state "zeros" (all low) or
+    "pulse" (``stable_pulse_state``) becomes one level per node."""
 
     n: int
-    tau_gate_ps: float
+    tau_gate_ps: float = 240.0
     tau_sigma_ps: float = 0.0
     tau_fall_extra_ps: float = 0.0  # extra delay when the output falls
     min_pulse_ps: float = 50.0
-    initial_state: Optional[tuple[int, ...]] = None
+    initial_state: Union[str, tuple[int, ...]] = "zeros"
     release_time_ps: float = 0.0
     seed: int = 0
-    max_events: int = 5_000_000
 
     def __post_init__(self):
+        require_finite(self, RingError)
         if self.n < 1:
             raise ValueError("need at least one node")
         if self.tau_gate_ps <= 0:
             raise ValueError("gate delay must be positive")
         if self.tau_sigma_ps < 0 or self.min_pulse_ps < 0 or self.tau_fall_extra_ps < 0:
             raise ValueError("dispersion, asymmetry and min_pulse must be nonnegative")
-        if self.initial_state is not None and len(self.initial_state) != self.n:
-            raise ValueError("initial_state length must equal n")
-
-    def state0(self) -> tuple[int, ...]:
-        if self.initial_state is not None:
-            return tuple(int(b) for b in self.initial_state)
-        return tuple(0 for _ in range(self.n))
+        state = self.initial_state
+        if state in ("zeros", "pulse"):
+            state = (0,) * self.n if state == "zeros" else stable_pulse_state(self.n)
+        object.__setattr__(self, "initial_state", tuple(int(b) for b in state))
+        if len(self.initial_state) != self.n or not set(self.initial_state) <= {0, 1}:
+            raise ValueError("initial_state must be zeros, pulse or n levels of 0 or 1")
 
 
 def stable_pulse_state(n: int) -> tuple[int, ...]:
@@ -79,14 +83,12 @@ def stable_pulse_state(n: int) -> tuple[int, ...]:
 def sample_gate_delays(spec: RingSpec) -> np.ndarray:
     """Static per-node delays in fs, drawn once per instance."""
     rng = np.random.default_rng(spec.seed)
-    taus = np.full(spec.n, spec.tau_gate_ps)
-    if spec.tau_sigma_ps > 0:
-        for i in range(spec.n):
-            while True:
-                d = spec.tau_gate_ps + rng.normal(0.0, spec.tau_sigma_ps)
-                if d > 0:
-                    taus[i] = d
-                    break
+    taus = np.zeros(spec.n) if spec.tau_sigma_ps > 0 else np.full(spec.n, spec.tau_gate_ps)
+    for i in range(spec.n):
+        while taus[i] <= 0:  # truncate positive by rejection
+            taus[i] = spec.tau_gate_ps + rng.normal(0.0, spec.tau_sigma_ps)
+    if not np.all(taus * FS_PER_PS < 2**63):
+        raise RingError(f"tau_gate_ps/tau_sigma_ps draw {taus.max()} ps is not finite in int64 fs")
     return np.array([ps_to_fs(t) for t in taus], dtype=np.int64)
 
 
@@ -113,7 +115,7 @@ def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
     duration_fs = ps_to_fs(duration_ps)
     horizon_fs = duration_fs + min_pulse_fs + 1
 
-    init = spec.state0()
+    init = spec.initial_state
     release_fs = ps_to_fs(spec.release_time_ps)
     heap: list[tuple[int, int, int, int]] = []  # (time, seq, node, level)
     seq = 0
@@ -149,7 +151,7 @@ def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
         if t > horizon_fs:
             break
         n_events += 1
-        if n_events > spec.max_events:
+        if n_events > MAX_RING_EVENTS:
             raise RingError("event budget exceeded; runaway configuration")
         cur = edges[i][-1][1] if edges[i] else init[i]
         if level == cur:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .chain import ChainSpec, RegisterSpec
 from .sweep import SweepDataset, SweepSpec
-from .waveform import PllOutputSpec
 
 __all__ = [
     "StorageError",
@@ -38,7 +37,7 @@ __all__ = [
     "config_to_specs",
     "chain_from_config",
     "regs_from_config",
-    "sweep_from_config",
+    "spec_from_config",
     "check_format_version",
     "parse_config_text",
     "take",
@@ -92,9 +91,10 @@ def spec_to_config(
     t_capture_ps: Optional[float] = None,
 ) -> str:
     """Serialize generating specs as flat key = value text."""
-    pairs = [("format_version", FORMAT_VERSION), *_spec_pairs(chain), *_spec_pairs(regs)]
+    pairs = [("format_version", FORMAT_VERSION), *_spec_pairs(chain, "chain")]
+    pairs += _spec_pairs(regs, "regs")
     if sweep is not None:
-        pairs += [("kind", "sweep"), *_spec_pairs(sweep)]
+        pairs += [("kind", "sweep"), *_spec_pairs(sweep, "sweep")]
     else:
         pairs += [("kind", "continuous"), ("continuous.t_capture_ps", t_capture_ps)]
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in pairs)
@@ -145,23 +145,29 @@ def _as_float_tuple(s: str):
     return () if s == "" else tuple(float(v) for v in s.split(","))
 
 
+def _as_int_tuple(s: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in s.split(","))
+
+
 def _as_int_pair(s: str) -> tuple[int, int]:
-    parts = s.split(",")
+    parts = _as_int_tuple(s)
     if len(parts) != 2:
         raise ValueError(f"expected two integers, got {s!r}")
-    return (int(parts[0]), int(parts[1]))
+    return parts
 
 
-# one parser per field annotation of the specs below; take() looks its
+# one parser per field annotation of the spec classes; take() looks its
 # conv up here too, so take(kv, key, bool) accepts only true and false
 _PARSERS = {
     int: int,
     float: float,
     bool: _as_bool,
+    Optional[float]: lambda s: None if s == "auto" else float(s),
     Optional[tuple[float, ...]]: _as_float_tuple,
     tuple[int, int]: _as_int_pair,
+    tuple[int, ...]: _as_int_tuple,
+    Union[str, tuple[int, ...]]: lambda s: s if s in ("pulse", "zeros") else _as_int_tuple(s),
 }
-_PREFIXES = {ChainSpec: "chain", RegisterSpec: "regs", PllOutputSpec: "source", SweepSpec: "sweep"}
 
 
 def reject_unknown_keys(kv: dict[str, str]) -> None:
@@ -169,48 +175,44 @@ def reject_unknown_keys(kv: dict[str, str]) -> None:
         raise CorruptFileError(f"unknown config keys: {sorted(kv)}")
 
 
-def _spec_keys(cls) -> list[tuple[str, Optional[str], object]]:
-    """(field, config key, annotation) for each field of a spec class; the
-    key is None for a nested spec, whose fields carry its own prefix."""
+def _spec_keys(cls, prefix: str) -> list[tuple[str, str, object, object]]:
+    """(field, config key, annotation, default) per field of a spec class, keys
+    under ``prefix``; a dataclass-typed field is a nested spec whose keys take
+    its name as prefix.  A key may be left out iff its field has a default."""
     hints = typing.get_type_hints(cls)
     out = []
     for f in fields(cls):
         hint = hints[f.name]
-        if hint in _PREFIXES:
-            out.append((f.name, None, hint))
-        elif hint in _PARSERS:
-            out.append((f.name, f"{_PREFIXES[cls]}.{f.name}", hint))
-        else:
+        if not (is_dataclass(hint) or hint in _PARSERS):
             raise TypeError(f"no config parser for {cls.__name__}.{f.name}: {hint}")
+        key = f.name if is_dataclass(hint) else f"{prefix}.{f.name}"
+        out.append((f.name, key, hint, _REQUIRED if f.default is MISSING else f.default))
     return out
 
 
-def _spec_pairs(spec) -> list[tuple[str, object]]:
+def _spec_pairs(spec, prefix: str) -> list[tuple[str, object]]:
     pairs = []
-    for name, key, _ in _spec_keys(type(spec)):
+    for name, key, hint, _ in _spec_keys(type(spec), prefix):
         value = getattr(spec, name)
-        pairs += _spec_pairs(value) if key is None else [(key, value)]
+        pairs += _spec_pairs(value, key) if is_dataclass(hint) else [(key, value)]
     return pairs
 
 
-def _spec_from_config(cls, kv: dict[str, str]):
+def spec_from_config(cls, prefix: str, kv: dict[str, str]):
+    """Consume the keys of spec class ``cls`` under ``prefix`` from a parsed config."""
     return cls(**{
-        name: _spec_from_config(hint, kv) if key is None else take(kv, key, hint)
-        for name, key, hint in _spec_keys(cls)
+        name: spec_from_config(hint, key, kv) if is_dataclass(hint) else take(kv, key, hint, d)
+        for name, key, hint, d in _spec_keys(cls, prefix)
     })
 
 
 def chain_from_config(kv: dict[str, str]) -> ChainSpec:
     """Consume chain.* keys from an already-parsed config dict."""
-    return _spec_from_config(ChainSpec, kv)
+    return spec_from_config(ChainSpec, "chain", kv)
 
 
 def regs_from_config(kv: dict[str, str]) -> RegisterSpec:
-    return _spec_from_config(RegisterSpec, kv)
-
-
-def sweep_from_config(kv: dict[str, str]) -> SweepSpec:
-    return _spec_from_config(SweepSpec, kv)
+    return spec_from_config(RegisterSpec, "regs", kv)
 
 
 def check_format_version(kv: dict[str, str]) -> None:
@@ -232,7 +234,7 @@ def config_to_specs(
     kind = take(kv, "kind", str)
     sweep = t_capture = None
     if kind == "sweep":
-        sweep = sweep_from_config(kv)
+        sweep = spec_from_config(SweepSpec, "sweep", kv)
     elif kind == "continuous":
         t_capture = take(kv, "continuous.t_capture_ps", float)
     else:

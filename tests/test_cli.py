@@ -1,13 +1,16 @@
 import hashlib
 import json
 import re
+import shutil
+from dataclasses import is_dataclass
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from wavecap import cli, storage
 from wavecap.cli import main
-from wavecap.storage import load_dataset
+from wavecap.storage import load_dataset, parse_config_text
 
 
 def run(*argv):
@@ -124,6 +127,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("sweep.dt_ps", "inf"),
         ("chain.entry_min_pulse_ps", "1e308"),
         ("source.phase_offset_ps", "1e308"),
+        *(("chain.dnl_ramp", v) for v in ("nan", "inf", "-inf", "-1", "1e308")),
     ],
 )
 def test_non_finite_or_zero_config_value_exits_2(tmp_path, capsys, key, value):
@@ -142,11 +146,20 @@ def set_config_value(tmp_path, preset, key, value):
     return str(cfg)
 
 
-@pytest.mark.parametrize("key,value", [("ring.tau_gate_ps", "inf"), ("ro.t_start_ps", "1e308")])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("ring.tau_gate_ps", "inf"),
+        ("ro.t_start_ps", "1e308"),
+        ("ring.tau_gate_ps", "1e300"),
+        ("ring.tau_sigma_ps", "1e300"),
+    ],
+)
 def test_ring_time_beyond_femtoseconds_exits_2(tmp_path, capsys, key, value):
     cfg = set_config_value(tmp_path, "fig7", key, value)
     assert run("ro", "--config", cfg, "--out", str(tmp_path / "x")) == 2
-    assert "is not a finite number of femtoseconds" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key.split(".")[1] in err and "finite" in err
 
 
 @pytest.mark.parametrize(
@@ -156,6 +169,7 @@ def test_ring_time_beyond_femtoseconds_exits_2(tmp_path, capsys, key, value):
         ("chain.tau_sigma_ps", "99999999", "edges"),
         ("sweep.crystal_jitter_sigma_ps", "99999999", "edges"),
         ("source.period_jitter_sigma_ps", "1e9", "no ordered jitter draw"),
+        ("chain.tau_sigma_ps", "1e300", "does not fit int64 femtoseconds"),
     ],
 )
 def test_unbounded_source_exits_2(tmp_path, capsys, key, value, message):
@@ -378,3 +392,99 @@ def test_bad_config_and_out_paths_exit_2(tmp_path, capsys):
     (tmp_path / "taken").write_text("")
     assert run("sweep", "--config", "preset:fig3c", "--out", str(tmp_path / "taken")) == 2
     assert "cannot make output directory" in capsys.readouterr().err
+
+
+# -- one config schema: every key a command reads is a spec field -----------
+
+
+def command_keys(command):
+    """(config key, field default) of every key the command's specs read."""
+
+    def walk(cls, prefix):
+        for _, key, hint, default in storage._spec_keys(cls, prefix):
+            yield from walk(hint, key) if is_dataclass(hint) else [(key, default)]
+
+    return [kd for prefix, cls in cli._SPECS[command].items() for kd in walk(cls, prefix)]
+
+
+def output_digests(out):
+    """sha256 of every file under out, report.json without its runtime."""
+    digests = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(data)
+            del report["runtime_s"]
+            data = json.dumps(report, sort_keys=True).encode()
+        digests[str(path.relative_to(out))] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize(
+    "command, preset",
+    [("sweep", "fig3a"), ("calibrate", "fig4"), ("shrink", "fig3c"), ("correct", "fig6"),
+     ("ro", "fig7"), ("ro", "appendix-ro19")],
+)
+def test_preset_without_its_default_values_is_unchanged(tmp_path, command, preset):
+    defaults = {
+        key: storage._fmt(default)
+        for key, default in command_keys(command)
+        if default is not storage._REQUIRED
+    }
+    text = (resources.files("wavecap.presets") / f"{preset}.config").read_text()
+    kept = [
+        line for line in text.splitlines()
+        if defaults.get(line.partition("=")[0].strip()) != line.partition("=")[2].strip()
+    ]
+    assert len(kept) < len(text.splitlines())
+    cfg = tmp_path / "short.config"
+    cfg.write_text("\n".join(kept) + "\n")
+    full, short = tmp_path / "full", tmp_path / "short"
+    assert run(command, "--config", f"preset:{preset}", "--out", str(full), "--quiet") == 0
+    assert run(command, "--config", str(cfg), "--out", str(short), "--quiet") == 0
+    assert output_digests(full) == output_digests(short)
+
+
+# small configs on which every command exits 0 unedited
+SMALL_SWEEP = """format_version = 1
+kind = sweep
+chain.k = 160
+chain.tau_rise_ps = 5.0
+chain.tau_fall_ps = 4.5
+source.frequency_hz = 2000000000.0
+sweep.t_capture_ps = 700.0
+sweep.dt_ps = 20.0
+sweep.n_steps = 40
+"""
+SMALL_RING = """format_version = 1
+ring.n = 3
+ro.t_capture_ps = 500.0
+ro.n_frames = 4
+ro.t_start_ps = 2000.0
+chain.k = 128
+chain.tau_rise_ps = 5.0
+chain.tau_fall_ps = 5.0
+"""
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "abc", "", "1e308", "2.5", "1,2"]
+
+
+@pytest.mark.parametrize("command", sorted(cli._SPECS))
+def test_every_config_key_fails_cleanly_on_bad_values(tmp_path, capsys, command):
+    base = parse_config_text(SMALL_RING if command == "ro" else SMALL_SWEEP)
+    cfg, out = tmp_path / "fuzz.config", tmp_path / "out"
+    argv = (command, "--config", str(cfg), "--out", str(out), "--quiet")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+    assert run(*argv) == 0
+    failures = []
+    for key, _ in command_keys(command):
+        for value in FUZZ_VALUES:
+            shutil.rmtree(out, ignore_errors=True)
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items()))
+            try:
+                code = run(*argv)
+            except Exception as exc:  # an exception escaping main fails the case
+                code = repr(exc)
+            if code not in (0, 2) or (code == 2 and out.exists()):
+                failures.append((key, value, code))
+    capsys.readouterr()
+    assert not failures

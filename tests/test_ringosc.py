@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavecap import ringosc
 from wavecap.chain import ChainSpec, RegisterSpec
 from wavecap.ringosc import (
     NodeTimescale,
@@ -78,9 +79,10 @@ def test_release_time_holds_initial_state():
     assert tr.node(0).edge_times_fs[0] == ps_to_fs(3_240.0)
 
 
-def test_event_budget_guard():
+def test_event_budget_guard(monkeypatch):
+    monkeypatch.setattr(ringosc, "MAX_RING_EVENTS", 10)
     with pytest.raises(RingError):
-        simulate_ring(RingSpec(3, 240.0, max_events=10), 1_000_000)
+        simulate_ring(RingSpec(3, 240.0), 1_000_000)
 
 
 def test_stable_pulse_state_has_one_frustrated_gate():

@@ -334,7 +334,7 @@ def chain_specs(draw):
         tau_sigma_ps=draw(nonneg),
         entry_delay_ps=draw(nonneg),
         entry_min_pulse_ps=draw(nonneg),
-        dnl_ramp=draw(st.none() | st.lists(floats, max_size=min(k, 6)).map(tuple)),
+        dnl_ramp=draw(st.none() | st.lists(positive, max_size=min(k, 6)).map(tuple)),
         seed=draw(seeds),
         allow_inverted=draw(st.booleans()) or rise < fall,
     )
@@ -398,17 +398,16 @@ def test_take_defaults_and_bools():
         take(kv, "c", int)
 
 
-def test_spec_field_without_a_parser_fails_loudly(monkeypatch):
+def test_spec_field_without_a_parser_fails_loudly():
     @dataclass(frozen=True)
     class Odd:
         n: int
         z: complex
 
-    monkeypatch.setitem(storage._PREFIXES, Odd, "odd")
     with pytest.raises(TypeError, match="Odd.z"):
-        storage._spec_pairs(Odd(1, 2j))
+        storage._spec_pairs(Odd(1, 2j), "odd")
     with pytest.raises(TypeError, match="Odd.z"):
-        storage._spec_from_config(Odd, {"odd.n": "1", "odd.z": "2j"})
+        storage.spec_from_config(Odd, "odd", {"odd.n": "1", "odd.z": "2j"})
 
 
 def rewrite_row(directory, name, row, edit):
