@@ -152,11 +152,16 @@ class ChainInstance:
     prefix_fall_fs: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self):
-        for arr in (self.tau_rise_fs, self.tau_fall_fs):
-            if np.any(arr <= 0):
+        entry_fs = ps_to_fs(self.spec.entry_delay_ps)
+        for pol in ("rise", "fall"):
+            delays = getattr(self, f"tau_{pol}_fs")
+            if np.any(delays <= 0):
                 raise ChainError("sampled element delays must be strictly positive")
-        object.__setattr__(self, "prefix_rise_fs", np.cumsum(self.tau_rise_fs))
-        object.__setattr__(self, "prefix_fall_fs", np.cumsum(self.tau_fall_fs))
+            prefix = np.cumsum(delays)
+            # positive addends: an int64 wrap shows as a prefix that falls
+            if np.any(prefix[1:] <= prefix[:-1]) or entry_fs + int(prefix[-1]) >= 2**63:
+                raise ChainError(f"entry delay plus {pol} delays does not fit int64 femtoseconds")
+            object.__setattr__(self, f"prefix_{pol}_fs", prefix)
 
     @property
     def k(self) -> int:
@@ -215,6 +220,8 @@ def sample_registers(spec: RegisterSpec, k: int) -> RegisterBank:
     rng = np.random.default_rng(spec.seed)
     if spec.skew_sigma_ps > 0:
         skews = np.round(rng.normal(0.0, spec.skew_sigma_ps * FS_PER_PS, size=k))
+        if not np.all(np.abs(skews) < 2**63):
+            raise ChainError(f"register skew {np.abs(skews).max()} fs does not fit int64 femtoseconds")
     else:
         skews = np.zeros(k)
     return RegisterBank(spec, skews.astype(np.int64))

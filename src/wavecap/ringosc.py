@@ -1,14 +1,15 @@
-"""Event-driven simulation of asynchronous inverter rings.
+"""Closed-form simulation of asynchronous inverter rings.
 
-Each node obeys y_i(t) = NOT y_{i-1}(t - tau_i).  Edges propagate around the
-ring as scheduled events; when two edges arrive at a gate output closer than
-min_pulse the pair annihilates, which is how runaway transients decay.  The
-resulting per-node waveforms plug straight into the capture engine.
+Each node obeys y_i(t) = NOT y_{i-1}(t - tau_i), plus tau_fall_extra when the
+output falls.  Pulses in the ring are never narrower than its fastest gate, and
+simulate_ring requires min_pulse below that, so no edge pair ever annihilates
+and no transient decays: min_pulse only states that precondition and stretches
+the event budget's horizon.  The per-node waveforms plug straight into the
+capture engine.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -34,7 +35,7 @@ class RingError(ValueError):
     pass
 
 
-# simulate_ring's work bound: events processed per run
+# simulate_ring's work bound: ring events up to duration + min_pulse + 1 fs
 MAX_RING_EVENTS = 5_000_000
 
 
@@ -103,76 +104,66 @@ class RingTrace:
 
 
 def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
-    """Run the ring from release_time to duration and return node waveforms."""
+    """Run the ring from release_time to duration and return node waveforms.
+
+    Every gate whose initial output disagrees with its input launches one
+    edge at release, and that edge circulates forever: after one lap (two on
+    an odd ring, which inverts it) it is back at the same node and level one
+    period later, and the period is the same for every edge.  So each node's
+    edges are its first-period arrivals, repeated every period.
+    """
     if duration_ps <= spec.release_time_ps:
         raise ValueError("duration must exceed release_time")
     delays = sample_gate_delays(spec)
     min_pulse_fs = ps_to_fs(spec.min_pulse_ps)
     if min_pulse_fs >= delays.min():
-        # an annihilating edge must arrive before its partner's downstream
-        # copy is processed, which needs min_pulse < every gate delay
+        # at s = t + fall_extra * (level - hops) / 2 every hop adds just its
+        # gate's delay, so the gaps between consecutive edges at a node
+        # alternate by fall_extra, and the smaller one is at least the gate
+        # delays between the two edges' launching gates
         raise RingError("min_pulse must be smaller than the smallest gate delay")
-    duration_fs = ps_to_fs(duration_ps)
-    horizon_fs = duration_fs + min_pulse_fs + 1
-
-    init = spec.initial_state
-    release_fs = ps_to_fs(spec.release_time_ps)
-    heap: list[tuple[int, int, int, int]] = []  # (time, seq, node, level)
-    seq = 0
-    cancelled: set[int] = set()
-    # committed edges per node: [time_fs, level, successor seq]
-    edges: list[list[list[int]]] = [[] for _ in range(spec.n)]
-
-    def push(t: int, node: int, level: int) -> int:
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, (t, seq, node, level))
-        return seq
-
     fall_extra_fs = ps_to_fs(spec.tau_fall_extra_ps)
+    if int(delays.max()) + fall_extra_fs >= 2**63:
+        raise RingError(
+            f"gate delay plus tau_fall_extra_ps {spec.tau_fall_extra_ps} ps is not finite in int64 fs"
+        )
+    release_fs, duration_fs = ps_to_fs(spec.release_time_ps), ps_to_fs(duration_ps)
+    # MAX_RING_EVENTS counts the events up to this time after release
+    horizon_fs = duration_fs + min_pulse_fs + 1 - release_fs
+    if release_fs < -(2**63) or horizon_fs + max(release_fs, 0) >= 2**63:
+        raise RingError(f"duration {duration_ps} ps after release is not finite in int64 fs")
 
-    def gate_delay(node: int, out_level: int) -> int:
-        d = int(delays[node])
-        return d + fall_extra_fs if out_level == 0 else d
-
-    # gates whose output disagrees with their held input flip one gate
-    # delay after release
-    for i in range(spec.n):
-        want = 1 - init[(i - 1) % spec.n]
-        if want != init[i]:
-            push(release_fs + gate_delay(i, want), i, want)
-
+    n, init, base = spec.n, spec.initial_state, delays.tolist()
+    laps = 1 + n % 2
+    # a period beyond the horizon repeats nothing; the clamp keeps it in int64
+    period_fs = min(laps * sum(base) + laps * n // 2 * fall_extra_fs, horizon_fs)
+    arrivals: list[tuple[int, int]] = []  # (node, time after release), first period
     n_events = 0
-    while heap:
-        t, s, i, level = heapq.heappop(heap)
-        if s in cancelled:
-            cancelled.discard(s)
-            continue
-        if t > horizon_fs:
-            break
-        n_events += 1
+    for j in range(n):
+        if init[j] != init[j - 1]:
+            continue  # gate j agrees with its input and launches nothing
+        t, level = 0, 1 - init[j]
+        for k in range(j, j + laps * n):
+            t += base[k % n] if level else base[k % n] + fall_extra_fs
+            if t > horizon_fs:
+                break
+            arrivals.append((k % n, t))
+            n_events += (horizon_fs - t) // period_fs + 1
+            level ^= 1
         if n_events > MAX_RING_EVENTS:
             raise RingError("event budget exceeded; runaway configuration")
-        cur = edges[i][-1][1] if edges[i] else init[i]
-        if level == cur:
-            continue
-        if edges[i] and t - edges[i][-1][0] < max(min_pulse_fs, 1):
-            # too-narrow pulse at this gate output: drop the pair and the
-            # previous edge's downstream copy
-            prev = edges[i].pop()
-            cancelled.add(prev[2])
-            continue
-        nxt = (i + 1) % spec.n
-        succ = push(t + gate_delay(nxt, 1 - level), nxt, 1 - level)
-        edges[i].append([t, level, succ])
 
-    nodes = []
-    for i in range(spec.n):
-        times = np.array(
-            [e[0] for e in edges[i] if e[0] <= duration_fs], dtype=np.int64
-        )
-        nodes.append(DigitalWaveform(init[i], times, (0, duration_fs)))
-    return RingTrace(spec, delays, tuple(nodes))
+    # repeat each arrival every period up to the duration, grouped by node
+    arrivals.sort()
+    node, first = np.array(arrivals, dtype=np.int64).reshape(-1, 2).T
+    reps = np.maximum((duration_fs - release_fs - first) // period_fs + 1, 0)
+    lap = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    times = np.repeat(first, reps) + lap * period_fs + release_fs
+    per_node = np.split(times, np.searchsorted(np.repeat(node, reps), np.arange(1, n)))
+    nodes = tuple(
+        DigitalWaveform(init[i], np.sort(t), (0, duration_fs)) for i, t in enumerate(per_node)
+    )
+    return RingTrace(spec, delays, nodes)
 
 
 # ---------------------------------------------------------------------------

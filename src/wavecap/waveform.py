@@ -218,13 +218,15 @@ def make_pll_output(spec: PllOutputSpec, duration_ps: float) -> DigitalWaveform:
         rng = np.random.default_rng(spec.seed)
         jittered = np.empty_like(times)
         prev = np.iinfo(np.int64).min
-        for i, t in enumerate(times):
+        for i, t in enumerate(times.tolist()):
             for _ in range(MAX_JITTER_REDRAWS):
                 cand = t + int(round(rng.normal(0.0, sigma_fs)))
                 if cand > prev:
                     break
             else:
                 raise WaveformError(f"edge {i} found no ordered jitter draw in {MAX_JITTER_REDRAWS}")
+            if not -(2**63) <= cand < 2**63:
+                raise WaveformError(f"edge {i} jittered by period_jitter_sigma_ps does not fit int64 fs")
             jittered[i] = cand
             prev = cand
         times = jittered

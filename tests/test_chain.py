@@ -84,6 +84,14 @@ def test_sample_chain_exact_at_zero_sigma():
     assert np.all(inst.tau_fall_fs == 4540)
 
 
+def test_times_beyond_int64_femtoseconds_raise():
+    # every element fits int64 fs, but 1024 of them wrap the cumulative prefix
+    with pytest.raises(ChainError, match="does not fit int64"):
+        sample_chain(ChainSpec(1024, 1e13, 1e13))
+    with pytest.raises(ChainError, match="does not fit int64"):
+        sample_registers(RegisterSpec(skew_sigma_ps=1e300), 16)
+
+
 def test_sample_chain_ramp():
     spec = ChainSpec(20, 5.0, 4.5, dnl_ramp=tuple(default_dnl_ramp(10, 3.0)))
     inst = sample_chain(spec)

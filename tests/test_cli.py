@@ -127,6 +127,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("sweep.dt_ps", "inf"),
         ("chain.entry_min_pulse_ps", "1e308"),
         ("source.phase_offset_ps", "1e308"),
+        ("source.period_jitter_sigma_ps", "1e17"),
         *(("chain.dnl_ramp", v) for v in ("nan", "inf", "-inf", "-1", "1e308")),
     ],
 )
@@ -153,6 +154,7 @@ def set_config_value(tmp_path, preset, key, value):
         ("ro.t_start_ps", "1e308"),
         ("ring.tau_gate_ps", "1e300"),
         ("ring.tau_sigma_ps", "1e300"),
+        ("ring.tau_fall_extra_ps", "1e300"),
     ],
 )
 def test_ring_time_beyond_femtoseconds_exits_2(tmp_path, capsys, key, value):
@@ -162,10 +164,23 @@ def test_ring_time_beyond_femtoseconds_exits_2(tmp_path, capsys, key, value):
     assert key.split(".")[1] in err and "finite" in err
 
 
+def test_ring_duration_beyond_int64_femtoseconds_exits_2(tmp_path, capsys):
+    # a 1e12 ps gate keeps the event count small, so only the int64 bound on
+    # the 1e16 ps duration can stop the run
+    text = (resources.files("wavecap.presets") / "fig7.config").read_text()
+    cfg = tmp_path / "ring.config"
+    cfg.write_text(
+        text.replace("ring.tau_gate_ps = 240.0", "ring.tau_gate_ps = 1e12")
+        .replace("ro.t_start_ps = 15000.0", "ro.t_start_ps = 1e16")
+    )
+    assert run("ro", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    assert "duration" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [
-        ("chain.entry_delay_ps", "1e300", "edges"),
+        ("chain.entry_delay_ps", "1e300", "does not fit int64"),
         ("chain.tau_sigma_ps", "99999999", "edges"),
         ("sweep.crystal_jitter_sigma_ps", "99999999", "edges"),
         ("source.period_jitter_sigma_ps", "1e9", "no ordered jitter draw"),
@@ -465,7 +480,7 @@ chain.k = 128
 chain.tau_rise_ps = 5.0
 chain.tau_fall_ps = 5.0
 """
-FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "abc", "", "1e308", "2.5", "1,2"]
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "abc", "", "1e308", "1e300", "2.5", "1,2"]
 
 
 @pytest.mark.parametrize("command", sorted(cli._SPECS))

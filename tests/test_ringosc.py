@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from wavecap.ringosc import (
 )
 from wavecap.sweep import run_continuous
 from wavecap.units import ps_to_fs
+from wavecap.waveform import DigitalWaveform
 
 
 def test_three_node_traveling_pulse():
@@ -83,6 +86,143 @@ def test_event_budget_guard(monkeypatch):
     monkeypatch.setattr(ringosc, "MAX_RING_EVENTS", 10)
     with pytest.raises(RingError):
         simulate_ring(RingSpec(3, 240.0), 1_000_000)
+
+
+def heap_simulate_ring(spec: RingSpec, duration_ps: float) -> ringosc.RingTrace:
+    """The event-driven simulator simulate_ring replaced: edges pop off a heap
+    one at a time, and a pair closer than min_pulse annihilates."""
+    if duration_ps <= spec.release_time_ps:
+        raise ValueError("duration must exceed release_time")
+    delays = sample_gate_delays(spec)
+    min_pulse_fs = ps_to_fs(spec.min_pulse_ps)
+    if min_pulse_fs >= delays.min():
+        # an annihilating edge must arrive before its partner's downstream
+        # copy is processed, which needs min_pulse < every gate delay
+        raise RingError("min_pulse must be smaller than the smallest gate delay")
+    duration_fs = ps_to_fs(duration_ps)
+    horizon_fs = duration_fs + min_pulse_fs + 1
+
+    init = spec.initial_state
+    release_fs = ps_to_fs(spec.release_time_ps)
+    heap: list[tuple[int, int, int, int]] = []  # (time, seq, node, level)
+    seq = 0
+    cancelled: set[int] = set()
+    # committed edges per node: [time_fs, level, successor seq]
+    edges: list[list[list[int]]] = [[] for _ in range(spec.n)]
+
+    def push(t: int, node: int, level: int) -> int:
+        nonlocal seq
+        seq += 1
+        heapq.heappush(heap, (t, seq, node, level))
+        return seq
+
+    fall_extra_fs = ps_to_fs(spec.tau_fall_extra_ps)
+
+    def gate_delay(node: int, out_level: int) -> int:
+        d = int(delays[node])
+        return d + fall_extra_fs if out_level == 0 else d
+
+    # gates whose output disagrees with their held input flip one gate
+    # delay after release
+    for i in range(spec.n):
+        want = 1 - init[(i - 1) % spec.n]
+        if want != init[i]:
+            push(release_fs + gate_delay(i, want), i, want)
+
+    n_events = 0
+    while heap:
+        t, s, i, level = heapq.heappop(heap)
+        if s in cancelled:
+            cancelled.discard(s)
+            continue
+        if t > horizon_fs:
+            break
+        n_events += 1
+        if n_events > ringosc.MAX_RING_EVENTS:
+            raise RingError("event budget exceeded; runaway configuration")
+        cur = edges[i][-1][1] if edges[i] else init[i]
+        if level == cur:
+            continue
+        if edges[i] and t - edges[i][-1][0] < max(min_pulse_fs, 1):
+            # too-narrow pulse at this gate output: drop the pair and the
+            # previous edge's downstream copy
+            prev = edges[i].pop()
+            cancelled.add(prev[2])
+            continue
+        nxt = (i + 1) % spec.n
+        succ = push(t + gate_delay(nxt, 1 - level), nxt, 1 - level)
+        edges[i].append([t, level, succ])
+
+    nodes = []
+    for i in range(spec.n):
+        times = np.array(
+            [e[0] for e in edges[i] if e[0] <= duration_fs], dtype=np.int64
+        )
+        nodes.append(DigitalWaveform(init[i], times, (0, duration_fs)))
+    return ringosc.RingTrace(spec, delays, tuple(nodes))
+
+
+def ring_outcome(simulate, spec, duration_ps):
+    try:
+        trace = simulate(spec, duration_ps)
+    except RingError:
+        return "RingError"
+    nodes = [(w.initial_level, w.domain_fs, w.edge_times_fs.tolist()) for w in trace.nodes]
+    return nodes, trace.delays_fs.tolist()
+
+
+@st.composite
+def ring_cases(draw):
+    n = draw(st.integers(1, 15))
+    tau = draw(st.integers(20, 400).map(float) | st.floats(20.0, 400.0).map(lambda x: round(x, 3)))
+    sigma = draw(st.just(0.0) | st.floats(0.0, tau))
+    fall_extra = draw(
+        st.sampled_from([0.0, tau - 1, tau, 2 * tau]) | st.floats(0.0, 5 * tau)
+    )
+    state = draw(
+        st.sampled_from(["zeros", "pulse"] if n % 2 else ["zeros"])
+        | st.tuples(*[st.integers(0, 1)] * n)
+    )
+    seed = draw(st.integers(0, 2**16))
+    # min_pulse from 0 up to 1 fs below the smallest sampled gate delay
+    d_min = int(sample_gate_delays(RingSpec(n, tau, sigma, seed=seed)).min())
+    frac = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    min_pulse = round(frac * max(d_min - 1, 0)) / 1000
+    release = draw(st.just(0.0) | st.floats(-5_000.0, 5_000.0))
+    duration = release + draw(st.floats(0.001, 10_000.0))
+    budget = draw(st.sampled_from([30, 300, 20_000]))
+    return RingSpec(n, tau, sigma, fall_extra, min_pulse, state, release, seed), duration, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ring_cases())
+def test_closed_form_matches_heap_simulator(case):
+    # the same edges, levels, domains and delays, and a RingError from the
+    # event budget exactly when the heap loop raises one
+    spec, duration, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringosc, "MAX_RING_EVENTS", budget)
+        want = ring_outcome(heap_simulate_ring, spec, duration)
+        assert ring_outcome(simulate_ring, spec, duration) == want
+
+
+@pytest.mark.parametrize("m", [2, 10])  # in the first period of two edges, and later
+def test_event_budget_counts_an_event_at_the_horizon(monkeypatch, m):
+    # the m-th edge of a lone inverter lands exactly on duration + min_pulse + 1 fs
+    spec, duration = RingSpec(1, 240.0, min_pulse_ps=10.0), (m * 240_000 - 10_001) / 1000
+    for budget, raises in ((m - 1, True), (m, False)):
+        monkeypatch.setattr(ringosc, "MAX_RING_EVENTS", budget)
+        got = ring_outcome(simulate_ring, spec, duration)
+        assert got == ring_outcome(heap_simulate_ring, spec, duration)
+        assert (got == "RingError") == raises
+
+
+def test_ring_times_beyond_int64_femtoseconds():
+    # a span from release past int64 fs, and an end past it after a late release
+    with pytest.raises(RingError, match="duration"):
+        simulate_ring(RingSpec(3, 240.0, release_time_ps=-1e16), 1_000)
+    with pytest.raises(RingError, match="duration"):
+        simulate_ring(RingSpec(3, 240.0, release_time_ps=9.2e15), 9.3e15)
 
 
 def test_stable_pulse_state_has_one_frustrated_gate():
