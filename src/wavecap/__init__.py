@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from .units import WavecapError
 from .waveform import (
     DigitalWaveform,
     PllOutputSpec,

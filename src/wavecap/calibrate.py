@@ -1,7 +1,7 @@
 """Recover chain timing from phase-sweep datasets.
 
-A dataset's frames are held as the runs (row, level, length) of its bits
-matrix.  Rows holding a short run are smoothed by merging it into its
+A dataset's frames are held as the runs (row, level, first and last tap) of
+its bits matrix.  Rows holding a short run are smoothed by merging it into its
 surroundings, and the edges of every frame, both polarities, are read off
 the run boundaries in one pass per dataset.  Each channel and polarity is
 then tracked once through the sweep (unwrapping source-period wraps), and
@@ -21,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import CaptureFrame
+from .chain import FALLING, RISING, CaptureFrame
 from .sweep import SweepDataset
+from .units import WavecapError
 
 __all__ = [
     "EdgeObservation",
@@ -39,13 +40,14 @@ __all__ = [
     "calibrate",
 ]
 
-RISING, FALLING = "rising", "falling"
+# a polarity is the chain's RISING = 1 / FALLING = 0; its name is for messages
+_NAMES = {RISING: "rising", FALLING: "falling"}
 
 # One-sample index quantization floor (uniform distribution over one carry).
 QUANT_FLOOR_CARRIES = 1.0 / math.sqrt(12.0)
 
 
-class CalibrationError(ValueError):
+class CalibrationError(WavecapError):
     pass
 
 
@@ -53,18 +55,36 @@ class CalibrationError(ValueError):
 class EdgeObservation:
     phase_shift_ps: float
     edge_index: int  # 1-based carry index
-    polarity: str
+    polarity: int  # RISING or FALLING
 
 
-def _runs(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _runs(bits, min_run: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run-length encoding of each row of a (frames, K) bit matrix, a 1-D
-    frame being one row: the row, level and length of every maximal run,
-    row by row."""
+    frame being one row: the row, level and 1-based first and last tap of
+    every maximal run, row by row.  Only the rows holding a run shorter than
+    min_run go through the merge (_smooth_runs), every other row keeps its runs."""
     b = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
     starts = np.ones(b.shape, dtype=bool)
     np.not_equal(b[:, 1:], b[:, :-1], out=starts[:, 1:])
     rows, cols = np.nonzero(starts)
-    return rows, b[rows, cols], np.diff(rows * b.shape[1] + cols, append=b.size)
+    levels = b[rows, cols]
+    lengths = np.diff(rows * b.shape[1] + cols, append=b.size)
+    # at min_run 1 no run is short: skip np.unique, which allocates even on []
+    redo = np.unique(rows[lengths < min_run]) if min_run > 1 else ()
+    if len(redo):
+        lo, hi = np.searchsorted(rows, redo), np.searchsorted(rows, redo, side="right")
+        keep = ~np.isin(rows, redo)
+        pieces = [(rows[keep], levels[keep], lengths[keep])]
+        for r, a, z in zip(redo.tolist(), lo.tolist(), hi.tolist()):
+            lv, ln = levels[a:z].tolist(), lengths[a:z].tolist()
+            _smooth_runs(lv, ln, min_run)
+            pieces.append((np.full(len(ln), r), np.array(lv, np.uint8), np.array(ln)))
+        # the merged rows come last; a stable sort by row puts them back in place
+        rows, levels, lengths = (np.concatenate(a) for a in zip(*pieces))
+        order = np.argsort(rows, kind="stable")
+        rows, levels, lengths = rows[order], levels[order], lengths[order]
+    last = np.cumsum(lengths) - rows * b.shape[1]
+    return rows, levels, last - lengths + 1, last
 
 
 def _smooth_runs(levels: list[int], lengths: list[int], min_run: int) -> None:
@@ -84,31 +104,11 @@ def _smooth_runs(levels: list[int], lengths: list[int], min_run: int) -> None:
             del levels[i], lengths[i]
 
 
-def _smoothed_runs(bits, min_run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_runs of each row after smoothing; only the rows holding a run shorter
-    than min_run go through the merge, every other row keeps its runs."""
-    rows, levels, lengths = _runs(bits)
-    redo = np.unique(rows[lengths < min_run])
-    if redo.size == 0:
-        return rows, levels, lengths
-    lo, hi = np.searchsorted(rows, redo), np.searchsorted(rows, redo, side="right")
-    keep = ~np.isin(rows, redo)
-    pieces = [(rows[keep], levels[keep], lengths[keep])]
-    for r, a, z in zip(redo.tolist(), lo.tolist(), hi.tolist()):
-        lv, ln = levels[a:z].tolist(), lengths[a:z].tolist()
-        _smooth_runs(lv, ln, min_run)
-        pieces.append((np.full(len(ln), r), np.array(lv, np.uint8), np.array(ln)))
-    # the merged rows come last; a stable sort by row puts them back in place
-    rows, levels, lengths = (np.concatenate(a) for a in zip(*pieces))
-    order = np.argsort(rows, kind="stable")
-    return rows[order], levels[order], lengths[order]
-
-
 def smooth_bits(bits: np.ndarray, min_run: int) -> np.ndarray:
     """Run-length smoothing: merge runs shorter than min_run into their
     surroundings, shortest first."""
-    _, levels, lengths = _smoothed_runs(bits, min_run)
-    return np.repeat(levels, lengths)
+    _, levels, first, last = _runs(bits, min_run)
+    return np.repeat(levels, last - first + 1)
 
 
 def _edges(bits, min_run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,11 +121,9 @@ def _edges(bits, min_run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if min_run < 1:
         raise CalibrationError("min_run must be >= 1")
-    k = np.shape(bits)[-1]
-    rows, levels, lengths = _smoothed_runs(bits, min_run)
-    ends = np.cumsum(lengths) - rows * k  # last sample of each run, 1-based
-    edge = ends < k  # an edge sits at the end of every run but a row's last
-    return rows[edge], ends[edge], levels[edge]
+    rows, levels, _, last = _runs(bits, min_run)
+    edge = last < np.shape(bits)[-1]  # an edge ends every run but a row's last
+    return rows[edge], last[edge], levels[edge]
 
 
 def extract_edges(
@@ -137,8 +135,7 @@ def extract_edges(
     bits = frame.bits if isinstance(frame, CaptureFrame) else frame
     _, ks, levels = _edges(bits, min_run)
     return [
-        EdgeObservation(phase_shift_ps, k, RISING if level else FALLING)
-        for k, level in zip(ks.tolist(), levels.tolist())
+        EdgeObservation(phase_shift_ps, k, level) for k, level in zip(ks.tolist(), levels.tolist())
     ]
 
 
@@ -151,7 +148,7 @@ def extract_edges(
 _Track = dict[int, tuple[int, int]]
 
 
-def _estimate_step_carries(rows, polarity: str) -> float:
+def _estimate_step_carries(rows, polarity: int) -> float:
     """Median per-step index drop, from nearest-below matching of consecutive
     nonempty frames."""
     drops = []
@@ -164,11 +161,11 @@ def _estimate_step_carries(rows, polarity: str) -> float:
                     drops.append(x - idx[below - 1])
         prev = idx or prev
     if not drops:
-        raise CalibrationError(f"not enough {polarity} edges to track")
+        raise CalibrationError(f"not enough {_NAMES[polarity]} edges to track")
     return float(np.median(drops))
 
 
-def _track(rows, polarity: str, period_ps: float, dt_ps: float) -> _Track:
+def _track(rows, polarity: int, period_ps: float, dt_ps: float) -> _Track:
     """Follow one edge trajectory through rows of (phase step, ascending edge
     indices); returns {step: (edge_index, wrap_count)}.
 
@@ -211,8 +208,8 @@ def _track(rows, polarity: str, period_ps: float, dt_ps: float) -> _Track:
 
 
 def _tracks(
-    datasets: Sequence[SweepDataset], min_run: int, polarities: Sequence[str]
-) -> dict[str, list[_Track]]:
+    datasets: Sequence[SweepDataset], min_run: int, polarities: Sequence[int]
+) -> dict[int, list[_Track]]:
     """Per polarity, one track per dataset; the edges of a dataset, of every
     polarity, come from one pass over its bits matrix."""
     if not datasets:
@@ -222,13 +219,13 @@ def _tracks(
         s = ds.sweep_spec
         if s is None or s.dt_ps != spec.dt_ps or s.source.frequency_hz != spec.source.frequency_hz:
             raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
-    out: dict[str, list[_Track]] = {pol: [] for pol in polarities}
+    out: dict[int, list[_Track]] = {pol: [] for pol in polarities}
     for ds in datasets:
         rows, ks, levels = _edges(ds.bits, min_run)
         steps = ds.phase_index.tolist()
         for pol in polarities:
             idx: list[list[int]] = [[] for _ in steps]  # per frame, ascending
-            sel = levels == (1 if pol == RISING else 0)
+            sel = levels == pol
             for r, k in zip(rows[sel].tolist(), ks[sel].tolist()):
                 idx[r].append(k)
             out[pol].append(_track(list(zip(steps, idx)), pol, spec.source.period_ps, spec.dt_ps))
@@ -245,7 +242,7 @@ class _PooledTrajectory:
 
 
 def _pool(
-    datasets: Sequence[SweepDataset], tracks: list[_Track], polarity: str
+    datasets: Sequence[SweepDataset], tracks: list[_Track], polarity: int
 ) -> _PooledTrajectory:
     spec = datasets[0].sweep_spec
     period, dt = spec.source.period_ps, spec.dt_ps
@@ -255,7 +252,7 @@ def _pool(
     common = set(tracks[0]).intersection(*tracks[1:])
     steps = sorted(n for n in common if len({track[n][1] for track in tracks}) == 1)
     if len(steps) < 2:
-        raise CalibrationError(f"fewer than two phase steps with {polarity} edges")
+        raise CalibrationError(f"fewer than two phase steps with {_NAMES[polarity]} edges")
     xs = np.array([[track[n][0] for track in tracks] for n in steps], dtype=float)  # steps x tracks
     wraps = np.array([tracks[0][n][1] for n in steps])
     steps = np.array(steps)
@@ -345,8 +342,8 @@ def _fit_polarity(tr: _PooledTrajectory) -> CarryTimeFit:
 
 def fit_carry_times(
     datasets: Sequence[SweepDataset], min_run: int = 15
-) -> dict[str, CarryTimeFit]:
-    """Per-polarity carry times from pooled sweep data."""
+) -> dict[int, CarryTimeFit]:
+    """Carry times from pooled sweep data, keyed by RISING and FALLING."""
     tracks = _tracks(datasets, min_run, (RISING, FALLING))
     return {pol: _fit_polarity(_pool(datasets, tracks[pol], pol)) for pol in tracks}
 
@@ -361,7 +358,7 @@ class TransferFunction:
     """Monotone map from carry index to time before capture, with
     per-index uncertainty."""
 
-    polarity: str
+    polarity: int  # RISING or FALLING
     index: np.ndarray  # contiguous 1-based carry indices
     t_ps: np.ndarray  # strictly increasing
     dt_ps: np.ndarray  # local uncertainty
@@ -395,7 +392,7 @@ def _isotonic_increasing(y: np.ndarray) -> np.ndarray:
 def build_transfer_function(
     datasets: Sequence[SweepDataset],
     min_run: int = 15,
-    polarity: str = RISING,
+    polarity: int = RISING,
 ) -> TransferFunction:
     """Transpose the edge trajectory into t(x) with dt(x) = t'(x) * dx."""
     tracks = _tracks(datasets, min_run, (polarity,))[polarity]
@@ -403,7 +400,7 @@ def build_transfer_function(
 
 
 def _transfer_function(
-    tracks: list[_Track], tr: _PooledTrajectory, polarity: str
+    tracks: list[_Track], tr: _PooledTrajectory, polarity: int
 ) -> TransferFunction:
     # every channel-level observation, placed at the negated unwrapped phase:
     # larger carry index = earlier signal time = more time before the capture
@@ -480,12 +477,12 @@ def shrink_analysis(
     """Pulse width versus falling-edge position, binned and fit to a line."""
     if min_run < 1 or bin_width < 1:
         raise CalibrationError("min_run and bin_width must be >= 1")
-    rows, levels, widths = _smoothed_runs(dataset.bits, min_run)
-    ends = np.cumsum(widths) - rows * dataset.k  # one past the 0-based end of each run
-    starts = ends - widths  # 1-based index of the 0 just below a 1-run
-    # a pulse truncated at a chain boundary has no width to report
-    keep = (levels == 1) & (widths >= min_run) & (starts > 0) & (ends < dataset.k)
-    samples = list(zip(starts[keep].tolist(), widths[keep].tolist()))
+    _, levels, first, last = _runs(dataset.bits, min_run)
+    widths = last - first + 1
+    # a pulse truncated at a chain boundary has no width to report; its
+    # position is the 1-based index of the 0 just below it
+    keep = (levels == 1) & (widths >= min_run) & (first > 1) & (last < dataset.k)
+    samples = list(zip((first - 1)[keep].tolist(), widths[keep].tolist()))
     if len(samples) < 2:
         raise CalibrationError("not enough pulses for a shrink fit")
 
@@ -531,7 +528,7 @@ class CalibrationResult:
     t_of_x_fall: TransferFunction
     single_shot_rise_ps: float
     single_shot_fall_ps: float
-    fits: dict[str, CarryTimeFit]
+    fits: dict[int, CarryTimeFit]  # keyed by RISING and FALLING
     min_run: int
 
     def summary(self) -> dict:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .units import FS_PER_PS, fs_to_ps, ps_to_fs, require_finite
+from .units import FS_PER_PS, WavecapError, fs_to_ps, ps_to_fs, require_finite
 from .waveform import DigitalWaveform, reject_short_pulses
 
 __all__ = [
@@ -51,7 +51,7 @@ MAX_CHAIN_LEN = 1740
 RISING, FALLING = 1, 0
 
 
-class ChainError(ValueError):
+class ChainError(WavecapError):
     pass
 
 

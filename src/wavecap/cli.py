@@ -5,6 +5,10 @@ wavecap/presets), writes its artifacts into an output directory, and leaves
 a report.json that `wavecap report` can aggregate into a pass/fail table.
 The WAVECAP_OUT_ROOT environment variable sets the root for relative --out
 paths.
+
+The commands only compute; ``_run`` alone times each one and does every
+write.  ``main`` exits 2 on a ``WavecapError``; any other exception is a bug
+and escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -26,7 +31,6 @@ from .chain import ChainSpec, RegisterSpec
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
 from .ringosc import RingSpec, measure_node_timescale, simulate_ring, stitch_frames
 from .storage import (
-    StorageError,
     bit_lines,
     check_format_version,
     load_dataset,
@@ -39,12 +43,12 @@ from .storage import (
     write_report,
 )
 from .sweep import SweepSpec, run_continuous, run_sweep
-from .units import require_finite
+from .units import WavecapError, require_finite
 
 OUT_ROOT_ENV = "WAVECAP_OUT_ROOT"
 
 
-class CliError(Exception):
+class CliError(WavecapError):
     pass
 
 
@@ -81,7 +85,7 @@ class RoOptions:
     measure_timescale: bool = False
 
     def __post_init__(self):
-        require_finite(self, ValueError)
+        require_finite(self, CliError)
 
 
 # the spec read from each config key prefix, per command
@@ -107,6 +111,8 @@ def _load_config(path: str) -> dict[str, str]:
             text = Path(path).read_text()
         except OSError as exc:
             raise CliError(f"cannot read config file {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(f"cannot read config file {path}: {exc}") from exc
     kv = parse_config_text(text)
     check_format_version(kv)
     return kv
@@ -145,40 +151,40 @@ def _specs(args) -> list:
     return [_shift_seeds(spec, args.seed) for spec in specs]
 
 
-def _say(args, msg: str) -> None:
-    if not args.quiet:
-        print(msg)
-
-
-# ---------------------------------------------------------------------------
-# subcommands: each reads and validates its specs, runs, and only then
-# creates --out and writes, so a failed run leaves no output behind
-# ---------------------------------------------------------------------------
-
-
-def cmd_sweep(args) -> int:
-    chain, regs, sweep = _specs(args)
+def _run(command, args) -> int:
+    """Time a command on its validated specs; only once it has returned,
+    create --out, call its writer and write report.json with runtime_s, so a
+    run that raises leaves no output.  {out} in its closing line is --out."""
+    specs = _specs(args)
     t0 = time.perf_counter()
-    dataset = run_sweep(sweep, chain, regs)
+    report, write, closing = command(args, *specs)
     out = _out_dir(args)
-    save_dataset(dataset, out)
-    write_report(
-        {
-            "kind": "sweep",
-            "n_frames": dataset.n_frames,
-            "chain_k": chain.k,
-            "truth": {"tau_rise_ps": chain.tau_rise_ps, "tau_fall_ps": chain.tau_fall_ps},
-            "runtime_s": round(time.perf_counter() - t0, 3),
-        },
-        out / "report.json",
-    )
-    _say(args, f"wrote {dataset.n_frames} frames to {out}")
+    write(out)
+    report["runtime_s"] = round(time.perf_counter() - t0, 3)
+    write_report(report, out / "report.json")
+    if not args.quiet:
+        print(closing.format(out=out))
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    opts, chain, regs, sweep = _specs(args)
-    t0 = time.perf_counter()
+# ---------------------------------------------------------------------------
+# subcommands: each computes on its validated specs and returns its report,
+# a function writing its artifacts into a directory, and its closing line
+# ---------------------------------------------------------------------------
+
+
+def cmd_sweep(args, chain, regs, sweep):
+    dataset = run_sweep(sweep, chain, regs)
+    report = {
+        "kind": "sweep",
+        "n_frames": dataset.n_frames,
+        "chain_k": chain.k,
+        "truth": {"tau_rise_ps": chain.tau_rise_ps, "tau_fall_ps": chain.tau_fall_ps},
+    }
+    return report, partial(save_dataset, dataset), f"wrote {dataset.n_frames} frames to {{out}}"
+
+
+def cmd_calibrate(args, opts, chain, regs, sweep):
     if args.inputs:
         datasets = [load_dataset(d) for d in args.inputs]
         chain = datasets[0].chain_spec
@@ -188,7 +194,6 @@ def cmd_calibrate(args) -> int:
             for ch in range(opts.n_channels)
         ]
     result = calibrate(datasets, min_run=opts.min_run)
-    out = _out_dir(args)
     report = {
         "kind": "calibrate",
         "truth": {"tau_rise_ps": chain.tau_rise_ps, "tau_fall_ps": chain.tau_fall_ps},
@@ -200,59 +205,46 @@ def cmd_calibrate(args) -> int:
             "single_shot_rise_ps": result.single_shot_rise_ps,
             "single_shot_fall_ps": result.single_shot_fall_ps,
         },
-        "jitter_sigma_ps": (
-            datasets[0].sweep_spec.crystal_jitter_sigma_ps
-            if datasets[0].sweep_spec
-            else 0.0
-        ),
+        # calibrate() pooled the datasets, so each has a sweep spec
+        "jitter_sigma_ps": datasets[0].sweep_spec.crystal_jitter_sigma_ps,
         "n_channels": len(datasets),
         "min_run": opts.min_run,
-        "runtime_s": round(time.perf_counter() - t0, 3),
     }
-    write_report(report, out / "report.json")
-    tf = result.t_of_x
-    lines = ["index,t_ps,dt_ps"]
-    lines += [
-        f"{int(i)},{t:.6f},{dt:.6f}" for i, t, dt in zip(tf.index, tf.t_ps, tf.dt_ps)
-    ]
-    (out / "transfer.csv").write_text("\n".join(lines) + "\n")
-    _say(
-        args,
+
+    def write(out: Path) -> None:
+        tf = result.t_of_x
+        lines = ["index,t_ps,dt_ps"]
+        lines += [
+            f"{int(i)},{t:.6f},{dt:.6f}" for i, t, dt in zip(tf.index, tf.t_ps, tf.dt_ps)
+        ]
+        (out / "transfer.csv").write_text("\n".join(lines) + "\n")
+
+    closing = (
         "tau_rise = {tau_rise_ps:.4f} +- {tau_rise_err_ps:.4f} ps, "
         "tau_fall = {tau_fall_ps:.4f} +- {tau_fall_err_ps:.4f} ps, "
-        "single-shot {single_shot_rise_ps:.2f} ps".format(**report["recovered"]),
+        "single-shot {single_shot_rise_ps:.2f} ps".format(**report["recovered"])
     )
-    return 0
+    return report, write, closing
 
 
-def cmd_shrink(args) -> int:
-    opts, chain, regs, sweep = _specs(args)
-    t0 = time.perf_counter()
+def cmd_shrink(args, opts, chain, regs, sweep):
     dataset = run_sweep(sweep, chain, regs)
     res = shrink_analysis(dataset, min_run=opts.min_run, bin_width=opts.bin_width)
-    out = _out_dir(args)
-    save_dataset(dataset, out)
     truth_rate = (chain.tau_rise_ps - chain.tau_fall_ps) / chain.tau_rise_ps
-    write_report(
-        {
-            "kind": "shrink",
-            "truth": {"rate": truth_rate},
-            "recovered": {"rate": res.rate, "n_pulses": len(res.samples)},
-            "runtime_s": round(time.perf_counter() - t0, 3),
-        },
-        out / "report.json",
-    )
-    _say(args, f"contraction rate {res.rate:.4f} (configured {truth_rate:.4f})")
-    return 0
+    report = {
+        "kind": "shrink",
+        "truth": {"rate": truth_rate},
+        "recovered": {"rate": res.rate, "n_pulses": len(res.samples)},
+    }
+    closing = f"contraction rate {res.rate:.4f} (configured {truth_rate:.4f})"
+    return report, partial(save_dataset, dataset), closing
 
 
-def cmd_correct(args) -> int:
+def cmd_correct(args, opts, chain, regs, sweep):
     # filter mode corrects an existing dataset and reads the specs only to
     # validate the config; recovery mode generates the dataset and scores it
-    opts, chain, regs, sweep = _specs(args)
     if len(args.inputs) > 1:
         raise CliError("correct takes at most one input dataset")
-    t0 = time.perf_counter()
     dataset = load_dataset(args.inputs[0]) if args.inputs else run_sweep(sweep, chain, regs)
     alpha = opts.dilation_factor
     if alpha is None or not args.inputs:
@@ -261,7 +253,7 @@ def cmd_correct(args) -> int:
     corrected = correct_dataset(dataset, CorrectionSpec(opts.gap_threshold, alpha))
     report = {"kind": "correct", "alpha": alpha}
     if args.inputs:
-        msg = f"corrected {dataset.n_frames} frames with alpha {alpha:.4f}"
+        closing = f"corrected {dataset.n_frames} frames with alpha {alpha:.4f}"
     else:
         # score both against an unshrunk truth twin
         truth = run_sweep(sweep, replace(chain, tau_fall_ps=chain.tau_rise_ps), regs)
@@ -273,24 +265,18 @@ def cmd_correct(args) -> int:
             "corrected_mean_abs_err": fixed_err,
             "improvement": 1.0 - fixed_err / raw_err if raw_err else 0.0,
         }
-        msg = f"width error {raw_err:.2f} -> {fixed_err:.2f} carries (alpha {alpha:.4f})"
-    out = _out_dir(args)
-    save_dataset(corrected, out)
-    report["runtime_s"] = round(time.perf_counter() - t0, 3)
-    write_report(report, out / "report.json")
-    _say(args, msg)
-    return 0
+        closing = f"width error {raw_err:.2f} -> {fixed_err:.2f} carries (alpha {alpha:.4f})"
+    return report, partial(save_dataset, corrected), closing
 
 
-def cmd_ro(args) -> int:
-    ring, opts, chain, regs = _specs(args)
+def cmd_ro(args, ring, opts, chain, regs):
     if not all(0 <= node < ring.n for node in opts.capture_nodes):
         raise CliError(f"ro.capture_nodes {list(opts.capture_nodes)} must lie in [0, {ring.n})")
-    t0 = time.perf_counter()
     trace = simulate_ring(ring, opts.t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
     report: dict = {"kind": "ro", "truth": {"tau_gate_ps": ring.tau_gate_ps, "n": ring.n}}
     tau_nominal = chain.tau_fall_ps
     datasets = {}
+    lines = []
     for node in opts.capture_nodes:
         ds = datasets[node] = run_continuous(
             trace.node(node), chain, regs, opts.t_capture_ps, opts.n_frames,
@@ -302,21 +288,21 @@ def cmd_ro(args) -> int:
             rec = report.setdefault("recovered", {})
             rec[f"node_{node}_per_inverter_ps"] = m.per_node_ps
             rec[f"node_{node}_err_ps"] = m.err_ps
-            _say(args, f"node {node}: {m.per_node_ps:.2f} +- {m.err_ps:.2f} ps/inverter")
-    out = _out_dir(args)
-    for node, ds in datasets.items():
-        (out / f"node_{node}_edges.csv").write_text(trace.node(node).to_csv())
-        save_dataset(ds, out / f"node_{node}")
-        series = stitch_frames(ds, tau_nominal)
-        (out / f"node_{node}_stitched.csv").write_bytes(bit_lines(series[:, None]).tobytes())
-        width = int(np.ceil(np.sqrt(series.size)))
-        pad = (-series.size) % width
-        strip = np.concatenate([series, np.zeros(pad, dtype=series.dtype)])
-        write_pgm(strip.reshape(-1, width), out / f"node_{node}_stitched.pgm")
-    report["runtime_s"] = round(time.perf_counter() - t0, 3)
-    write_report(report, out / "report.json")
-    _say(args, f"ring artifacts in {out}")
-    return 0
+            lines.append(f"node {node}: {m.per_node_ps:.2f} +- {m.err_ps:.2f} ps/inverter")
+
+    def write(out: Path) -> None:
+        # each node's stitched series is made again here, not held since the run
+        for node, ds in datasets.items():
+            (out / f"node_{node}_edges.csv").write_text(trace.node(node).to_csv())
+            save_dataset(ds, out / f"node_{node}")
+            series = stitch_frames(ds, tau_nominal)
+            (out / f"node_{node}_stitched.csv").write_bytes(bit_lines(series[:, None]).tobytes())
+            width = int(np.ceil(np.sqrt(series.size)))
+            pad = (-series.size) % width
+            strip = np.concatenate([series, np.zeros(pad, dtype=series.dtype)])
+            write_pgm(strip.reshape(-1, width), out / f"node_{node}_stitched.pgm")
+
+    return report, write, "\n".join([*lines, "ring artifacts in {out}"])
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +395,10 @@ def cmd_report(args) -> int:
         path = Path(d) / "report.json"
         if not path.exists():
             raise CliError(f"{path} does not exist")
-        rep = json.loads(path.read_text())
+        try:
+            rep = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            raise CliError(f"{path} is not a readable JSON report: {exc}") from exc
         kind = rep.get("kind") if isinstance(rep, dict) else None
         if kind not in _CHECKERS:
             raise CliError(f"{path}: unknown report kind {kind!r}")
@@ -436,23 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, needs_config=True, inputs=False):
+    def add(name, command, help_text, inputs=False):
         p = sub.add_parser(name, help=help_text)
-        if needs_config:
-            p.add_argument(
-                "--config",
-                required=True,
-                help="config file path, or preset:NAME for a bundled preset",
-            )
-            p.add_argument("--out", required=True, help="output directory")
-            p.add_argument(
-                "--seed", type=int, default=0, help="offset added to every seed"
-            )
+        p.add_argument(
+            "--config",
+            required=True,
+            help="config file path, or preset:NAME for a bundled preset",
+        )
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument(
+            "--seed", type=int, default=0, help="offset added to every seed"
+        )
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         if inputs:
             p.add_argument("inputs", nargs="*", help="existing dataset directories")
-        p.set_defaults(func=func)
-        return p
+        p.set_defaults(func=partial(_run, command))
 
     add("sweep", cmd_sweep, "run a phase sweep and save the dataset")
     add("calibrate", cmd_calibrate, "recover carry times from sweeps", inputs=True)
@@ -470,7 +457,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, StorageError, ValueError) as exc:
+    except WavecapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

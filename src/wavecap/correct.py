@@ -16,6 +16,7 @@ import numpy as np
 from .calibrate import _runs
 from .chain import CaptureFrame
 from .sweep import SweepDataset
+from .units import WavecapError
 
 __all__ = [
     "CorrectionSpec",
@@ -34,18 +35,17 @@ class CorrectionSpec:
 
     def __post_init__(self):
         if self.gap_threshold < 1:
-            raise ValueError("gap_threshold must be >= 1")
+            raise WavecapError("gap_threshold must be >= 1")
         if not 0.0 < self.dilation_factor <= 1.0:
-            raise ValueError("dilation_factor must be in (0, 1]")
+            raise WavecapError("dilation_factor must be in (0, 1]")
 
 
 def _level_runs(bits, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximal runs of level in each row of a (frames, K) bit matrix, a 1-D
     frame being one row: the row and 1-based inclusive ends l, r of each."""
-    rows, levels, lengths = _runs(bits)
-    ends = np.cumsum(lengths) - rows * np.shape(bits)[-1]
+    rows, levels, first, last = _runs(bits)
     sel = levels == level
-    return rows[sel], (ends - lengths + 1)[sel], ends[sel]
+    return rows[sel], first[sel], last[sel]
 
 
 def _corrected(bits, spec: CorrectionSpec) -> np.ndarray:
@@ -105,7 +105,7 @@ def _fidelity(truth_bits, test_bits) -> FidelityStats:
     """Width errors of the pulses of each row pair of two bit matrices: each
     true pulse takes the free measured pulse of its row overlapping it most."""
     if np.shape(truth_bits)[-1] != np.shape(test_bits)[-1]:
-        raise ValueError("frames have different lengths")
+        raise WavecapError("frames have different lengths")
     t_rows, t_l, t_r = (a.tolist() for a in _level_runs(truth_bits, 1))
     m_rows, m_l, m_r = (a.tolist() for a in _level_runs(test_bits, 1))
     lo = np.searchsorted(m_rows, t_rows).tolist()
@@ -143,5 +143,5 @@ def dataset_fidelity(
 ) -> FidelityStats:
     """Pooled pulse-width errors over paired frames."""
     if truth.n_frames != test.n_frames:
-        raise ValueError("datasets have different frame counts")
+        raise WavecapError("datasets have different frame counts")
     return _fidelity(truth.bits, test.bits)

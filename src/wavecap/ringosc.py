@@ -11,13 +11,13 @@ capture engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .calibrate import TransferFunction, _runs
+from .calibrate import _runs
 from .sweep import SweepDataset
-from .units import FS_PER_PS, ps_to_fs, require_finite
+from .units import FS_PER_PS, WavecapError, ps_to_fs, require_finite
 from .waveform import DigitalWaveform
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-class RingError(ValueError):
+class RingError(WavecapError):
     pass
 
 
@@ -56,17 +56,17 @@ class RingSpec:
     def __post_init__(self):
         require_finite(self, RingError)
         if self.n < 1:
-            raise ValueError("need at least one node")
+            raise RingError("need at least one node")
         if self.tau_gate_ps <= 0:
-            raise ValueError("gate delay must be positive")
+            raise RingError("gate delay must be positive")
         if self.tau_sigma_ps < 0 or self.min_pulse_ps < 0 or self.tau_fall_extra_ps < 0:
-            raise ValueError("dispersion, asymmetry and min_pulse must be nonnegative")
+            raise RingError("dispersion, asymmetry and min_pulse must be nonnegative")
         state = self.initial_state
         if state in ("zeros", "pulse"):
             state = (0,) * self.n if state == "zeros" else stable_pulse_state(self.n)
         object.__setattr__(self, "initial_state", tuple(int(b) for b in state))
         if len(self.initial_state) != self.n or not set(self.initial_state) <= {0, 1}:
-            raise ValueError("initial_state must be zeros, pulse or n levels of 0 or 1")
+            raise RingError("initial_state must be zeros, pulse or n levels of 0 or 1")
 
 
 def stable_pulse_state(n: int) -> tuple[int, ...]:
@@ -77,7 +77,7 @@ def stable_pulse_state(n: int) -> tuple[int, ...]:
     n * tau_gate per period.
     """
     if n % 2 == 0:
-        raise ValueError("even rings have a stable fixed point, not a pulse")
+        raise RingError("even rings have a stable fixed point, not a pulse")
     return tuple(i % 2 for i in range(n))
 
 
@@ -113,7 +113,7 @@ def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
     edges are its first-period arrivals, repeated every period.
     """
     if duration_ps <= spec.release_time_ps:
-        raise ValueError("duration must exceed release_time")
+        raise RingError("duration must exceed release_time")
     delays = sample_gate_delays(spec)
     min_pulse_fs = ps_to_fs(spec.min_pulse_ps)
     if min_pulse_fs >= delays.min():
@@ -171,31 +171,22 @@ def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
 # ---------------------------------------------------------------------------
 
 
-def taps_within(calib: Union[float, TransferFunction], window_ps: float) -> int:
-    """Number of leading taps whose cumulative time fits inside window_ps."""
-    if isinstance(calib, TransferFunction):
-        t = calib.t_ps
-        return int(np.searchsorted(t, window_ps, side="right"))
-    return int(np.floor(window_ps / float(calib)))
+def taps_within(tau_ps: float, window_ps: float) -> int:
+    """Number of leading taps of nominal carry time tau_ps inside window_ps."""
+    return int(np.floor(window_ps / float(tau_ps)))
 
 
-def stitch_frames(
-    dataset: SweepDataset,
-    calib: Union[float, TransferFunction],
-    window_ps: Optional[float] = None,
-) -> np.ndarray:
+def stitch_frames(dataset: SweepDataset, tau_ps: float) -> np.ndarray:
     """Concatenate contiguous frames into one time-ordered bit series: the
-    taps covering one capture period, reversed so index order matches signal
-    time, read row by row off the bits matrix.  calib is either a nominal
-    carry time in ps or a transfer function."""
+    taps covering one capture period at nominal carry time tau_ps, reversed
+    so index order matches signal time, read row by row off the bits matrix."""
     if dataset.t_capture_ps is None:
-        raise ValueError("dataset was not captured at a fixed period")
-    window = dataset.t_capture_ps if window_ps is None else window_ps
-    k_t = taps_within(calib, window)
+        raise RingError("dataset was not captured at a fixed period")
+    k_t = taps_within(tau_ps, dataset.t_capture_ps)
     if k_t < 1:
-        raise ValueError("capture period shorter than one carry")
+        raise RingError("capture period shorter than one carry")
     if k_t > dataset.k:
-        raise ValueError("chain too short to cover the capture period")
+        raise RingError("chain too short to cover the capture period")
     return dataset.bits[:, k_t - 1 :: -1].ravel()
 
 
@@ -228,9 +219,9 @@ def measure_node_timescale(
     once, at full width.
     """
     series = stitch_frames(dataset, tau_ps)
-    _, levels, widths = _runs(series)
-    ends = np.cumsum(widths)
-    interior = (ends - widths > 0) & (ends < series.size)
+    _, levels, first, last = _runs(series)
+    widths = last - first + 1
+    interior = (first > 1) & (last < series.size)
     widths = widths[(levels == 1) & interior & (widths >= min_run)]
     if widths.size < 2:
         raise RingError("not enough pulses to estimate a timescale")

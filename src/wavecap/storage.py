@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .chain import ChainSpec, RegisterSpec
 from .sweep import SweepDataset, SweepSpec
+from .units import WavecapError
 
 __all__ = [
     "StorageError",
@@ -53,7 +54,7 @@ FORMAT_VERSION = 1
 _PAYLOAD_FILES = frozenset({"spec.config", "frames.csv", "times.csv", "frames.pgm"})
 
 
-class StorageError(Exception):
+class StorageError(WavecapError):
     pass
 
 
@@ -277,7 +278,7 @@ def write_pgm(bits_matrix: np.ndarray, path: Union[str, Path]) -> None:
     """Binary PGM raster: one row per frame, bit 1 rendered white."""
     m = np.asarray(bits_matrix, dtype=np.uint8)
     if m.ndim != 2:
-        raise ValueError("expected a frames x taps matrix")
+        raise StorageError("expected a frames x taps matrix")
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode()
     Path(path).write_bytes(header + (m * 255).tobytes())
 
@@ -349,9 +350,16 @@ def _int64(cell: str) -> int:
     raise ValueError(f"{cell!r} is outside int64")
 
 
+def _text(name: str, data: bytes) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{name} is not UTF-8: {exc}") from exc
+
+
 def _parse_frames_csv(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The phase indices and the (frames, K) bits matrix of frames.csv."""
-    lines = data.decode().splitlines()
+    lines = _text("frames.csv", data).splitlines()
     if not lines:
         raise CorruptFileError("frames.csv is empty")
     expected_header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1))
@@ -405,20 +413,22 @@ def load_dataset(directory: Union[str, Path]) -> SweepDataset:
         if got != want:
             raise HashMismatchError(f"{name}: sha256 {got} != manifest {want}")
     chain, regs, sweep, t_capture = config_to_specs(
-        parse_config_text(blobs["spec.config"].decode())
+        parse_config_text(_text("spec.config", blobs["spec.config"]))
     )
     indices, bits = _parse_frames_csv(blobs["frames.csv"], chain.k)
-    time_lines = blobs["times.csv"].decode().splitlines()
+    time_lines = _text("times.csv", blobs["times.csv"]).splitlines()
     if len(time_lines) - 1 != len(indices):
         raise CorruptFileError("times.csv row count does not match frames.csv")
     times = []
     for row_no, (idx, line) in enumerate(zip(indices.tolist(), time_lines[1:]), start=2):
         cells = line.split(",")
+        if len(cells) != 2:
+            raise CorruptFileError(f"times.csv row {row_no}: expected 2 cells, got {len(cells)}")
+        if cells[0] != str(idx):
+            raise CorruptFileError(
+                f"times.csv row {row_no}: phase index {cells[0]!r} is not frames.csv's {idx}"
+            )
         try:
-            if len(cells) != 2:
-                raise ValueError(f"expected 2 cells, got {len(cells)}")
-            if cells[0] != str(idx):
-                raise ValueError(f"phase index {cells[0]!r} is not frames.csv's {idx}")
             times.append(_int64(cells[1]))
         except ValueError as exc:
             raise CorruptFileError(f"times.csv row {row_no}: {exc}") from exc

@@ -26,13 +26,13 @@ from .chain import (
     sample_registers,
     validate_config,
 )
-from .units import fs_to_ps, ps_to_fs, require_finite
-from .waveform import DigitalWaveform, PllOutputSpec, make_pll_output
+from .units import WavecapError, fs_to_ps, ps_to_fs, require_finite
+from .waveform import MAX_SOURCE_EDGES, DigitalWaveform, PllOutputSpec, make_pll_output
 
 __all__ = ["SweepSpec", "SweepDataset", "run_sweep", "run_continuous"]
 
 
-class SweepError(ValueError):
+class SweepError(WavecapError):
     pass
 
 
@@ -113,13 +113,20 @@ def run_sweep(
 
     # Fixed capture phase t0, far enough in that the look-back window (plus
     # the largest accumulated shift) stays inside the generated waveform.
-    lookback_ps = chain_spec.k * max(chain_spec.tau_rise_ps, chain_spec.tau_fall_ps) * (
-        1 + 6 * chain_spec.tau_sigma_ps / max(chain_spec.tau_rise_ps, 1e-9)
-    )
+    reach_ps = chain_spec.k * max(chain_spec.tau_rise_ps, chain_spec.tau_fall_ps)
+    lookback_ps = reach_ps * (1 + 6 * chain_spec.tau_sigma_ps / max(chain_spec.tau_rise_ps, 1e-9))
     total_shift_ps = spec.dt_ps * (spec.n_steps - 1)
     margin_ps = chain_spec.entry_delay_ps + 10 * spec.crystal_jitter_sigma_ps + 1_000
     t0_ps = lookback_ps + total_shift_ps + margin_ps
     duration_ps = t0_ps + margin_ps
+    if spec.source.edges_within(duration_ps) > MAX_SOURCE_EDGES:
+        # the look-back grows with tau_sigma_ps and the margins with
+        # crystal_jitter_sigma_ps, both without bound: name the larger
+        terms = {"tau_sigma_ps": lookback_ps - reach_ps, "dt_ps": total_shift_ps,
+                 "crystal_jitter_sigma_ps": 20 * spec.crystal_jitter_sigma_ps}
+        name = max(terms, key=terms.get)
+        raise SweepError(f"a {duration_ps:.6g} ps source (look-back {lookback_ps:.6g} ps) has over "
+                         f"{MAX_SOURCE_EDGES} edges; {name} sets {terms[name]:.6g} ps of it")
     base = make_pll_output(spec.source, duration_ps)
 
     rng = np.random.default_rng(spec.seed)

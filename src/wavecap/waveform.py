@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .units import FS_PER_PS, format_fs_as_ps, fs_to_ps, ps_to_fs, require_finite
+from .units import FS_PER_PS, WavecapError, format_fs_as_ps, fs_to_ps, ps_to_fs, require_finite
 
 __all__ = [
     "DigitalWaveform",
@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-class WaveformError(ValueError):
+class WaveformError(WavecapError):
     pass
 
 
@@ -179,6 +179,10 @@ class PllOutputSpec:
     def period_ps(self) -> float:
         return 1e12 / self.frequency_hz
 
+    def edges_within(self, duration_ps: float) -> float:
+        """How many edges the source has over [0, duration], before rounding."""
+        return 2 * (duration_ps - self.phase_offset_ps) * self.frequency_hz / 1e12
+
     def period_fraction_fs(self) -> Fraction:
         """Exact rational period in femtoseconds."""
         return Fraction(10**15) / Fraction(self.frequency_hz)
@@ -193,7 +197,7 @@ def make_pll_output(spec: PllOutputSpec, duration_ps: float) -> DigitalWaveform:
     """
     if duration_ps <= 0:
         raise WaveformError("duration must be positive")
-    if 2 * (duration_ps - spec.phase_offset_ps) * spec.frequency_hz / 1e12 > MAX_SOURCE_EDGES:
+    if spec.edges_within(duration_ps) > MAX_SOURCE_EDGES:
         raise WaveformError(f"a {duration_ps} ps source has over {MAX_SOURCE_EDGES} edges")
     duration_fs = ps_to_fs(duration_ps)
     period = spec.period_fraction_fs()

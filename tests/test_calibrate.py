@@ -22,7 +22,7 @@ from wavecap.calibrate import (
     single_shot_precision,
     smooth_bits,
 )
-from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec, default_dnl_ramp
+from wavecap.chain import FALLING, RISING, CaptureFrame, ChainSpec, RegisterSpec, default_dnl_ramp
 from wavecap.sweep import SweepSpec, run_sweep
 from wavecap.waveform import PllOutputSpec
 
@@ -73,7 +73,7 @@ def test_extract_edges_convention():
     # bits x1..x10 = 0,0,0,1,1,1,1,0,0,0: falling at k=3, rising at k=7
     edges = extract_edges(frame_of([0, 0, 0, 1, 1, 1, 1, 0, 0, 0]), min_run=1)
     kinds = {(e.edge_index, e.polarity) for e in edges}
-    assert kinds == {(3, "falling"), (7, "rising")}
+    assert kinds == {(3, FALLING), (7, RISING)}
 
 
 def test_extract_edges_bubble_filtered():
@@ -130,7 +130,7 @@ def edges_per_bit(bits, min_run):
     """Reference: (index, polarity) where neighbouring smoothed bits differ."""
     b = smooth_bits_per_bit(bits, min_run).astype(np.int8)
     d = b[:-1] - b[1:]
-    return [(int(k) + 1, "rising" if d[k] > 0 else "falling") for k in np.flatnonzero(d)]
+    return [(int(k) + 1, RISING if d[k] > 0 else FALLING) for k in np.flatnonzero(d)]
 
 
 @settings(max_examples=1000, deadline=None)
@@ -173,7 +173,7 @@ def bit_matrices(draw):
 def test_dataset_pass_matches_per_frame_extract_edges(bits, min_run):
     rows, ks, levels = _edges(bits, min_run)
     got = [
-        [(k, "rising" if level else "falling") for r, k, level in zip(rows, ks, levels) if r == row]
+        [(k, level) for r, k, level in zip(rows, ks, levels) if r == row]
         for row in range(bits.shape[0])
     ]
     per_frame = [[(e.edge_index, e.polarity) for e in extract_edges(b, min_run)] for b in bits]
@@ -196,22 +196,22 @@ def test_fit_recovers_reference_carry_times(reference_result):
 def test_fit_ideal_chain_is_exact():
     ds = mlab_datasets(5.0, 5.0, jitter=0.0, n_channels=2, n_steps=256, tau_sigma=0.0)
     fits = fit_carry_times(ds, 15)
-    assert fits["rising"].tau_ps == pytest.approx(5.0, abs=0.01)
-    assert fits["falling"].tau_ps == pytest.approx(5.0, abs=0.01)
+    assert fits[RISING].tau_ps == pytest.approx(5.0, abs=0.01)
+    assert fits[FALLING].tau_ps == pytest.approx(5.0, abs=0.01)
 
 
 def test_fit_lab_parameter_set():
     ds = mlab_datasets(6.35, 5.60, n_channels=4, n_steps=256, seed0=17)
     fits = fit_carry_times(ds, 15)
-    assert fits["rising"].tau_ps == pytest.approx(6.35, abs=0.05)
-    assert fits["falling"].tau_ps == pytest.approx(5.60, abs=0.05)
+    assert fits[RISING].tau_ps == pytest.approx(6.35, abs=0.05)
+    assert fits[FALLING].tau_ps == pytest.approx(5.60, abs=0.05)
 
 
 def test_fit_recovery_within_one_percent_jitter_free():
     ds = mlab_datasets(5.2, 4.8, jitter=0.0, n_channels=2, n_steps=256, tau_sigma=0.0)
     fits = fit_carry_times(ds, 15)
-    assert abs(fits["rising"].tau_ps - 5.2) / 5.2 < 0.01
-    assert abs(fits["falling"].tau_ps - 4.8) / 4.8 < 0.01
+    assert abs(fits[RISING].tau_ps - 5.2) / 5.2 < 0.01
+    assert abs(fits[FALLING].tau_ps - 4.8) / 4.8 < 0.01
 
 
 def test_fit_requires_data():
@@ -313,7 +313,8 @@ def pool_per_step(datasets, tracks, polarity):
         mean.append(xs.mean())
         std.append(xs.std(ddof=1) if xs.size > 1 else float("nan"))
     if len(steps) < 2:
-        raise CalibrationError(f"fewer than two phase steps with {polarity} edges")
+        name = "rising" if polarity == RISING else "falling"
+        raise CalibrationError(f"fewer than two phase steps with {name} edges")
     return tuple(map(np.array, (steps, wraps, u, mean, std)))
 
 
@@ -356,7 +357,7 @@ def pooled_same_bits(got, want):
 
 
 def test_tracks_match_per_frame_reference(reference_datasets):
-    pols = ("rising", "falling")
+    pols = (RISING, FALLING)
     assert _tracks(reference_datasets, 15, pols) == tracks_per_frame(reference_datasets, 15, pols)
     jitter_free = mlab_datasets(jitter=0.0)
     assert _tracks(jitter_free, 15, pols) == tracks_per_frame(jitter_free, 15, pols)
@@ -369,14 +370,14 @@ def test_tracks_match_per_frame_reference(reference_datasets):
 )
 def test_track_on_edge_indices_matches_per_frame_reference(frames, dt):
     rows = [(n, sorted(idx)) for n, idx in enumerate(frames)]
-    as_edges = [(n, [EdgeObservation(0.0, k, "rising") for k in idx]) for n, idx in rows]
+    as_edges = [(n, [EdgeObservation(0.0, k, RISING) for k in idx]) for n, idx in rows]
     try:
-        want = track_per_frame(as_edges, "rising", 1_000.0, dt)
+        want = track_per_frame(as_edges, RISING, 1_000.0, dt)
     except CalibrationError:
         with pytest.raises(CalibrationError):
-            _track(rows, "rising", 1_000.0, dt)
+            _track(rows, RISING, 1_000.0, dt)
         return
-    assert _track(rows, "rising", 1_000.0, dt) == want
+    assert _track(rows, RISING, 1_000.0, dt) == want
 
 
 POOL_GRID = [SimpleNamespace(sweep_spec=SweepSpec(PllOutputSpec(100e6, 0.25), 5_000, 78.0, 32))]
@@ -394,12 +395,12 @@ POOL_GRID = [SimpleNamespace(sweep_spec=SweepSpec(PllOutputSpec(100e6, 0.25), 5_
 )
 def test_pool_matches_per_step_reference(tracks):
     try:
-        want = pool_per_step(POOL_GRID, tracks, "rising")
+        want = pool_per_step(POOL_GRID, tracks, RISING)
     except CalibrationError as exc:
         with pytest.raises(CalibrationError, match=str(exc)):
-            _pool(POOL_GRID, tracks, "rising")
+            _pool(POOL_GRID, tracks, RISING)
         return
-    assert pooled_same_bits(_pool(POOL_GRID, tracks, "rising"), want)
+    assert pooled_same_bits(_pool(POOL_GRID, tracks, RISING), want)
 
 
 def test_pool_censors_steps_at_mixed_wraps_or_missing_channels():
@@ -408,10 +409,10 @@ def test_pool_censors_steps_at_mixed_wraps_or_missing_channels():
         {0: (901, 0), 1: (881, 0), 2: (861, 1), 3: (841, 1)},
         {0: (899, 0), 1: (879, 0), 2: (859, 0), 3: (839, 1), 4: (819, 1)},
     ]
-    got = _pool(POOL_GRID, tracks, "falling")
+    got = _pool(POOL_GRID, tracks, FALLING)
     assert got.steps.tolist() == [0, 1, 3]
     assert got.wraps.tolist() == [0, 0, 1]
-    assert pooled_same_bits(got, pool_per_step(POOL_GRID, tracks, "falling"))
+    assert pooled_same_bits(got, pool_per_step(POOL_GRID, tracks, FALLING))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -447,7 +448,7 @@ def check_golden(datasets, summary, digests):
     assert got == digests
     # the public entry points agree with calibrate() exactly
     assert fit_carry_times(datasets, 15) == result.fits
-    fall = build_transfer_function(datasets, 15, "falling")
+    fall = build_transfer_function(datasets, 15, FALLING)
     assert sha256_of(fall.t_ps) == digests["fall.t_ps"]
     assert sha256_of(fall.dt_ps) == digests["fall.dt_ps"]
 
@@ -556,7 +557,7 @@ def test_transfer_function_composition(reference_datasets, reference_result):
     for delta in np.arange(4_000, 9_400, 100.0):
         jit = float(rng.normal(0, 30.0))
         frame = capture(shift_phase(base, delta), chain, regs, t0, clock_jitter_ps=jit)
-        edges = [e for e in extract_edges(frame, 15) if e.polarity == "rising"]
+        edges = [e for e in extract_edges(frame, 15) if e.polarity == RISING]
         if not edges:
             continue
         x = max(e.edge_index for e in edges)

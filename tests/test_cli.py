@@ -7,6 +7,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavecap import cli, storage
 from wavecap.cli import main
@@ -129,12 +131,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         ("source.phase_offset_ps", "1e308"),
         ("source.period_jitter_sigma_ps", "1e17"),
         *(("chain.dnl_ramp", v) for v in ("nan", "inf", "-inf", "-1", "1e308")),
+        *((f"{spec}.seed", "-1") for spec in ("chain", "regs", "sweep", "ring")),
     ],
 )
 def test_non_finite_or_zero_config_value_exits_2(tmp_path, capsys, key, value):
-    cfg = set_config_value(tmp_path, "fig6", key, value)
+    command, preset = ("ro", "fig7") if key.startswith("ring.") else ("correct", "fig6")
+    cfg = set_config_value(tmp_path, preset, key, value)
     # an escaping exception would fail the test instead of returning
-    assert run("correct", "--config", cfg, "--out", str(tmp_path / "x")) == 2
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "x")) == 2
     assert key.split(".")[1] in capsys.readouterr().err
 
 
@@ -191,7 +195,10 @@ def test_unbounded_source_exits_2(tmp_path, capsys, key, value, message):
     # each edit once made the source generator run without bound
     cfg = set_config_value(tmp_path, "fig6", key, value)
     assert run("correct", "--config", cfg, "--out", str(tmp_path / "x")) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if value == "99999999":  # the run_sweep look-back names the term behind it
+        assert "look-back" in err and key.split(".")[1] in err
 
 
 def test_shrink_and_report(tmp_path, capsys):
@@ -313,10 +320,12 @@ def test_impossible_ring_config_exits_2(tmp_path, capsys):
         ({"kind": "calibrate"}, "truth"),
         ({"kind": "ro", "recovered": {"a": 1.0}, "truth": "x"}, "malformed ro report"),
         ([1], "unknown report kind"),
+        (b"{not json", "not a readable JSON report"),
     ],
 )
 def test_malformed_report_exits_2(tmp_path, capsys, report, message):
-    (tmp_path / "report.json").write_text(json.dumps(report))
+    data = report if isinstance(report, bytes) else json.dumps(report).encode()
+    (tmp_path / "report.json").write_bytes(data)
     assert run("report", str(tmp_path)) == 2
     assert message in capsys.readouterr().err
 
@@ -403,6 +412,9 @@ def test_filter_mode_needs_a_complete_config(tmp_path, capsys, raw_sweep):
 
 def test_bad_config_and_out_paths_exit_2(tmp_path, capsys):
     assert run("sweep", "--config", str(tmp_path), "--out", str(tmp_path / "x")) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    (tmp_path / "latin-1.config").write_bytes("# caf\xe9\n".encode("latin-1"))
+    assert run("sweep", "--config", str(tmp_path / "latin-1.config"), "--out", str(tmp_path / "x")) == 2
     assert "cannot read config file" in capsys.readouterr().err
     (tmp_path / "taken").write_text("")
     assert run("sweep", "--config", "preset:fig3c", "--out", str(tmp_path / "taken")) == 2
@@ -503,3 +515,55 @@ def test_every_config_key_fails_cleanly_on_bad_values(tmp_path, capsys, command)
                 failures.append((key, value, code))
     capsys.readouterr()
     assert not failures
+
+
+def test_mutated_dataset_fails_cleanly(tmp_path):
+    """Random byte edits of one payload of a saved sweep, non-UTF-8 bytes
+    included and the manifest rehashed on some draws: filter-mode correct and
+    calibrate each exit 0 or 2, and leave no --out on exit 2."""
+    cfg, raw, ds, out = (tmp_path / name for name in ("small.config", "raw", "ds", "out"))
+    cfg.write_text(SMALL_SWEEP)
+    assert run("sweep", "--config", str(cfg), "--out", str(raw), "--quiet") == 0
+    saved = {path.name: path.read_bytes() for path in raw.iterdir()}
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        name=st.sampled_from(sorted(storage._PAYLOAD_FILES)),
+        edits=st.lists(
+            st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)),
+            min_size=1,
+            max_size=4,
+        ),
+        rehash=st.booleans(),
+    )
+    def case(name, edits, rehash):
+        files = dict(saved)
+        data = bytearray(saved[name])
+        for where, byte in edits:
+            data[int(where * len(data))] = byte
+        files[name] = bytes(data)
+        if rehash:
+            manifest = json.loads(saved["manifest.json"])
+            manifest["hashes"][name] = hashlib.sha256(data).hexdigest()
+            files["manifest.json"] = json.dumps(manifest).encode()
+        shutil.rmtree(ds, ignore_errors=True)
+        ds.mkdir()
+        for file, content in files.items():
+            (ds / file).write_bytes(content)
+        for command in ("correct", "calibrate"):
+            shutil.rmtree(out, ignore_errors=True)
+            code = run(command, "--config", str(cfg), "--out", str(out), str(ds), "--quiet")
+            assert code in (0, 2) and (code == 0 or not out.exists()), (command, code)
+
+    case()
+
+
+def test_a_plain_value_error_is_a_bug_and_escapes(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "run_sweep", broken)
+    out = tmp_path / "x"
+    with pytest.raises(ValueError, match="not an input error"):
+        run("sweep", "--config", "preset:fig3c", "--out", str(out), "--quiet")
+    assert not out.exists()
