@@ -56,7 +56,6 @@ from .ringosc import (
     stitch_frames,
 )
 from .storage import (
-    RunManifest,
     load_dataset,
     save_dataset,
     spec_to_config,

@@ -181,7 +181,12 @@ def cmd_sweep(args, chain, regs, sweep):
         "chain_k": chain.k,
         "truth": {"tau_rise_ps": chain.tau_rise_ps, "tau_fall_ps": chain.tau_fall_ps},
     }
-    return report, partial(save_dataset, dataset), f"wrote {dataset.n_frames} frames to {{out}}"
+
+    def write(out: Path) -> None:
+        save_dataset(dataset, out)
+        write_pgm(dataset.bits, out / "frames.pgm")  # a picture, outside the manifest
+
+    return report, write, f"wrote {dataset.n_frames} frames to {{out}}"
 
 
 def cmd_calibrate(args, opts, chain, regs, sweep):
@@ -404,7 +409,7 @@ def cmd_report(args) -> int:
             raise CliError(f"{path}: unknown report kind {kind!r}")
         try:
             checks = _CHECKERS[kind](rep)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CliError(f"{path}: malformed {kind} report: {exc!r}") from exc
         for ok, desc in checks:
             failures += 0 if ok else 1

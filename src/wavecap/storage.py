@@ -5,11 +5,12 @@ A dataset directory holds:
     spec.config   flat ``key = value`` description of every generating spec
     frames.csv    header ``phase_index,bit_1,...,bit_K``, one row per frame
     times.csv     per-frame capture instants, femtosecond integers
-    frames.pgm    P5 raster, one row per frame, bit 1 rendered white
-    manifest.json sha256 of each payload file plus format version
+    manifest.json sha256 of each of the three payload files, and tool version
 
-Times are integers end to end, so identical specs reproduce byte-identical
-files, and the manifest hashes make silent edits loud.
+Each fact is stored once: the bits only in frames.csv, the format version
+only in spec.config, which the manifest hashes.  Times are integers end to
+end, so identical specs reproduce byte-identical files, and the manifest
+hashes make silent edits loud.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -33,7 +34,6 @@ __all__ = [
     "CorruptFileError",
     "HashMismatchError",
     "VersionSkewError",
-    "RunManifest",
     "spec_to_config",
     "config_to_specs",
     "chain_from_config",
@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-_PAYLOAD_FILES = frozenset({"spec.config", "frames.csv", "times.csv", "frames.pgm"})
+_PAYLOAD_FILES = frozenset({"spec.config", "frames.csv", "times.csv"})
+_TIMES_HEADER = "phase_index,capture_time_fs"
 
 
 class StorageError(WavecapError):
@@ -268,7 +269,7 @@ def _frames_csv(dataset: SweepDataset) -> bytes:
 
 
 def _times_csv(dataset: SweepDataset) -> bytes:
-    rows = ["phase_index,capture_time_fs"]
+    rows = [_TIMES_HEADER]
     for idx, t in zip(dataset.phase_index.tolist(), dataset.capture_time_fs.tolist()):
         rows.append(f"{idx},{t}")
     return ("\n".join(rows) + "\n").encode()
@@ -287,17 +288,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    format_version: int
-    tool_version: str
-    hashes: dict[str, str]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> RunManifest:
+def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> None:
     if dataset.sweep_spec is None and dataset.t_capture_ps is None:
         raise StorageError("a dataset needs a sweep spec or t_capture_ps to be saved")
     d = Path(directory)
@@ -314,34 +305,31 @@ def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> RunManif
     }
     for name, data in payloads.items():
         (d / name).write_bytes(data)
-    write_pgm(dataset.bits, d / "frames.pgm")
-    payloads["frames.pgm"] = (d / "frames.pgm").read_bytes()
-    manifest = RunManifest(
-        format_version=FORMAT_VERSION,
-        tool_version=__version__,
-        hashes={name: _sha256(data) for name, data in sorted(payloads.items())},
-    )
-    (d / "manifest.json").write_text(manifest.to_json() + "\n")
-    return manifest
+    hashes = {name: _sha256(data) for name, data in payloads.items()}
+    manifest = {"hashes": hashes, "tool_version": __version__}
+    (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_manifest(d: Path) -> RunManifest:
-    path = d / "manifest.json"
-    if not path.exists():
-        raise CorruptFileError(f"{path} is missing")
+def _read(path: Path) -> bytes:
     try:
-        raw = json.loads(path.read_text())
-        manifest = RunManifest(
-            format_version=int(raw["format_version"]),
-            tool_version=str(raw["tool_version"]),
-            hashes=raw["hashes"],
-        )
+        return path.read_bytes()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise CorruptFileError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _load_manifest(d: Path) -> dict[str, str]:
+    """The payload hashes of a manifest that also names its tool_version."""
+    path = d / "manifest.json"
+    data = _read(path)
+    try:
+        raw = json.loads(data)
+        _, hashes = raw["tool_version"], raw["hashes"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptFileError(f"{path} is not a valid manifest: {exc}") from exc
     # only the known payload names: a name like ../x would read outside d
-    if not isinstance(manifest.hashes, dict) or manifest.hashes.keys() != _PAYLOAD_FILES:
+    if not isinstance(hashes, dict) or hashes.keys() != _PAYLOAD_FILES:
         raise CorruptFileError(f"{path}: hashes must name exactly {sorted(_PAYLOAD_FILES)}")
-    return manifest
+    return hashes
 
 
 def _int64(cell: str) -> int:
@@ -397,18 +385,9 @@ def _parse_frames_csv(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def load_dataset(directory: Union[str, Path]) -> SweepDataset:
     d = Path(directory)
-    manifest = _load_manifest(d)
-    if manifest.format_version != FORMAT_VERSION:
-        raise VersionSkewError(
-            f"dataset format {manifest.format_version} "
-            f"not supported (expected {FORMAT_VERSION})"
-        )
     blobs = {}
-    for name, want in manifest.hashes.items():
-        path = d / name
-        if not path.exists():
-            raise CorruptFileError(f"{path} is missing")
-        blobs[name] = path.read_bytes()
+    for name, want in _load_manifest(d).items():
+        blobs[name] = _read(d / name)
         got = _sha256(blobs[name])
         if got != want:
             raise HashMismatchError(f"{name}: sha256 {got} != manifest {want}")
@@ -417,6 +396,8 @@ def load_dataset(directory: Union[str, Path]) -> SweepDataset:
     )
     indices, bits = _parse_frames_csv(blobs["frames.csv"], chain.k)
     time_lines = _text("times.csv", blobs["times.csv"]).splitlines()
+    if time_lines[:1] != [_TIMES_HEADER]:
+        raise CorruptFileError(f"times.csv header is not {_TIMES_HEADER!r}")
     if len(time_lines) - 1 != len(indices):
         raise CorruptFileError("times.csv row count does not match frames.csv")
     times = []

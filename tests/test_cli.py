@@ -321,6 +321,16 @@ def test_impossible_ring_config_exits_2(tmp_path, capsys):
         ({"kind": "ro", "recovered": {"a": 1.0}, "truth": "x"}, "malformed ro report"),
         ([1], "unknown report kind"),
         (b"{not json", "not a readable JSON report"),
+        ({"kind": "correct", "alpha": "x"}, "malformed correct report"),
+        (
+            {
+                "kind": "calibrate",
+                "truth": {"tau_rise_ps": 4.91, "tau_fall_ps": 4.54},
+                "recovered": {"tau_rise_ps": 9.0, "tau_rise_err_ps": "e"},
+            },
+            "malformed calibrate report",
+        ),
+        ({"kind": "ro", "recovered": [1], "truth": {"tau_gate_ps": 240.0}}, "malformed ro report"),
     ],
 )
 def test_malformed_report_exits_2(tmp_path, capsys, report, message):
@@ -336,8 +346,10 @@ def test_malformed_report_exits_2(tmp_path, capsys, report, message):
         lambda hashes, outside: {k: v for k, v in hashes.items() if k != "spec.config"},
         lambda hashes, outside: {**hashes, "../outside.csv": outside},
         lambda hashes, outside: sorted(hashes.items()),
+        # a dataset saved when the raster was a fourth payload
+        lambda hashes, outside: {**hashes, "frames.pgm": outside},
     ],
-    ids=["missing-spec", "outside-name", "list"],
+    ids=["missing-spec", "outside-name", "list", "legacy-pgm"],
 )
 def test_tampered_manifest_exits_2(tmp_path, capsys, tamper):
     raw = tmp_path / "raw"
@@ -352,6 +364,21 @@ def test_tampered_manifest_exits_2(tmp_path, capsys, tamper):
     code = run("correct", "--config", "preset:fig6", "--out", str(tmp_path / "y"), str(raw))
     assert code == 2
     assert "hashes must name exactly" in capsys.readouterr().err
+
+
+def test_unreadable_dataset_file_exits_2(tmp_path, capsys, raw_sweep):
+    out = tmp_path / "y"
+    for name in ("manifest.json", "times.csv"):
+        path = tmp_path / "raw" / name
+        kept = path.read_bytes()
+        path.unlink()
+        path.mkdir()  # a directory where the file should be
+        assert run("correct", "--config", "preset:fig6", "--out", str(out), raw_sweep) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+        assert not out.exists()
+        path.rmdir()
+        path.write_bytes(kept)
+    assert run("correct", "--config", "preset:fig6", "--out", str(out), raw_sweep, "--quiet") == 0
 
 
 def preset_config(tmp_path, preset, old="", new="", extra=""):

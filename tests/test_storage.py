@@ -26,6 +26,7 @@ from wavecap.storage import (
     write_pgm,
 )
 from wavecap.sweep import SweepDataset, SweepSpec, run_continuous, run_sweep
+from wavecap.units import WavecapError
 from wavecap.waveform import PllOutputSpec, make_pll_output
 
 
@@ -77,14 +78,22 @@ def test_save_is_byte_deterministic(small_dataset, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     save_dataset(small_dataset, a)
     save_dataset(small_dataset, b)
-    for name in ("spec.config", "frames.csv", "times.csv", "frames.pgm", "manifest.json"):
+    assert {p.name for p in a.iterdir()} == storage._PAYLOAD_FILES | {"manifest.json"}
+    for name in ("spec.config", "frames.csv", "times.csv", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_manifest_with_created_utc_still_loads(small_dataset, tmp_path):
+@pytest.mark.parametrize(
+    "key, value",
+    [("created_utc", "2021-06-01T00:00:00+00:00"), ("format_version", float("inf"))],
+    ids=["created_utc", "format_version-Infinity"],
+)
+def test_manifest_with_created_utc_still_loads(small_dataset, tmp_path, key, value):
+    # keys that older manifests carried are ignored; the format version is
+    # read from spec.config alone
     save_dataset(small_dataset, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["created_utc"] = "2021-06-01T00:00:00+00:00"
+    manifest[key] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     assert load_dataset(tmp_path).n_frames == small_dataset.n_frames
 
@@ -115,11 +124,48 @@ def test_stale_hash_detected(small_dataset, tmp_path):
 
 def test_version_skew_detected(small_dataset, tmp_path):
     save_dataset(small_dataset, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["format_version"] = 99
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    rewrite_row(tmp_path, "spec.config", 1, lambda ln: "format_version = 99")
     with pytest.raises(VersionSkewError):
         load_dataset(tmp_path)
+
+
+def test_every_stored_byte_is_read(small_dataset, tmp_path):
+    """One byte of frames.csv or times.csv overwritten and the manifest
+    rehashed: load_dataset raises or returns different data, so no byte of
+    the bits, indices or times is stored without being read.
+
+    A byte holding a line end is left alone: str.splitlines also splits on
+    \\r \\v \\f \\x1c \\x1d \\x1e, so any newline may become one of those, and
+    int() strips whitespace, so the last newline of a file may become a space,
+    and the file loads the same.  spec.config is left out: its key = value
+    grammar strips whitespace around each key and value."""
+    save_dataset(small_dataset, tmp_path / "saved")
+    saved = {path.name: path.read_bytes() for path in (tmp_path / "saved").iterdir()}
+    ds = tmp_path / "ds"
+    ds.mkdir()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def case(data):
+        name = data.draw(st.sampled_from(sorted(storage._PAYLOAD_FILES - {"spec.config"})))
+        blob = bytearray(saved[name])
+        at = data.draw(st.integers(0, len(blob) - 1).filter(lambda i: blob[i] != ord("\n")))
+        blob[at] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+        manifest = json.loads(saved["manifest.json"])
+        manifest["hashes"][name] = hashlib.sha256(blob).hexdigest()
+        files = {**saved, name: bytes(blob), "manifest.json": json.dumps(manifest).encode()}
+        for file, content in files.items():
+            (ds / file).write_bytes(content)
+        try:
+            back = load_dataset(ds)
+        except WavecapError:
+            return
+        assert not all(
+            np.array_equal(getattr(back, field), getattr(small_dataset, field))
+            for field in ("bits", "capture_time_fs", "phase_index")
+        ), (name, at, blob[at])
+
+    case()
 
 
 def test_missing_file_is_corrupt_error(small_dataset, tmp_path):
