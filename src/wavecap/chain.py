@@ -11,8 +11,8 @@ sweep's crystal jitter.  The benchmark configs set the key, so removing it
 waits for a change to them.
 
 Two independent implementations of the capture are provided: ``capture_at``
-(frames grouped by edge window, pair-collision annihilation and arrivals once
-per group; ``capture`` is its one-frame form) and ``capture_oracle``
+(frames in blocks, one due-time row per edge position, with annihilation only
+where a pair can meet; ``capture`` is its one-frame form) and ``capture_oracle``
 (element-by-element timeline reconstruction).  They must agree bit-exactly.
 """
 
@@ -49,6 +49,9 @@ __all__ = [
 MAX_CHAIN_LEN = 1740
 
 RISING, FALLING = 1, 0
+
+# frames per block of capture_at: each block temporary holds this many rows of K
+_FRAME_BLOCK = 256
 
 
 class ChainError(WavecapError):
@@ -318,10 +321,12 @@ def capture_at(
     sampled at sample_fs[f] + skew_k (post-edge convention at exact
     coincidence).  Edges older than the slowest path are already past every
     tap, but they can still annihilate a younger edge mid-chain, so a frame's
-    edge window extends back by the maximum rise/fall catch-up.  Frames are
-    grouped by edge window: annihilation and each edge's due time per tap are
-    computed once per group, and an edge flips, in one comparison, every bit
-    of the group whose frame instant is at or past its due time.
+    edge window extends back by the maximum rise/fall catch-up.  Annihilation
+    runs once per distinct window holding an adjacent pair that can meet in the
+    chain (no preset has one, so only the tests exercise it).  Frames whose
+    windows start on edges of one parity see one polarity sequence; in blocks
+    of them, edge j of each frame flips every tap whose due-time row entry is
+    at most the frame instant minus the edge time.
     """
     if regs.k != chain.k:
         raise ChainError("register bank length does not match chain")
@@ -344,24 +349,41 @@ def capture_at(
     prefix = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs])  # by polarity
     # a live edge of polarity p at t_e is counted at tap k from t_e + due_by_pol[p, k] on
     due_by_pol = ps_to_fs(chain.spec.entry_delay_ps) + prefix - regs.skews_fs
-    never = np.iinfo(np.int64).max
 
-    # the frames of one edge window (first, stop) are one run of the sort order
-    order = np.lexsort((stop, first))
-    first, stop, t_sorted = first[order], stop[order], t_fs[order]
-    starts = np.flatnonzero(np.diff(first, prepend=-1) | np.diff(stop, prepend=-1)).tolist()
-    sorted_bits = np.empty((t_fs.size, chain.k), dtype=np.uint8)
-    for a, b in zip(starts, starts[1:] + [order.size]):
-        i0, i1 = int(first[a]), int(stop[a])
+    # edges alternate polarity: a pair meets only if its gap is at most the most
+    # the trailing polarity gains, and a window without such a pair loses no edge
+    closing = np.min(prefix[::-1] - prefix, axis=1)
+    can_meet = np.diff(times) + closing[pols[:-1]] <= 0  # pair (i, i + 1)
+    meets = np.cumsum(np.concatenate(([0], can_meet, [0])))  # pairs before edge i
+    risky = np.flatnonzero(meets[np.maximum(stop - 1, first)] > meets[first])
+    windows, window_of = np.unique(np.stack((first, stop), 1)[risky], axis=0, return_inverse=True)
+    # edge j of risky window w lives at the taps below limits[w, j]; last row: at all
+    limits = np.full((len(windows) + 1, int(np.max(stop - first, initial=0))), chain.k)
+    for row, (i0, i1) in zip(limits, windows.tolist()):
         death = _annihilation_elements(times[i0:i1], pols[i0:i1], prefix)
-        due = times[i0:i1, None] + due_by_pol[pols[i0:i1]]
-        # an edge is present at the taps before its death (0: never annihilated)
-        due[np.arange(chain.k) >= np.where(death, death - 1, chain.k)[:, None]] = never
-        acc = sorted_bits[a:b]
-        acc[:] = wf.initial_level ^ (i0 & 1)
-        for row in due:
-            acc ^= row <= t_sorted[a:b, None]
-    return sorted_bits[np.argsort(order)]
+        row[: i1 - i0] = np.where(death, death - 1, chain.k)
+    limit_of = np.full(t_fs.size, -1)
+    limit_of[risky] = window_of.reshape(-1)
+
+    bits = np.empty((t_fs.size, chain.k), dtype=np.uint8)
+    # edge j of every window starting on an edge of one parity has one polarity;
+    # within a parity, frames go by window size, so a block's windows are alike
+    order = np.lexsort((stop - first, first & 1))
+    for parity, of_parity in enumerate(np.split(order, [np.count_nonzero((first & 1) == 0)])):
+        for a in range(0, of_parity.size, _FRAME_BLOCK):
+            rows = of_parity[a : a + _FRAME_BLOCK]
+            n_edges = stop[rows] - first[rows]
+            block = np.full((rows.size, chain.k), wf.initial_level ^ parity, dtype=np.uint8)
+            limit_row = limit_of[rows]
+            for j in range(int(n_edges.max())):
+                edge_t = times.take(first[rows] + j, mode="clip")  # past the window: unused
+                since = np.where(j < n_edges, t_fs[rows] - edge_t, np.iinfo(np.int64).min)
+                hit = due_by_pol[wf.initial_level ^ ((parity + j + 1) & 1)] <= since[:, None]
+                if limit_row.max() >= 0:  # a death in the block
+                    hit &= np.arange(chain.k) < limits[limit_row, j, None]
+                block ^= hit
+            bits[rows] = block
+    return bits
 
 
 def capture(

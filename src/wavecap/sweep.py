@@ -26,7 +26,7 @@ from .chain import (
     sample_registers,
     validate_config,
 )
-from .units import WavecapError, fs_to_ps, ps_to_fs, require_finite
+from .units import FS_PER_PS, WavecapError, fs_to_ps, ps_to_fs, require_finite
 from .waveform import MAX_SOURCE_EDGES, DigitalWaveform, PllOutputSpec, make_pll_output
 
 __all__ = ["SweepSpec", "SweepDataset", "run_sweep", "run_continuous"]
@@ -96,6 +96,16 @@ class SweepDataset:
         return self.bits.shape[0]
 
 
+def _instants_fs(*terms_ps: np.ndarray) -> np.ndarray:
+    """Per frame, the sum of each term's ``ps_to_fs`` (half to even) as int64;
+    raises where a term or the sum is not finite inside int64 femtoseconds."""
+    terms_fs = [np.rint(np.asarray(t, dtype=np.float64) * FS_PER_PS) for t in terms_ps]
+    bad = np.concatenate([t[~(np.abs(t) < 2**63)] for t in [*terms_fs, sum(terms_fs)]])  # NaN too
+    if bad.size:
+        raise SweepError(f"a frame time of {bad[0] / FS_PER_PS} ps does not fit int64 fs")
+    return sum(t_fs.astype(np.int64) for t_fs in terms_fs)
+
+
 def run_sweep(
     spec: SweepSpec,
     chain: ChainSpec | ChainInstance,
@@ -140,7 +150,7 @@ def run_sweep(
     # Capture is translation-equivariant in integer femtoseconds, so the
     # source shifted n*dt later and captured at t0 reads the same bits as the
     # unshifted source captured at t0 - n*dt.
-    shift_fs = np.array([ps_to_fs(n * spec.dt_ps) for n in range(spec.n_steps)], dtype=np.int64)
+    shift_fs = _instants_fs(np.arange(spec.n_steps, dtype=np.float64) * spec.dt_ps)
     bits = capture_at(base, chain_inst, reg_bank, ps_to_fs(t0_ps) + jitter_fs - shift_fs)
     # record absolute time including relock dead cycles; phase bookkeeping is
     # untouched because capture happens at a fixed clock phase
@@ -174,10 +184,8 @@ def run_continuous(
 
     rng = np.random.default_rng(seed)
     jitter_ps = rng.normal(0.0, sigma, n_frames) if sigma > 0 else np.zeros(n_frames)
-    sample_fs = np.array(
-        [ps_to_fs(t_start_ps + m * t_capture_ps) + ps_to_fs(j) for m, j in enumerate(jitter_ps)],
-        dtype=np.int64,
-    )
+    frame_ps = t_start_ps + np.arange(n_frames, dtype=np.float64) * t_capture_ps
+    sample_fs = _instants_fs(frame_ps, jitter_ps)
     bits = capture_at(w, chain_inst, reg_bank, sample_fs)
     return SweepDataset(
         bits, sample_fs, np.arange(n_frames), chain_inst.spec, reg_bank.spec,

@@ -21,6 +21,8 @@ from wavecap.chain import (
     _max_catchup_fs,
     _reach_fs,
 )
+from wavecap.ringosc import RingSpec, simulate_ring
+from wavecap.sweep import run_continuous
 from wavecap.units import fs_to_ps, ps_to_fs
 from wavecap.waveform import (
     DigitalWaveform,
@@ -511,3 +513,75 @@ def test_capture_at_equals_per_frame_loop(
     # annihilation runs once per edge window, however its frames are ordered
     windows = [c.args[0].tobytes() for c in annihilate.call_args_list if c.args[0].size]
     assert len(windows) == len(set(windows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=st.integers(1, 5),
+    k=st.integers(1, 30),
+    tau_fall_fs=st.integers(2_000, 6_000),
+    asym_fs=st.integers(0, 4_000),
+    skew_ps=st.sampled_from([0.0, 4.0]),
+    seed=st.integers(0, 2**16),
+    initial_level=st.integers(0, 1),
+    gaps_fs=st.lists(st.integers(1, 30_000), min_size=4, max_size=25),
+    positions=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=30),
+    repeats=st.integers(1, 2),
+    late=st.booleans(),
+)
+def test_capture_at_frame_blocks(
+    block, k, tau_fall_fs, asym_fs, skew_ps, seed, initial_level, gaps_fs, positions,
+    repeats, late,
+):
+    # blocks of one to five frames, so several blocks of both parities; the
+    # instants repeated (duplicates), one at 0 and one past every edge (empty
+    # windows), and rise delays up to 4 ps above fall delays with gaps from
+    # 1 fs, so most examples hold windows whose pairs meet in the chain
+    chain = sample_chain(ChainSpec(k, (tau_fall_fs + asym_fs) / 1_000.0, tau_fall_fs / 1_000.0))
+    regs = sample_registers(RegisterSpec(skew_sigma_ps=skew_ps, seed=seed), k)
+    w = DigitalWaveform(initial_level, np.cumsum(gaps_fs, dtype=np.int64), (None, None))
+    reach_fs = _reach_fs(chain) + _max_catchup_fs(chain)
+    instants = [reach_fs + round(p * sum(gaps_fs)) for p in positions] * repeats
+    instants += [0] + [2 * reach_fs + sum(gaps_fs)] * late
+    sample_fs = np.array(instants, dtype=np.int64)
+
+    with mock.patch.object(chain_module, "_FRAME_BLOCK", block):
+        bits = capture_at(w, chain, regs, sample_fs)
+        none = capture_at(w, chain, regs, sample_fs[:0])
+    assert np.array_equal(bits, per_frame_capture_at(w, chain, regs, sample_fs))
+    for f in (0, len(instants) // 2, len(instants) - 1):
+        oracle = capture_oracle(w, chain, regs, int(sample_fs[f]) / 1_000.0)
+        assert np.array_equal(bits[f], oracle.bits)
+    assert none.shape == (0, k) and none.dtype == np.uint8
+
+
+def test_equal_delays_never_annihilate():
+    # rise == fall delays: no pair closes its gap, so no window is annihilated;
+    # the ring workload's shape, 1,024 taps and frames every 5 ns
+    trace = simulate_ring(RingSpec(19, 240.0, initial_state="pulse"), 1_100_000)
+    spec = ChainSpec(1024, 5.0, 5.0, entry_min_pulse_ps=50.0)
+    with mock.patch.object(
+        chain_module, "_annihilation_elements", wraps=_annihilation_elements
+    ) as annihilate:
+        ds = run_continuous(trace.node(0), spec, RegisterSpec(), 5_000.0, 200, t_start_ps=15_000)
+    assert np.any(ds.bits) and annihilate.call_count == 0
+
+
+@pytest.mark.parametrize("width_ps, death", [(20.0, 10), (40.0, 20)], ids=["mid-chain", "last-tap"])
+def test_meeting_pair_is_annihilated(width_ps, death):
+    # the fall gains 2 ps an element on the rise ahead of it, so a 20 ps pulse
+    # dies at element 10; a 40 ps pulse meets exactly at the last tap, where
+    # its gap equals the most the fall can gain in the chain
+    chain = ideal_chain(20, 6.0, 4.0)
+    regs = regs_for(chain)
+    w = DigitalWaveform.from_edges([(0.0, 1), (width_ps, 0)])
+    sample_fs = np.arange(0, 200_001, 2_500)
+    with mock.patch.object(
+        chain_module, "_annihilation_elements", wraps=_annihilation_elements
+    ) as annihilate:
+        bits = capture_at(w, chain, regs, sample_fs)
+    # one call, for the one window holding both edges
+    assert [c.args[0].tolist() for c in annihilate.call_args_list] == [[0, ps_to_fs(width_ps)]]
+    assert annihilate(*annihilate.call_args.args).tolist() == [death, death]
+    expected = [capture_oracle(w, chain, regs, t / 1_000).bits for t in sample_fs]
+    assert np.array_equal(bits, np.stack(expected))

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavecap.chain import ChainSpec, RegisterSpec, capture, sample_chain, sample_registers
-from wavecap.sweep import SweepDataset, SweepError, SweepSpec, run_continuous, run_sweep
-from wavecap.units import ps_to_fs
+from wavecap.sweep import (
+    SweepDataset, SweepError, SweepSpec, _instants_fs, run_continuous, run_sweep,
+)
+from wavecap.units import WavecapError, ps_to_fs
 from wavecap.waveform import DigitalWaveform, PllOutputSpec, make_pll_output, shift_phase
 
 
@@ -234,3 +236,57 @@ def test_run_sweep_equals_shift_per_step_loop(
     ):
         assert np.array_equal(row, bits)
         assert (t_row, n_row) == (t_fs, n)
+
+
+# -- frame instants against the per-frame ps_to_fs they replaced ------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t_start_ps=st.floats(-1e9, 1e9),
+    t_capture_ps=st.one_of(st.floats(1e-3, 1e7), st.integers(1, 10**7)),
+    n_frames=st.integers(1, 60),
+    sigma=st.sampled_from([0.0, 0.0004, 0.5, 30.0]),
+    seed=st.integers(0, 2**16),
+    dt_ps=st.one_of(st.floats(0.0, 1e6), st.integers(0, 10**6)),
+)
+def test_frame_instants_equal_per_frame_rounding(
+    t_start_ps, t_capture_ps, n_frames, sigma, seed, dt_ps
+):
+    w = DigitalWaveform(1, np.array([], dtype=np.int64))
+    ds = run_continuous(
+        w, ChainSpec(4, 5.0, 5.0), REGS, t_capture_ps, n_frames, t_start_ps=t_start_ps,
+        crystal_jitter_sigma_ps=sigma, seed=seed,
+    )
+    rng = np.random.default_rng(seed)
+    jitter_ps = rng.normal(0.0, sigma, n_frames) if sigma > 0 else np.zeros(n_frames)
+    # the per-frame list that run_continuous built before
+    expected = [
+        ps_to_fs(t_start_ps + m * t_capture_ps) + ps_to_fs(j) for m, j in enumerate(jitter_ps)
+    ]
+    assert ds.capture_time_fs.tolist() == expected
+    # run_sweep's phase shifts
+    shift_fs = _instants_fs(np.arange(n_frames, dtype=np.float64) * dt_ps)
+    assert shift_fs.dtype == np.int64
+    assert shift_fs.tolist() == [ps_to_fs(n * dt_ps) for n in range(n_frames)]
+
+
+@pytest.mark.parametrize(
+    "t_capture_ps, t_start_ps, sigma",
+    [(1e306, 0.0, 0.0), (1e16, 0.0, 0.0), (5_000.0, 9.3e15, 0.0), (5_000.0, 0.0, 1e300),
+     (5_000.0, -9.3e15, 0.0), (5_000.0, float("nan"), 0.0)],
+    ids=["inf", "period-past-int64", "start-past-int64", "jitter-past-int64", "below-int64", "nan"],
+)
+def test_frame_instants_outside_int64_raise(t_capture_ps, t_start_ps, sigma):
+    w = DigitalWaveform(1, np.array([], dtype=np.int64))
+    with pytest.raises(WavecapError, match="does not fit int64"):
+        run_continuous(w, ChainSpec(4, 5.0, 5.0), REGS, t_capture_ps, 3, t_start_ps=t_start_ps,
+                       crystal_jitter_sigma_ps=sigma)
+
+
+def test_frame_instants_sum_never_wraps():
+    # each term fits int64 femtoseconds, their sum does not
+    near_max_ps = (2**62) / 1_000.0
+    with pytest.raises(WavecapError, match="does not fit int64"):
+        _instants_fs(np.array([near_max_ps]), np.array([near_max_ps]))
+    assert _instants_fs(np.array([near_max_ps]), np.array([-near_max_ps])).tolist() == [0]
