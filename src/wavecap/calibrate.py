@@ -53,7 +53,6 @@ class CalibrationError(WavecapError):
 
 @dataclass(frozen=True)
 class EdgeObservation:
-    phase_shift_ps: float
     edge_index: int  # 1-based carry index
     polarity: int  # RISING or FALLING
 
@@ -126,17 +125,11 @@ def _edges(bits, min_run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[edge], last[edge], levels[edge]
 
 
-def extract_edges(
-    frame: CaptureFrame | np.ndarray,
-    min_run: int = 1,
-    phase_shift_ps: float = float("nan"),
-) -> list[EdgeObservation]:
+def extract_edges(frame: CaptureFrame | np.ndarray, min_run: int = 1) -> list[EdgeObservation]:
     """Edges of one smoothed frame (see _edges)."""
     bits = frame.bits if isinstance(frame, CaptureFrame) else frame
     _, ks, levels = _edges(bits, min_run)
-    return [
-        EdgeObservation(phase_shift_ps, k, level) for k, level in zip(ks.tolist(), levels.tolist())
-    ]
+    return [EdgeObservation(k, level) for k, level in zip(ks.tolist(), levels.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +281,6 @@ def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
 class CarryTimeFit:
     tau_ps: float
     tau_err_ps: float
-    slope_carries_per_ps: float
-    intercept_carries: float
     r2: float
     chi2red: float
     n_points: int
@@ -298,7 +289,7 @@ class CarryTimeFit:
 
 
 def _fit_polarity(tr: _PooledTrajectory) -> CarryTimeFit:
-    sigma = np.where(np.isnan(tr.x_std), np.nan, tr.x_std)
+    sigma = tr.x_std
     if np.all(np.isnan(sigma)):
         sigma = np.full_like(tr.u_ps, 1.0)  # unweighted
     else:
@@ -330,8 +321,6 @@ def _fit_polarity(tr: _PooledTrajectory) -> CarryTimeFit:
     return CarryTimeFit(
         tau_ps=tau,
         tau_err_ps=se_tau,
-        slope_carries_per_ps=b,
-        intercept_carries=a,
         r2=r2,
         chi2red=chi2red,
         n_points=int(tr.u_ps.size),
@@ -459,15 +448,9 @@ def single_shot_precision(tf: TransferFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ShrinkResult:
     rate: float  # carries lost per carry of falling-edge travel
-    slope: float  # signed fit slope
-    intercept: float
-    bin_centers: np.ndarray
-    bin_mean_width: np.ndarray
-    bin_std_width: np.ndarray
-    bin_counts: np.ndarray
     samples: tuple[tuple[int, int], ...]  # (falling-edge index, width)
 
 
@@ -489,28 +472,15 @@ def shrink_analysis(
     pos = np.array([s for s, _ in samples], dtype=float)
     wid = np.array([w for _, w in samples], dtype=float)
     bins = (pos // bin_width).astype(int)
-    centers, means, stds, counts = [], [], [], []
+    centers, means = [], []
     for bval in np.unique(bins):
-        sel = bins == bval
         centers.append((bval + 0.5) * bin_width)
-        means.append(wid[sel].mean())
-        stds.append(wid[sel].std(ddof=1) if sel.sum() > 1 else 0.0)
-        counts.append(int(sel.sum()))
+        means.append(wid[bins == bval].mean())
     if len(centers) < 2:
         raise CalibrationError("fewer than two populated bins")
     centers = np.array(centers)
-    means = np.array(means)
-    a, b, *_ = _wls_line(centers, means, np.ones_like(centers))
-    return ShrinkResult(
-        rate=abs(b),
-        slope=b,
-        intercept=a,
-        bin_centers=centers,
-        bin_mean_width=means,
-        bin_std_width=np.array(stds),
-        bin_counts=np.array(counts),
-        samples=tuple(samples),
-    )
+    _, b, *_ = _wls_line(centers, np.array(means), np.ones_like(centers))
+    return ShrinkResult(rate=abs(b), samples=tuple(samples))
 
 
 # ---------------------------------------------------------------------------

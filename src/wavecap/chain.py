@@ -116,9 +116,6 @@ class ConfigReport:
     ok: bool
     violations: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def validate_config(chain: ChainSpec, t_capture_ps: float, t_min_ps: float) -> ConfigReport:
     """Check the design constraints for continuous capture.

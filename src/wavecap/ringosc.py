@@ -199,8 +199,6 @@ def stitch_frames(dataset: SweepDataset, tau_ps: float) -> np.ndarray:
 class NodeTimescale:
     per_node_ps: float
     err_ps: float
-    mean_width_carries: float
-    std_width_carries: float
     n_pulses: int
 
 
@@ -208,7 +206,6 @@ def measure_node_timescale(
     ring: RingSpec,
     dataset: SweepDataset,
     tau_ps: float,
-    tau_err_ps: float = 0.0,
     min_run: int = 15,
 ) -> NodeTimescale:
     """Per-inverter delay from continuously captured single-pulse traffic.
@@ -226,14 +223,9 @@ def measure_node_timescale(
     if widths.size < 2:
         raise RingError("not enough pulses to estimate a timescale")
     mean_w = float(widths.mean())
-    std_w = float(widths.std(ddof=1))
-    sem_w = std_w / np.sqrt(widths.size)
-    total = mean_w * tau_ps
-    total_err = float(np.hypot(sem_w * tau_ps, mean_w * tau_err_ps))
+    sem_w = float(widths.std(ddof=1)) / np.sqrt(widths.size)
     return NodeTimescale(
-        per_node_ps=total / ring.n,
-        err_ps=total_err / ring.n,
-        mean_width_carries=mean_w,
-        std_width_carries=std_w,
+        per_node_ps=mean_w * tau_ps / ring.n,
+        err_ps=float(abs(sem_w * tau_ps)) / ring.n,
         n_pulses=int(widths.size),
     )

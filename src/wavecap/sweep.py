@@ -55,8 +55,8 @@ class SweepSpec:
         if self.n_steps < 2:
             raise SweepError("a sweep needs at least 2 steps")
         lo, hi = self.relock_dead_cycles
-        if lo < 2 or hi < lo:
-            raise SweepError("dead-cycle range must satisfy 2 <= min <= max")
+        if lo < 2 or hi < lo or hi >= 2**63:  # the cycle draw is int64
+            raise SweepError("dead-cycle range must satisfy 2 <= min <= max < 2**63")
         if self.crystal_jitter_sigma_ps < 0:
             raise SweepError("crystal jitter sigma must be >= 0")
 
@@ -99,8 +99,9 @@ class SweepDataset:
 def _instants_fs(*terms_ps: np.ndarray) -> np.ndarray:
     """Per frame, the sum of each term's ``ps_to_fs`` (half to even) as int64;
     raises where a term or the sum is not finite inside int64 femtoseconds."""
-    terms_fs = [np.rint(np.asarray(t, dtype=np.float64) * FS_PER_PS) for t in terms_ps]
-    bad = np.concatenate([t[~(np.abs(t) < 2**63)] for t in [*terms_fs, sum(terms_fs)]])  # NaN too
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
+        terms_fs = [np.rint(np.asarray(t, dtype=np.float64) * FS_PER_PS) for t in terms_ps]
+        bad = np.concatenate([t[~(np.abs(t) < 2**63)] for t in [*terms_fs, sum(terms_fs)]])  # NaN too
     if bad.size:
         raise SweepError(f"a frame time of {bad[0] / FS_PER_PS} ps does not fit int64 fs")
     return sum(t_fs.astype(np.int64) for t_fs in terms_fs)
@@ -153,8 +154,13 @@ def run_sweep(
     shift_fs = _instants_fs(np.arange(spec.n_steps, dtype=np.float64) * spec.dt_ps)
     bits = capture_at(base, chain_inst, reg_bank, ps_to_fs(t0_ps) + jitter_fs - shift_fs)
     # record absolute time including relock dead cycles; phase bookkeeping is
-    # untouched because capture happens at a fixed clock phase
-    t_abs_fs = ps_to_fs(t0_ps) + np.cumsum(dead) * ps_to_fs(spec.t_capture_ps)
+    # untouched because capture happens at a fixed clock phase.  The last
+    # frame is the latest, and its exact time bounds the int64 cumsum.
+    t_capture_fs = ps_to_fs(spec.t_capture_ps)
+    last_fs = ps_to_fs(t0_ps) + sum(dead.tolist()) * t_capture_fs
+    if last_fs >= 2**63:
+        raise SweepError(f"a frame time of {last_fs / FS_PER_PS} ps does not fit int64 fs")
+    t_abs_fs = ps_to_fs(t0_ps) + np.cumsum(dead) * t_capture_fs
     return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain_spec, reg_spec, spec)
 
 

@@ -130,17 +130,6 @@ class DigitalWaveform:
             lines.append(f"{format_fs_as_ps(int(t))},{self.level_after(i)}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str, initial_level: int = 0) -> "DigitalWaveform":
-        rows = [r for r in text.splitlines() if r.strip()]
-        if not rows or rows[0] != "time_ps,level":
-            raise WaveformError("bad waveform CSV header")
-        edges = []
-        for row in rows[1:]:
-            t_str, lv_str = row.split(",")
-            edges.append((float(t_str), int(lv_str)))
-        return cls.from_edges(edges, initial_level)
-
 
 def evaluate(w: DigitalWaveform, t_ps: float) -> int:
     """Level of w at time t (post-edge convention at exact edge times)."""
@@ -200,9 +189,14 @@ def make_pll_output(spec: PllOutputSpec, duration_ps: float) -> DigitalWaveform:
     if spec.edges_within(duration_ps) > MAX_SOURCE_EDGES:
         raise WaveformError(f"a {duration_ps} ps source has over {MAX_SOURCE_EDGES} edges")
     duration_fs = ps_to_fs(duration_ps)
+    offset = Fraction(ps_to_fs(spec.phase_offset_ps))
+    # edges ascend from the phase offset to at most the duration
+    if duration_fs >= 2**63:
+        raise WaveformError(f"a {duration_ps} ps source does not fit int64 femtoseconds")
+    if offset < -(2**63):
+        raise WaveformError(f"phase_offset_ps {spec.phase_offset_ps} does not fit int64 femtoseconds")
     period = spec.period_fraction_fs()
     width = period * Fraction(spec.duty_cycle)
-    offset = Fraction(ps_to_fs(spec.phase_offset_ps))
 
     ideal: list[int] = []
     n = 0

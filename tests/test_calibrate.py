@@ -370,7 +370,7 @@ def test_tracks_match_per_frame_reference(reference_datasets):
 )
 def test_track_on_edge_indices_matches_per_frame_reference(frames, dt):
     rows = [(n, sorted(idx)) for n, idx in enumerate(frames)]
-    as_edges = [(n, [EdgeObservation(0.0, k, RISING) for k in idx]) for n, idx in rows]
+    as_edges = [(n, [EdgeObservation(k, RISING) for k in idx]) for n, idx in rows]
     try:
         want = track_per_frame(as_edges, RISING, 1_000.0, dt)
     except CalibrationError:

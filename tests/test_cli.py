@@ -182,6 +182,39 @@ def test_ring_duration_beyond_int64_femtoseconds_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "edits,messages",
+    [
+        # a 1e15 ps phase step stretches the source past int64 fs
+        ({"source.frequency_hz": "0.001", "sweep.dt_ps": "1e15", "sweep.n_steps": "10000"},
+         ("a 9.999", "does not fit int64")),
+        # relock dead cycles of 1e15 ps frames carry the last frame time past it
+        ({"chain.tau_rise_ps": "1e12", "chain.tau_fall_ps": "1e12", "source.frequency_hz": "1.0",
+          "sweep.t_capture_ps": "1e15", "sweep.n_steps": "8"},
+         ("a frame time of 1.893", "does not fit int64")),
+        ({"source.frequency_hz": "1.0", "source.phase_offset_ps": "-1e16"},
+         ("phase_offset_ps -1e+16", "does not fit int64")),
+        ({"sweep.relock_dead_cycles": "2,9223372036854775806"},
+         ("a frame time of 1.2", "does not fit int64")),
+        # the dead-cycle draw itself is int64
+        ({"sweep.relock_dead_cycles": "2,9223372036854775808"}, ("dead-cycle range",)),
+    ],
+    ids=["source-duration", "dead-cycles", "phase-offset", "dead-cycle-sum", "dead-cycle-range"],
+)
+def test_sweep_beyond_int64_exits_2(tmp_path, capsys, edits, messages):
+    text = (resources.files("wavecap.presets") / "fig3a.config").read_text()
+    for key, value in edits.items():
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1
+    cfg = tmp_path / "sweep.config"
+    cfg.write_text(text)
+    out = tmp_path / "x"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key,value,message",
     [
         ("chain.entry_delay_ps", "1e300", "does not fit int64"),
