@@ -65,9 +65,10 @@ def _runs(bits, min_run: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     b = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
     starts = np.ones(b.shape, dtype=bool)
     np.not_equal(b[:, 1:], b[:, :-1], out=starts[:, 1:])
-    rows, cols = np.nonzero(starts)
-    levels = b[rows, cols]
-    lengths = np.diff(rows * b.shape[1] + cols, append=b.size)
+    flat = np.flatnonzero(starts)  # one scan, row by row
+    rows = flat // b.shape[1]
+    levels = b.reshape(-1)[flat]
+    lengths = np.diff(flat, append=b.size)
     # at min_run 1 no run is short: skip np.unique, which allocates even on []
     redo = np.unique(rows[lengths < min_run]) if min_run > 1 else ()
     if len(redo):
@@ -184,7 +185,11 @@ def _track(rows, polarity: int, period_ps: float, dt_ps: float) -> _Track:
             out[n] = (x, m)
             predicted = x - step
             continue
-        best = min(idx, key=lambda v: abs(v - predicted))
+        # the nearer of the two neighbours of predicted; a tie keeps the lower
+        i = bisect_left(idx, predicted)
+        if i == len(idx) or (i and predicted - idx[i - 1] <= idx[i] - predicted):
+            i -= 1
+        best = idx[i]
         jump = best - predicted
         if abs(jump) <= tol:
             out[n] = (best, m)
@@ -217,10 +222,11 @@ def _tracks(
         rows, ks, levels = _edges(ds.bits, min_run)
         steps = ds.phase_index.tolist()
         for pol in polarities:
-            idx: list[list[int]] = [[] for _ in steps]  # per frame, ascending
             sel = levels == pol
-            for r, k in zip(rows[sel].tolist(), ks[sel].tolist()):
-                idx[r].append(k)
+            # rows ascend, so frame f's edges are one slice, index ascending
+            cuts = np.searchsorted(rows[sel], np.arange(len(steps) + 1)).tolist()
+            pol_ks = ks[sel].tolist()
+            idx = [pol_ks[a:z] for a, z in zip(cuts, cuts[1:])]
             out[pol].append(_track(list(zip(steps, idx)), pol, spec.source.period_ps, spec.dt_ps))
     return out
 

@@ -323,7 +323,8 @@ def capture_at(
     chain (no preset has one, so only the tests exercise it).  Frames whose
     windows start on edges of one parity see one polarity sequence; in blocks
     of them, edge j of each frame flips every tap whose due-time row entry is
-    at most the frame instant minus the edge time.
+    at most the frame instant minus the edge time: in rank space, every tap
+    whose rank in the sorted row is below the count of entries reached.
     """
     if regs.k != chain.k:
         raise ChainError("register bank length does not match chain")
@@ -344,8 +345,14 @@ def capture_at(
     first = np.searchsorted(times, lo - _max_catchup_fs(chain), side="left")
     stop = np.searchsorted(times, hi, side="right")
     prefix = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs])  # by polarity
-    # a live edge of polarity p at t_e is counted at tap k from t_e + due_by_pol[p, k] on
+    # a live edge of polarity p at t_e is counted at tap k from t_e + due_by_pol[p, k] on,
+    # that is once more of that row's due times are at most t - t_e than are below
+    # due_by_pol[p, k] (its rank); the counts, 0 to K, compare in the smallest type
     due_by_pol = ps_to_fs(chain.spec.entry_delay_ps) + prefix - regs.skews_fs
+    due_sorted = np.sort(due_by_pol, axis=1)
+    rank_type = np.min_scalar_type(chain.k)
+    rank = np.stack([np.searchsorted(s, d, side="left") for s, d in zip(due_sorted, due_by_pol)])
+    rank = rank.astype(rank_type)
 
     # edges alternate polarity: a pair meets only if its gap is at most the most
     # the trailing polarity gains, and a window without such a pair loses no edge
@@ -375,7 +382,9 @@ def capture_at(
             for j in range(int(n_edges.max())):
                 edge_t = times.take(first[rows] + j, mode="clip")  # past the window: unused
                 since = np.where(j < n_edges, t_fs[rows] - edge_t, np.iinfo(np.int64).min)
-                hit = due_by_pol[wf.initial_level ^ ((parity + j + 1) & 1)] <= since[:, None]
+                pol = wf.initial_level ^ ((parity + j + 1) & 1)
+                reached = np.searchsorted(due_sorted[pol], since, side="right").astype(rank_type)
+                hit = rank[pol] < reached[:, None]
                 if limit_row.max() >= 0:  # a death in the block
                     hit &= np.arange(chain.k) < limits[limit_row, j, None]
                 block ^= hit

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import cycle
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -89,11 +90,12 @@ class DigitalWaveform:
         """Level after the i-th edge (0-based)."""
         return self.initial_level ^ ((i + 1) & 1)
 
+    def _edges(self) -> Iterator[tuple[int, int]]:
+        """(time in fs, level after) of each edge, as Python ints."""
+        return zip(self.edge_times_fs.tolist(), cycle((self.initial_level ^ 1, self.initial_level)))
+
     def edges_ps(self) -> list[tuple[float, int]]:
-        return [
-            (fs_to_ps(int(t)), self.level_after(i))
-            for i, t in enumerate(self.edge_times_fs)
-        ]
+        return [(fs_to_ps(t), level) for t, level in self._edges()]
 
     def value_at_fs(self, t_fs: int) -> int:
         """Level after the latest edge at or before t (initial level if none)."""
@@ -125,10 +127,8 @@ class DigitalWaveform:
 
     def to_csv(self) -> str:
         """CSV text, one `time_ps,level` line per edge (fixed 3 decimals)."""
-        lines = ["time_ps,level"]
-        for i, t in enumerate(self.edge_times_fs):
-            lines.append(f"{format_fs_as_ps(int(t))},{self.level_after(i)}")
-        return "\n".join(lines) + "\n"
+        lines = [f"{format_fs_as_ps(t)},{level}" for t, level in self._edges()]
+        return "\n".join(["time_ps,level", *lines]) + "\n"
 
 
 def evaluate(w: DigitalWaveform, t_ps: float) -> int:

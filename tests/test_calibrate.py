@@ -1,4 +1,5 @@
 import hashlib
+from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from wavecap.calibrate import (
     _edges,
     _isotonic_increasing,
     _pool,
+    _runs,
     _track,
     _tracks,
     build_transfer_function,
@@ -179,6 +181,38 @@ def test_dataset_pass_matches_per_frame_extract_edges(bits, min_run):
     per_frame = [[(e.edge_index, e.polarity) for e in extract_edges(b, min_run)] for b in bits]
     assert got == per_frame
     assert got == [edges_per_bit(b, min_run) for b in bits]
+
+
+def runs_per_row(bits, min_run):
+    """Reference: each row smoothed bit by bit, then its runs read off with
+    itertools.groupby; (row, level, first tap, last tap) per run."""
+    out = []
+    for r, row in enumerate(np.atleast_2d(bits)):
+        first = 1
+        for level, run in groupby(smooth_bits_per_bit(row, min_run).tolist()):
+            n = len(list(run))
+            out.append((r, level, first, first + n - 1))
+            first += n
+    return out
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    bits=st.one_of(
+        bit_matrices(),
+        st.lists(st.integers(0, 1), max_size=300).map(lambda b: np.array(b, dtype=np.uint8)),
+        st.lists(st.integers(0, 1), min_size=1, max_size=40).map(
+            lambda b: np.array(b, dtype=np.uint8)[:, None]
+        ),
+    ),
+    min_run=st.integers(1, 20),
+)
+def test_runs_match_groupby_reference(bits, min_run):
+    # 2-D matrices, 1-D series (a ring node's) and one-tap (K = 1) matrices
+    rows, levels, first, last = _runs(bits, min_run)
+    assert levels.dtype == np.uint8
+    got = list(zip(rows.tolist(), levels.tolist(), first.tolist(), last.tolist()))
+    assert got == runs_per_row(bits, min_run)
 
 
 # -- fit_carry_times --------------------------------------------------------

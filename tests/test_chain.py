@@ -9,6 +9,7 @@ from wavecap.chain import (
     ChainInstance,
     ChainSpec,
     LookbackError,
+    RegisterBank,
     RegisterSpec,
     capture,
     capture_at,
@@ -408,6 +409,28 @@ def test_capture_at_keeps_edges_older_than_the_slowest_path():
     w = DigitalWaveform.from_edges([(0.0, 1), (20.0, 0)])
     sample_fs = np.arange(125_000, 155_001, 1_000)
     expected = [capture_oracle(w, chain, regs, t / 1_000).bits for t in sample_fs]
+    assert np.array_equal(capture_at(w, chain, regs, sample_fs), np.stack(expected))
+
+
+@pytest.mark.parametrize("k", [255, 256, 65_535, 65_536])
+def test_capture_at_tied_and_unordered_due_times(k):
+    # skews of whole multiples of 30 ps on 6 ps rise and 5 ps fall elements:
+    # taps of both polarities share due times and the due rows fall back.
+    # Pulses 1.2 ps a tap wide outlast the chain; the instants land exactly on
+    # due times, the last once every tap has counted the first edge while some
+    # have not counted the second, at both sides of each count type's top
+    chain = ideal_chain(k, 6.0, 5.0)
+    skews = 30_000 * np.random.default_rng(k).integers(-2, 3, size=k)
+    regs = RegisterBank(RegisterSpec(), skews)
+    due_rise, due_fall = chain.prefix_rise_fs - skews, chain.prefix_fall_fs - skews
+    for due in (due_rise, due_fall):
+        assert np.unique(due).size < k and np.any(np.diff(due) < 0)
+    width_fs = 1_200 * k
+    w = DigitalWaveform(0, np.array([0, width_fs, 2 * width_fs]))
+    taps = np.random.default_rng(k + 1).integers(0, k, size=3)
+    sample_fs = np.concatenate((due_rise[taps], width_fs + due_fall[taps], [due_rise.max()]))
+    assert due_rise.max() - width_fs < due_fall.max()
+    expected = [capture_oracle(w, chain, regs, t / 1_000).bits for t in sample_fs.tolist()]
     assert np.array_equal(capture_at(w, chain, regs, sample_fs), np.stack(expected))
 
 
