@@ -6,10 +6,8 @@ from .units import WavecapError
 from .waveform import (
     DigitalWaveform,
     PllOutputSpec,
-    evaluate,
     make_pll_output,
     shift_phase,
-    step_waveform,
 )
 from .chain import (
     CaptureFrame,

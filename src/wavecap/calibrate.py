@@ -359,9 +359,6 @@ class TransferFunction:
     dt_ps: np.ndarray  # local uncertainty
     populated: np.ndarray  # bool: index observed directly (vs interpolated)
 
-    def time_of(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.index, self.t_ps)
-
 
 def _isotonic_increasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators, then break exact ties with an epsilon ramp."""
@@ -471,22 +468,20 @@ def shrink_analysis(
     # a pulse truncated at a chain boundary has no width to report; its
     # position is the 1-based index of the 0 just below it
     keep = (levels == 1) & (widths >= min_run) & (first > 1) & (last < dataset.k)
-    samples = list(zip((first - 1)[keep].tolist(), widths[keep].tolist()))
-    if len(samples) < 2:
+    pos, wid = (first - 1)[keep], widths[keep]
+    if pos.size < 2:
         raise CalibrationError("not enough pulses for a shrink fit")
 
-    pos = np.array([s for s, _ in samples], dtype=float)
-    wid = np.array([w for _, w in samples], dtype=float)
-    bins = (pos // bin_width).astype(int)
-    centers, means = [], []
-    for bval in np.unique(bins):
-        centers.append((bval + 0.5) * bin_width)
-        means.append(wid[bins == bval].mean())
-    if len(centers) < 2:
+    bins = pos // bin_width
+    counts = np.bincount(bins)
+    nz = np.flatnonzero(counts)
+    if nz.size < 2:
         raise CalibrationError("fewer than two populated bins")
-    centers = np.array(centers)
-    _, b, *_ = _wls_line(centers, np.array(means), np.ones_like(centers))
-    return ShrinkResult(rate=abs(b), samples=tuple(samples))
+    centers = (nz + 0.5) * bin_width
+    # integer widths: each bin's float sum is exact in any order, as in a per-bin mean
+    means = np.bincount(bins, wid)[nz] / counts[nz]
+    _, b, *_ = _wls_line(centers, means, np.ones_like(centers))
+    return ShrinkResult(rate=abs(b), samples=tuple(zip(pos.tolist(), wid.tolist())))
 
 
 # ---------------------------------------------------------------------------

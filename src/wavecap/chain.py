@@ -36,7 +36,6 @@ __all__ = [
     "RegisterBank",
     "CaptureFrame",
     "ConfigReport",
-    "default_dnl_ramp",
     "validate_config",
     "sample_chain",
     "sample_registers",
@@ -60,12 +59,6 @@ class ChainError(WavecapError):
 
 class LookbackError(ChainError):
     """Waveform is not defined early enough for the requested capture."""
-
-
-def default_dnl_ramp(length: int = 10, start_factor: float = 3.0) -> np.ndarray:
-    """Entry nonlinearity profile: delays start at ``start_factor`` times the
-    element mean and decay linearly to 1x over ``length`` elements."""
-    return np.linspace(start_factor, 1.0, length)
 
 
 @dataclass(frozen=True)
@@ -233,14 +226,9 @@ class CaptureFrame:
 
     bits: np.ndarray
     capture_time_fs: int
-    phase_index: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8))
-
-    @property
-    def k(self) -> int:
-        return int(self.bits.size)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +386,11 @@ def capture(
     regs: RegisterBank,
     t_ps: float,
     clock_jitter_ps: float = 0.0,
-    phase_index: Optional[int] = None,
 ) -> CaptureFrame:
     """Register the chain state at capture time t: one frame of ``capture_at``
     at t + clock_jitter."""
     t_fs = ps_to_fs(t_ps) + ps_to_fs(clock_jitter_ps)
-    return CaptureFrame(capture_at(w, chain, regs, [t_fs])[0], t_fs, phase_index)
+    return CaptureFrame(capture_at(w, chain, regs, [t_fs])[0], t_fs)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +404,6 @@ def capture_oracle(
     regs: RegisterBank,
     t_ps: float,
     clock_jitter_ps: float = 0.0,
-    phase_index: Optional[int] = None,
 ) -> CaptureFrame:
     """Brute-force capture: walk every edge through every element in order,
     materialize each tap's local waveform, then sample it.  Shares no
@@ -472,4 +458,4 @@ def capture_oracle(
             else:
                 break
         bits[k] = level
-    return CaptureFrame(bits, t_fs, phase_index)
+    return CaptureFrame(bits, t_fs)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .calibrate import calibrate, shrink_analysis
-from .chain import ChainSpec, RegisterSpec
+from .chain import ChainSpec, RegisterSpec, sample_chain, sample_registers
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
 from .ringosc import RingSpec, measure_node_timescale, simulate_ring, stitch_frames
 from .storage import (
@@ -42,7 +42,7 @@ from .storage import (
     write_pgm,
     write_report,
 )
-from .sweep import SweepSpec, run_continuous, run_sweep
+from .sweep import SweepSpec, _default_start_ps, run_continuous, run_sweep
 from .units import WavecapError, require_finite
 
 OUT_ROOT_ENV = "WAVECAP_OUT_ROOT"
@@ -80,7 +80,7 @@ class CorrectOptions(ShrinkOptions):
 class RoOptions:
     t_capture_ps: float = 5_000.0
     n_frames: int = 64
-    t_start_ps: float = 15_000.0
+    t_start_ps: Optional[float] = None  # auto: the earliest start the chain allows
     capture_nodes: tuple[int, ...] = (0,)
     measure_timescale: bool = False
 
@@ -277,15 +277,19 @@ def cmd_correct(args, opts, chain, regs, sweep):
 def cmd_ro(args, ring, opts, chain, regs):
     if not all(0 <= node < ring.n for node in opts.capture_nodes):
         raise CliError(f"ro.capture_nodes {list(opts.capture_nodes)} must lie in [0, {ring.n})")
-    trace = simulate_ring(ring, opts.t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
+    chain, regs = sample_chain(chain), sample_registers(regs, chain.k)
+    t_start_ps = opts.t_start_ps
+    if t_start_ps is None:
+        t_start_ps = _default_start_ps(chain, regs, 0)  # ring nodes are defined from t = 0
+    trace = simulate_ring(ring, t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
     report: dict = {"kind": "ro", "truth": {"tau_gate_ps": ring.tau_gate_ps, "n": ring.n}}
-    tau_nominal = chain.tau_fall_ps
+    tau_nominal = chain.spec.tau_fall_ps
     datasets = {}
     lines = []
     for node in opts.capture_nodes:
         ds = datasets[node] = run_continuous(
             trace.node(node), chain, regs, opts.t_capture_ps, opts.n_frames,
-            t_start_ps=opts.t_start_ps,
+            t_start_ps=t_start_ps,
         )
         stitch_frames(ds, tau_nominal)  # fails here, before any file is written
         if opts.measure_timescale:

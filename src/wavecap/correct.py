@@ -93,10 +93,6 @@ class FidelityStats:
     n_unmatched_test: int
 
     @property
-    def mean_error(self) -> float:
-        return float(np.mean(self.errors)) if self.errors.size else 0.0
-
-    @property
     def mean_abs_error(self) -> float:
         return float(np.mean(np.abs(self.errors))) if self.errors.size else 0.0
 

@@ -167,6 +167,15 @@ def run_sweep(
     return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain_spec, reg_spec, spec)
 
 
+def _default_start_ps(
+    chain: ChainInstance, regs: RegisterBank, domain_start_fs: int, sigma_ps: float = 0.0
+) -> float:
+    """The earliest start whose first frame, jittered by up to ten sigma,
+    reads only where a waveform defined from domain_start_fs is defined."""
+    earliest_fs = domain_start_fs + _reach_fs(chain) + _max_catchup_fs(chain)
+    return fs_to_ps(earliest_fs - int(regs.skews_fs.min())) + 10 * sigma_ps
+
+
 def run_continuous(
     w: DigitalWaveform,
     chain: ChainSpec | ChainInstance,
@@ -186,10 +195,7 @@ def run_continuous(
     )
     sigma = crystal_jitter_sigma_ps
     if t_start_ps is None:
-        # the earliest start whose first frame, jittered by up to ten sigma,
-        # reads only where the waveform is defined
-        earliest_fs = (w.domain_fs[0] or 0) + _reach_fs(chain_inst) + _max_catchup_fs(chain_inst)
-        t_start_ps = fs_to_ps(earliest_fs - int(reg_bank.skews_fs.min())) + 10 * sigma
+        t_start_ps = _default_start_ps(chain_inst, reg_bank, w.domain_fs[0] or 0, sigma)
 
     rng = np.random.default_rng(seed)
     jitter_ps = rng.normal(0.0, sigma, n_frames) if sigma > 0 else np.zeros(n_frames)

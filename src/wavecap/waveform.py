@@ -1,8 +1,8 @@
 """Binary waveforms on a continuous time axis.
 
 A waveform is a piecewise-constant 0/1 signal stored as a sorted edge list.
-Generators cover the signal sources used throughout: ideal/jittered PLL
-pulse trains and simple steps.
+``make_pll_output`` generates the signal source used throughout: ideal or
+jittered PLL pulse trains.
 """
 
 from __future__ import annotations
@@ -10,20 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
-from typing import Iterable, Iterator
 
 import numpy as np
 
-from .units import FS_PER_PS, WavecapError, format_fs_as_ps, fs_to_ps, ps_to_fs, require_finite
+from .units import FS_PER_PS, WavecapError, format_fs_as_ps, ps_to_fs, require_finite
 
 __all__ = [
     "DigitalWaveform",
     "PllOutputSpec",
-    "evaluate",
     "make_pll_output",
     "shift_phase",
     "reject_short_pulses",
-    "step_waveform",
 ]
 
 
@@ -59,27 +56,6 @@ class DigitalWaveform:
         if times.size and np.any(np.diff(times) <= 0):
             raise WaveformError("edge times must be strictly increasing")
 
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[float, int]],
-        initial_level: int = 0,
-        domain_ps: tuple[float | None, float | None] = (None, None),
-    ) -> "DigitalWaveform":
-        """Build from (time_ps, level_after) pairs, validating alternation."""
-        times = []
-        level = initial_level
-        for t_ps, lv in edges:
-            if lv == level:
-                raise WaveformError(f"redundant edge at t={t_ps} ps (level already {lv})")
-            times.append(ps_to_fs(t_ps))
-            level = lv
-        lo, hi = domain_ps
-        dom = (None if lo is None else ps_to_fs(lo), None if hi is None else ps_to_fs(hi))
-        return cls(initial_level, np.array(times, dtype=np.int64), dom)
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -89,13 +65,6 @@ class DigitalWaveform:
     def level_after(self, i: int) -> int:
         """Level after the i-th edge (0-based)."""
         return self.initial_level ^ ((i + 1) & 1)
-
-    def _edges(self) -> Iterator[tuple[int, int]]:
-        """(time in fs, level after) of each edge, as Python ints."""
-        return zip(self.edge_times_fs.tolist(), cycle((self.initial_level ^ 1, self.initial_level)))
-
-    def edges_ps(self) -> list[tuple[float, int]]:
-        return [(fs_to_ps(t), level) for t, level in self._edges()]
 
     def value_at_fs(self, t_fs: int) -> int:
         """Level after the latest edge at or before t (initial level if none)."""
@@ -114,35 +83,18 @@ class DigitalWaveform:
         dlo, dhi = self.domain_fs
         return np.logical_and(dlo is None or lo >= dlo, dhi is None or hi <= dhi)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DigitalWaveform):
-            return NotImplemented
-        return (
-            self.initial_level == other.initial_level
-            and self.edge_times_fs.size == other.edge_times_fs.size
-            and bool(np.all(self.edge_times_fs == other.edge_times_fs))
-        )
-
     # -- serialization -----------------------------------------------------
 
     def to_csv(self) -> str:
         """CSV text, one `time_ps,level` line per edge (fixed 3 decimals)."""
-        lines = [f"{format_fs_as_ps(t)},{level}" for t, level in self._edges()]
+        levels = cycle((self.initial_level ^ 1, self.initial_level))
+        lines = [f"{format_fs_as_ps(t)},{lv}" for t, lv in zip(self.edge_times_fs.tolist(), levels)]
         return "\n".join(["time_ps,level", *lines]) + "\n"
-
-
-def evaluate(w: DigitalWaveform, t_ps: float) -> int:
-    """Level of w at time t (post-edge convention at exact edge times)."""
-    return w.value_at_fs(ps_to_fs(t_ps))
 
 
 def shift_phase(w: DigitalWaveform, dt_ps: float) -> DigitalWaveform:
     """Translate the whole waveform dt picoseconds later in time."""
     return w.shift_fs(ps_to_fs(dt_ps))
-
-
-def step_waveform(t_rise_ps: float, initial_level: int = 0) -> DigitalWaveform:
-    return DigitalWaveform(initial_level, np.array([ps_to_fs(t_rise_ps)], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -236,18 +188,17 @@ def reject_short_pulses(w: DigitalWaveform, min_width_ps: float) -> DigitalWavef
     """Drop interior runs (either level) narrower than min_width.
 
     Models a low-pass element: a pulse too short to switch the gate never
-    appears at its output.  Scans left to right, removing the offending edge
-    pair and re-checking the merged neighborhood.
+    appears at its output.  Scans left to right with a stack of kept edges:
+    an edge closer than min_width to the last kept one removes that edge and
+    itself, which makes the kept edge below the next one's neighbor.
     """
     min_fs = ps_to_fs(min_width_ps)
     if min_fs <= 0 or w.n_edges < 2:
         return w
-    times = list(map(int, w.edge_times_fs))
-    i = 0
-    while i + 1 < len(times):
-        if times[i + 1] - times[i] < min_fs:
-            del times[i : i + 2]
-            i = max(i - 1, 0)
+    kept: list[int] = []
+    for t in w.edge_times_fs.tolist():
+        if kept and t - kept[-1] < min_fs:
+            kept.pop()
         else:
-            i += 1
-    return DigitalWaveform(w.initial_level, np.array(times, dtype=np.int64), w.domain_fs)
+            kept.append(t)
+    return DigitalWaveform(w.initial_level, np.array(kept, dtype=np.int64), w.domain_fs)

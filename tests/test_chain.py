@@ -14,7 +14,6 @@ from wavecap.chain import (
     capture,
     capture_at,
     capture_oracle,
-    default_dnl_ramp,
     sample_chain,
     sample_registers,
     validate_config,
@@ -30,7 +29,6 @@ from wavecap.waveform import (
     PllOutputSpec,
     make_pll_output,
     reject_short_pulses,
-    step_waveform,
 )
 
 
@@ -96,7 +94,7 @@ def test_times_beyond_int64_femtoseconds_raise():
 
 
 def test_sample_chain_ramp():
-    spec = ChainSpec(20, 5.0, 4.5, dnl_ramp=tuple(default_dnl_ramp(10, 3.0)))
+    spec = ChainSpec(20, 5.0, 4.5, dnl_ramp=tuple(np.linspace(3.0, 1.0, 10)))
     inst = sample_chain(spec)
     assert inst.tau_rise_fs[0] == 15_000  # 3x mean
     assert inst.tau_rise_fs[9] == 5_000
@@ -137,7 +135,7 @@ def test_capture_all_zero_input():
 
 def test_capture_step_four_taps():
     chain = ideal_chain(4, 1_000.0)
-    frame = capture(step_waveform(0.0), chain, regs_for(chain), 2_500)
+    frame = capture(DigitalWaveform(0, [0]), chain, regs_for(chain), 2_500)
     assert list(frame.bits) == [1, 1, 0, 0]
 
 
@@ -145,8 +143,8 @@ def test_capture_oracle_matches_on_examples():
     chain = ideal_chain(4, 1_000.0)
     regs = regs_for(chain)
     for t in (0, 500, 2_500, 4_100):
-        a = capture(step_waveform(0.0), chain, regs, t)
-        b = capture_oracle(step_waveform(0.0), chain, regs, t)
+        a = capture(DigitalWaveform(0, [0]), chain, regs, t)
+        b = capture_oracle(DigitalWaveform(0, [0]), chain, regs, t)
         assert np.all(a.bits == b.bits)
 
 
@@ -155,7 +153,7 @@ def test_pulse_shrinks_one_carry_per_ten():
     # carries of travel, vanishing after width/(tau_rise-tau_fall) of travel.
     chain = ideal_chain(1300, 5.0, 4.5)
     regs = regs_for(chain)
-    w = DigitalWaveform.from_edges([(0, 1), (500, 0)])
+    w = DigitalWaveform(0, [0, 500_000])
     widths = {}
     for t in (1_000, 2_000, 3_000, 4_000):
         bits = capture(w, chain, regs, t).bits
@@ -185,7 +183,7 @@ def test_lookback_underflow_raises():
 def test_capture_monotone_shift_of_lone_edge():
     chain = ideal_chain(256, 5.0, 4.5)
     regs = regs_for(chain)
-    w = step_waveform(0.0)
+    w = DigitalWaveform(0, [0])
 
     def rise_index(t):
         bits = capture(w, chain, regs, t).bits
@@ -232,7 +230,7 @@ def test_inversion_symmetry_only_when_symmetric():
 def test_entry_filter_removes_narrow_pulse():
     chain = ideal_chain(128, 5.0, 4.5, entry_min_pulse_ps=50.0)
     regs = regs_for(chain)
-    w = DigitalWaveform.from_edges([(0, 1), (30, 0)])  # 30 ps pulse: filtered
+    w = DigitalWaveform(0, [0, 30_000])  # 30 ps pulse: filtered
     frame = capture(w, chain, regs, 300)
     assert not np.any(frame.bits)
 
@@ -241,7 +239,7 @@ def test_entry_delay_shifts_pattern():
     plain = ideal_chain(64, 5.0)
     delayed = sample_chain(ChainSpec(64, 5.0, 5.0, entry_delay_ps=50.0))
     regs = regs_for(plain)
-    w = step_waveform(0.0)
+    w = DigitalWaveform(0, [0])
     a = capture(w, plain, regs, 200).bits
     b = capture(w, delayed, regs, 250).bits  # extra 50 ps of age compensates
     assert np.all(a == b)
@@ -254,7 +252,7 @@ def test_capture_jitter_determinism():
     a = capture(w, chain, regs, 15_000, clock_jitter_ps=12.5)
     b = capture(w, chain, regs, 15_000, clock_jitter_ps=12.5)
     assert np.array_equal(a.bits, b.bits)
-    assert (a.capture_time_fs, a.phase_index) == (b.capture_time_fs, b.phase_index)
+    assert a.capture_time_fs == b.capture_time_fs
     c = capture_oracle(w, chain, regs, 15_000, clock_jitter_ps=12.5)
     assert np.all(a.bits == c.bits)
 
@@ -406,7 +404,7 @@ def test_capture_at_keeps_edges_older_than_the_slowest_path():
     fall = np.array([4_000] * 10 + [9_000] * 10)
     chain = ChainInstance(ChainSpec(20, 6.0, 6.0), rise, fall)
     regs = regs_for(chain)
-    w = DigitalWaveform.from_edges([(0.0, 1), (20.0, 0)])
+    w = DigitalWaveform(0, [0, 20_000])
     sample_fs = np.arange(125_000, 155_001, 1_000)
     expected = [capture_oracle(w, chain, regs, t / 1_000).bits for t in sample_fs]
     assert np.array_equal(capture_at(w, chain, regs, sample_fs), np.stack(expected))
@@ -597,7 +595,7 @@ def test_meeting_pair_is_annihilated(width_ps, death):
     # its gap equals the most the fall can gain in the chain
     chain = ideal_chain(20, 6.0, 4.0)
     regs = regs_for(chain)
-    w = DigitalWaveform.from_edges([(0.0, 1), (width_ps, 0)])
+    w = DigitalWaveform(0, [0, ps_to_fs(width_ps)])
     sample_fs = np.arange(0, 200_001, 2_500)
     with mock.patch.object(
         chain_module, "_annihilation_elements", wraps=_annihilation_elements

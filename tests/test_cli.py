@@ -304,6 +304,29 @@ def test_ro_appendix_recovers_gate_delay(tmp_path):
     assert run("report", str(out)) == 0
 
 
+# 1,740 taps of 9 ps read 15,660 ps back: past 15,000 ps, the old fixed start
+LONG_CHAIN_RING = """format_version = 1
+ring.n = 19
+ring.initial_state = pulse
+ro.n_frames = 8
+chain.k = 1740
+chain.tau_rise_ps = 9.0
+chain.tau_fall_ps = 9.0
+"""
+
+
+def test_ro_default_start_covers_the_chain(tmp_path, capsys):
+    cfg = tmp_path / "ring.config"
+    cfg.write_text(LONG_CHAIN_RING)
+    assert run("ro", "--config", str(cfg), "--out", str(tmp_path / "auto"), "--quiet") == 0
+    assert load_dataset(tmp_path / "auto" / "node_0").capture_time_fs[0] == 15_660_000
+    # an explicit start is kept, and one too early still names the uncovered window
+    cfg.write_text(LONG_CHAIN_RING + "ro.t_start_ps = 1000.0\n")
+    assert run("ro", "--config", str(cfg), "--out", str(tmp_path / "early")) == 2
+    assert "waveform does not cover [-14660.0, 1000.0] ps" in capsys.readouterr().err
+    assert not (tmp_path / "early").exists()
+
+
 def test_calibrate_accepts_existing_datasets(tmp_path):
     dirs = []
     for ch in range(2):

@@ -120,7 +120,7 @@ def test_continuous_lone_pulse_appears_in_consecutive_frames():
     # 1 ns pulse; K*tau = 6.5 ns window, T = 5 ns: visible in ceil(6.5/5)=2
     # consecutive frames, shifted by ~T/tau carries.
     chain = ChainSpec(1300, 5.0, 5.0)
-    pulse = DigitalWaveform.from_edges([(20_000, 1), (21_000, 0)])
+    pulse = DigitalWaveform(0, [20_000_000, 21_000_000])
     ds = run_continuous(pulse, chain, REGS, 5_000, 6, t_start_ps=16_000)
     hits = [(m, rising_indices(bits)) for m, bits in enumerate(ds.bits)]
     seen = [(m, idx[0]) for m, idx in hits if idx]
@@ -156,9 +156,9 @@ def test_continuous_equals_per_frame_capture():
     rng = np.random.default_rng(0)
     for m, (bits, t_fs, n) in enumerate(zip(ds.bits, ds.capture_time_fs, ds.phase_index)):
         jitter = float(rng.normal(0.0, 20))
-        f = capture(w, chain, regs, 5_000 + m * 700, clock_jitter_ps=jitter, phase_index=m)
+        f = capture(w, chain, regs, 5_000 + m * 700, clock_jitter_ps=jitter)
         assert np.array_equal(bits, f.bits)
-        assert (t_fs, n) == (f.capture_time_fs, f.phase_index)
+        assert (t_fs, n) == (f.capture_time_fs, m)
 
 
 # -- run_sweep against the shift-per-step loop it replaced -------------------
@@ -187,7 +187,7 @@ def shift_per_step_sweep(spec, chain_spec, reg_spec):
             jitter = 0.0
         dead = int(rng.integers(dead_lo, dead_hi + 1))
         w = shift_phase(base, n * spec.dt_ps)
-        frame = capture(w, chain, regs, t0_ps, clock_jitter_ps=jitter, phase_index=n)
+        frame = capture(w, chain, regs, t0_ps, clock_jitter_ps=jitter)
         t_abs_fs += dead * ps_to_fs(spec.t_capture_ps)
         frames.append((frame.bits, t_abs_fs, n))
     return frames

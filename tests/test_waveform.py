@@ -7,52 +7,49 @@ from wavecap.waveform import (
     DigitalWaveform,
     PllOutputSpec,
     WaveformError,
-    evaluate,
     make_pll_output,
     reject_short_pulses,
     shift_phase,
 )
+from wavecap.units import ps_to_fs
 
 
 def test_constant_high_evaluates_high_everywhere():
     w = DigitalWaveform(1, np.array([], dtype=np.int64))
     for t in (-1e6, 0, 3.7, 1e9):
-        assert evaluate(w, t) == 1
+        assert w.value_at_fs(ps_to_fs(t)) == 1
 
 
 def test_post_edge_boundary_convention():
-    w = DigitalWaveform.from_edges([(0, 1), (2500, 0)])
-    assert evaluate(w, 1200) == 1
-    assert evaluate(w, 2500) == 0  # level *after* the edge at t
-    assert evaluate(w, -1) == 0
-    assert evaluate(w, 0) == 1
+    w = DigitalWaveform(0, [0, 2_500_000])
+    assert w.value_at_fs(1_200_000) == 1
+    assert w.value_at_fs(2_500_000) == 0  # level *after* the edge at t
+    assert w.value_at_fs(-1_000) == 0
+    assert w.value_at_fs(0) == 1
 
 
 def test_100mhz_25_duty_levels():
     spec = PllOutputSpec(frequency_hz=100e6, duty_cycle=0.25)
     w = make_pll_output(spec, 40_000)
     # 2.5 ns pulses every 10 ns
-    assert evaluate(w, 10_000) == 1
-    assert evaluate(w, 2_500) == 0
-    assert evaluate(w, 1_000) == 1
-    assert evaluate(w, 12_400) == 1
+    assert w.value_at_fs(10_000_000) == 1
+    assert w.value_at_fs(2_500_000) == 0
+    assert w.value_at_fs(1_000_000) == 1
+    assert w.value_at_fs(12_400_000) == 1
 
 
 def test_pll_edges_100mhz():
     w = make_pll_output(PllOutputSpec(100e6, 0.25), 20_000)
-    assert [t for t, _ in w.edges_ps()][:4] == [0.0, 2500.0, 10000.0, 12500.0]
+    assert w.edge_times_fs[:4].tolist() == [0, 2_500_000, 10_000_000, 12_500_000]
 
 
 def test_pll_edges_600mhz_rounding():
     w = make_pll_output(PllOutputSpec(600e6, 0.5), 5_000)
-    times = [t for t, _ in w.edges_ps()]
+    times = w.edge_times_fs.tolist()
     # exact rational phase, rounded per edge: no drift
-    assert times[0] == 0.0
-    assert times[1] == pytest.approx(833.333, abs=0.001)
-    assert times[2] == pytest.approx(1666.667, abs=0.001)
-    assert times[4] == pytest.approx(3333.333, abs=0.001)
+    assert times[:5] == [0, 833_333, 1_666_667, 2_500_000, 3_333_333]
     widths = np.diff(times)[::2]
-    assert np.all(np.abs(widths - 833.333) < 0.01)
+    assert np.all(np.abs(widths - 833_333) <= 1)
 
 
 def test_phase_offset_is_pure_translation():
@@ -64,9 +61,11 @@ def test_phase_offset_is_pure_translation():
 
 
 def test_shift_phase_examples():
-    w = DigitalWaveform.from_edges([(0, 1)])
-    assert shift_phase(w, 78).edges_ps() == [(78.0, 1)]
-    assert shift_phase(w, 0) == w
+    w = DigitalWaveform(0, [0])
+    moved = shift_phase(w, 78)
+    assert (moved.initial_level, moved.edge_times_fs.tolist()) == (0, [78_000])
+    same = shift_phase(w, 0)
+    assert (same.initial_level, same.edge_times_fs.tolist()) == (0, [0])
 
 
 def test_shift_modular_equivalence():
@@ -75,7 +74,7 @@ def test_shift_modular_equivalence():
     big = shift_phase(w, 512 * 78)
     small = shift_phase(w, (512 * 78) % 10_000)
     for t in range(50_000, 150_000, 613):
-        assert evaluate(big, t) == evaluate(small, t)
+        assert big.value_at_fs(ps_to_fs(t)) == small.value_at_fs(ps_to_fs(t))
 
 
 def test_invalid_specs_rejected():
@@ -91,7 +90,8 @@ def test_jitter_deterministic_and_order_preserving():
     spec = PllOutputSpec(100e6, 0.25, period_jitter_sigma_ps=40.0, seed=7)
     w1 = make_pll_output(spec, 500_000)
     w2 = make_pll_output(spec, 500_000)
-    assert w1 == w2
+    assert w1.initial_level == w2.initial_level
+    assert np.array_equal(w1.edge_times_fs, w2.edge_times_fs)
     assert np.all(np.diff(w1.edge_times_fs) > 0)
 
 
@@ -107,18 +107,10 @@ def test_jitter_mean_period_within_bound():
 def test_jitter_free_is_exactly_periodic():
     w = make_pll_output(PllOutputSpec(200e6, 0.5), 100_000)
     for t in range(0, 80_000, 777):
-        assert evaluate(w, t) == evaluate(w, t + 5_000)
-
-
-def test_edge_list_round_trip():
-    w = make_pll_output(PllOutputSpec(600e6, 0.5), 20_000)
-    rebuilt = DigitalWaveform.from_edges(w.edges_ps(), w.initial_level)
-    assert rebuilt == w
+        assert w.value_at_fs(ps_to_fs(t)) == w.value_at_fs(ps_to_fs(t + 5_000))
 
 
 def test_redundant_edges_rejected():
-    with pytest.raises(WaveformError):
-        DigitalWaveform.from_edges([(0, 1), (10, 1)])
     with pytest.raises(WaveformError):
         DigitalWaveform(0, np.array([5, 5], dtype=np.int64))
 
@@ -137,11 +129,12 @@ def test_waveform_csv_golden():
 
 
 def test_reject_short_pulses():
-    w = DigitalWaveform.from_edges([(0, 1), (30, 0), (100, 1), (400, 0)])
+    w = DigitalWaveform(0, [0, 30_000, 100_000, 400_000])
     filtered = reject_short_pulses(w, 50)
-    assert filtered.edges_ps() == [(100.0, 1), (400.0, 0)]
+    assert (filtered.initial_level, filtered.edge_times_fs.tolist()) == (0, [100_000, 400_000])
     # wide pulses untouched
-    assert reject_short_pulses(w, 10) == w
+    wide = reject_short_pulses(w, 10)
+    assert (wide.initial_level, wide.edge_times_fs.tolist()) == (0, w.edge_times_fs.tolist())
 
 
 @st.composite
@@ -157,4 +150,36 @@ def waveforms(draw):
 @settings(max_examples=1000, deadline=None)
 @given(waveforms(), st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
 def test_translation_equivariance(w, dt, t):
-    assert evaluate(shift_phase(w, dt), t) == evaluate(w, t - dt)
+    assert shift_phase(w, dt).value_at_fs(ps_to_fs(t)) == w.value_at_fs(ps_to_fs(t - dt))
+
+
+
+def reject_short_pulses_by_deletion(times, min_fs):
+    """The filter as first written: delete each too-close pair from the list
+    and step back one edge to re-check the merged neighborhood."""
+    times = list(times)
+    i = 0
+    while i + 1 < len(times):
+        if times[i + 1] - times[i] < min_fs:
+            del times[i : i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return times
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.lists(st.integers(1, 2_000), max_size=40),
+    st.integers(0, 1),
+    st.integers(-5, 3_000),
+)
+def test_reject_short_pulses_matches_deletion_reference(gaps, init, min_fs):
+    # gaps of up to 2 ps against minimum widths of up to 3 ps: nested pulses merge
+    times = np.cumsum(gaps).tolist()
+    w = DigitalWaveform(init, times, (0, 10**6))
+    got = reject_short_pulses(w, min_fs / 1_000)
+    assert got.edge_times_fs.tolist() == reject_short_pulses_by_deletion(times, min_fs)
+    assert (got.initial_level, got.domain_fs) == (init, w.domain_fs)
+    if min_fs <= 0 or len(times) < 2:
+        assert got is w
