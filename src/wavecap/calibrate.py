@@ -5,11 +5,12 @@ its bits matrix.  Rows holding a short run are smoothed by merging it into its
 surroundings, and the edges of every frame, both polarities, are read off
 the run boundaries in one pass per dataset.  Each channel and polarity is
 then tracked once through the sweep (unwrapping source-period wraps), and
-the tracks are pooled per phase step across channels, once per polarity.
-The same pooled trajectory feeds the straight-line fit of edge index
-against unwrapped phase, whose reciprocal slope is the per-element delay,
-and, with the same tracks, the carry-index-to-time transfer function and
-its uncertainty, whose RMS is the single-shot precision.
+the tracks are pooled per phase step across channels, once per polarity,
+into one (steps x channels) matrix of edge indices.  That pooled matrix
+feeds both the straight-line fit of edge index against unwrapped phase,
+whose reciprocal slope is the per-element delay, and the carry-index-to-time
+transfer function and its uncertainty, whose RMS is the single-shot
+precision.
 """
 
 from __future__ import annotations
@@ -236,6 +237,7 @@ class _PooledTrajectory:
     steps: np.ndarray  # phase-step indices
     wraps: np.ndarray  # source-period wrap count m per step
     u_ps: np.ndarray  # unwrapped phase, phi - m*period
+    xs: np.ndarray  # edge index per step and track, steps x tracks
     x_mean: np.ndarray
     x_std: np.ndarray  # nan where a step has a single observation
 
@@ -256,7 +258,7 @@ def _pool(
     wraps = np.array([tracks[0][n][1] for n in steps])
     steps = np.array(steps)
     std = xs.std(axis=1, ddof=1) if len(tracks) > 1 else np.full(len(steps), np.nan)
-    return _PooledTrajectory(steps, wraps, steps * dt - wraps * period, xs.mean(axis=1), std)
+    return _PooledTrajectory(steps, wraps, steps * dt - wraps * period, xs, xs.mean(axis=1), std)
 
 
 # ---------------------------------------------------------------------------
@@ -388,30 +390,24 @@ def build_transfer_function(
 ) -> TransferFunction:
     """Transpose the edge trajectory into t(x) with dt(x) = t'(x) * dx."""
     tracks = _tracks(datasets, min_run, (polarity,))[polarity]
-    return _transfer_function(tracks, _pool(datasets, tracks, polarity), polarity)
+    return _transfer_function(_pool(datasets, tracks, polarity), polarity)
 
 
-def _transfer_function(
-    tracks: list[_Track], tr: _PooledTrajectory, polarity: int
-) -> TransferFunction:
+def _transfer_function(tr: _PooledTrajectory, polarity: int) -> TransferFunction:
     # every channel-level observation, placed at the negated unwrapped phase:
-    # larger carry index = earlier signal time = more time before the capture
-    step_u = dict(zip(tr.steps.tolist(), tr.u_ps.tolist()))
-    by_index: dict[int, list[float]] = {}
-    for track in tracks:
-        for n, (x, _m) in track.items():
-            if n in step_u:
-                by_index.setdefault(x, []).append(-step_u[n])
-
-    if len(by_index) < 2:
+    # larger carry index = earlier signal time = more time before the capture;
+    # a stable sort by index keeps each index's phases track by track, steps ascending
+    x_all = tr.xs.T.ravel().astype(int)
+    order = np.argsort(x_all, kind="stable")
+    t_all = np.tile(-tr.u_ps, tr.xs.shape[1])[order]
+    xs, first, counts = np.unique(x_all[order], return_index=True, return_counts=True)
+    if xs.size < 2:
         raise CalibrationError("fewer than two populated carry indices")
 
-    xs = np.array(sorted(by_index))
-    counts = np.array([len(by_index[x]) for x in xs.tolist()])
     t_raw = np.empty(xs.size)
     for n in set(counts.tolist()):  # equal-length rows: mean(axis=1) is np.mean per row
         rows = np.flatnonzero(counts == n)
-        t_raw[rows] = np.array([by_index[x] for x in xs[rows].tolist()]).mean(axis=1)
+        t_raw[rows] = t_all[first[rows, None] + np.arange(n)].mean(axis=1)
     t_raw -= t_raw[0]
     t_mono = _isotonic_increasing(t_raw)
 
@@ -522,8 +518,8 @@ def calibrate(datasets: Sequence[SweepDataset], min_run: int = 15) -> Calibratio
     tracks = _tracks(datasets, min_run, (RISING, FALLING))
     pooled = {pol: _pool(datasets, tracks[pol], pol) for pol in tracks}
     fits = {pol: _fit_polarity(pooled[pol]) for pol in tracks}
-    tf_rise = _transfer_function(tracks[RISING], pooled[RISING], RISING)
-    tf_fall = _transfer_function(tracks[FALLING], pooled[FALLING], FALLING)
+    tf_rise = _transfer_function(pooled[RISING], RISING)
+    tf_fall = _transfer_function(pooled[FALLING], FALLING)
     return CalibrationResult(
         tau_rise_ps=fits[RISING].tau_ps,
         tau_rise_err_ps=fits[RISING].tau_err_ps,

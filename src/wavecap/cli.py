@@ -59,15 +59,7 @@ class CalibrateOptions:
 
 
 @dataclass(frozen=True)
-class ShrinkOptions:
-    min_run: int = 15
-    bin_width: int = 25
-
-
-@dataclass(frozen=True)
-class CorrectOptions(ShrinkOptions):
-    """The contraction-rate options plus those of the correction."""
-
+class CorrectOptions:
     gap_threshold: int = 15
     dilation_factor: Optional[float] = None  # auto: 1 - the measured contraction rate
 
@@ -93,7 +85,7 @@ _SWEEP_SPECS = {"chain": ChainSpec, "regs": RegisterSpec, "sweep": SweepSpec}
 _SPECS = {
     "sweep": _SWEEP_SPECS,
     "calibrate": {"calibrate": CalibrateOptions, **_SWEEP_SPECS},
-    "shrink": {"shrink": ShrinkOptions, **_SWEEP_SPECS},
+    "shrink": _SWEEP_SPECS,
     "correct": {"correct": CorrectOptions, **_SWEEP_SPECS},
     "ro": {"ring": RingSpec, "ro": RoOptions, "chain": ChainSpec, "regs": RegisterSpec},
 }
@@ -232,9 +224,9 @@ def cmd_calibrate(args, opts, chain, regs, sweep):
     return report, write, closing
 
 
-def cmd_shrink(args, opts, chain, regs, sweep):
+def cmd_shrink(args, chain, regs, sweep):
     dataset = run_sweep(sweep, chain, regs)
-    res = shrink_analysis(dataset, min_run=opts.min_run, bin_width=opts.bin_width)
+    res = shrink_analysis(dataset)
     truth_rate = (chain.tau_rise_ps - chain.tau_fall_ps) / chain.tau_rise_ps
     report = {
         "kind": "shrink",
@@ -253,7 +245,7 @@ def cmd_correct(args, opts, chain, regs, sweep):
     dataset = load_dataset(args.inputs[0]) if args.inputs else run_sweep(sweep, chain, regs)
     alpha = opts.dilation_factor
     if alpha is None or not args.inputs:
-        rate = shrink_analysis(dataset, min_run=opts.min_run, bin_width=opts.bin_width).rate
+        rate = shrink_analysis(dataset).rate
     alpha = 1.0 - rate if alpha is None else alpha
     corrected = correct_dataset(dataset, CorrectionSpec(opts.gap_threshold, alpha))
     report = {"kind": "correct", "alpha": alpha}

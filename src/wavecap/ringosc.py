@@ -25,6 +25,7 @@ __all__ = [
     "RingTrace",
     "RingError",
     "simulate_ring",
+    "stable_pulse_state",
     "stitch_frames",
     "NodeTimescale",
     "measure_node_timescale",

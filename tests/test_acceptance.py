@@ -11,7 +11,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from wavecap.calibrate import shrink_analysis
 from wavecap.chain import (
     CaptureFrame,
     ChainSpec,
@@ -24,7 +23,6 @@ from wavecap.chain import (
 )
 from wavecap.cli import main as cli_main
 from wavecap.correct import CorrectionSpec, correct_frame
-from wavecap.storage import load_dataset
 from wavecap.waveform import make_pll_output
 
 

@@ -121,6 +121,7 @@ MODULE_ALL = {
         "RingTrace",
         "RingError",
         "simulate_ring",
+        "stable_pulse_state",
         "stitch_frames",
         "NodeTimescale",
         "measure_node_timescale",

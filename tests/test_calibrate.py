@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavecap.calibrate import (
+    QUANT_FLOOR_CARRIES,
     CalibrationError,
     EdgeObservation,
+    TransferFunction,
     _edges,
     _isotonic_increasing,
     _pool,
     _runs,
     _track,
     _tracks,
+    _transfer_function,
     build_transfer_function,
     calibrate,
     extract_edges,
@@ -352,6 +355,49 @@ def pool_per_step(datasets, tracks, polarity):
     return tuple(map(np.array, (steps, wraps, u, mean, std)))
 
 
+def transfer_function_by_index(tracks, tr, polarity):
+    """Reference: every track walked again, one list of phases per carry index."""
+    step_u = dict(zip(tr.steps.tolist(), tr.u_ps.tolist()))
+    by_index = {}
+    for track in tracks:
+        for n, (x, _m) in track.items():
+            if n in step_u:
+                by_index.setdefault(x, []).append(-step_u[n])
+
+    if len(by_index) < 2:
+        raise CalibrationError("fewer than two populated carry indices")
+
+    xs = np.array(sorted(by_index))
+    counts = np.array([len(by_index[x]) for x in xs.tolist()])
+    t_raw = np.empty(xs.size)
+    for n in set(counts.tolist()):  # equal-length rows: mean(axis=1) is np.mean per row
+        rows = np.flatnonzero(counts == n)
+        t_raw[rows] = np.array([by_index[x] for x in xs[rows].tolist()]).mean(axis=1)
+    t_raw -= t_raw[0]
+    t_mono = _isotonic_increasing(t_raw)
+
+    grid = np.arange(xs[0], xs[-1] + 1)
+    populated = np.isin(grid, xs)
+    t_grid = np.interp(grid, xs, t_mono)
+
+    has_std = ~np.isnan(tr.x_std)
+    if has_std.any():
+        order = np.argsort(tr.x_mean[has_std])
+        sx = tr.x_mean[has_std][order]
+        sdx = np.maximum(tr.x_std[has_std][order], QUANT_FLOOR_CARRIES)
+        dx_grid = np.interp(grid, sx, sdx)
+    else:
+        dx_grid = np.full(grid.size, QUANT_FLOOR_CARRIES)
+    half = max(min(12, (grid.size - 1) // 2), 1)
+    lo = np.clip(np.arange(grid.size) - half, 0, grid.size - 1)
+    hi = np.clip(np.arange(grid.size) + half, 0, grid.size - 1)
+    slope = (t_grid[hi] - t_grid[lo]) / np.maximum(hi - lo, 1)
+    slope = np.maximum(slope, 0.0)
+    dt_grid = slope * dx_grid
+
+    return TransferFunction(polarity, grid, t_grid, dt_grid, populated)
+
+
 def isotonic_by_slicing(y):
     """Reference: pool-adjacent-violators rebuilding its lists on every merge."""
     y = y.astype(float).copy()
@@ -414,19 +460,26 @@ def test_track_on_edge_indices_matches_per_frame_reference(frames, dt):
     assert _track(rows, RISING, 1_000.0, dt) == want
 
 
-POOL_GRID = [SimpleNamespace(sweep_spec=SweepSpec(PllOutputSpec(100e6, 0.25), 5_000, 78.0, 32))]
+def pool_grid(dt_ps):
+    return [SimpleNamespace(sweep_spec=SweepSpec(PllOutputSpec(100e6, 0.25), 5_000, dt_ps, 32))]
 
 
-@settings(max_examples=500, deadline=None)
-@given(
-    tracks=st.lists(
+POOL_GRID = pool_grid(78.0)
+
+
+def track_lists(max_index):
+    """1-10 tracks over steps 0-24, each missing any step, at wraps 0-2."""
+    return st.lists(
         st.dictionaries(
-            st.integers(0, 24), st.tuples(st.integers(1, 1300), st.integers(0, 2)), max_size=25
+            st.integers(0, 24), st.tuples(st.integers(1, max_index), st.integers(0, 2)), max_size=25
         ),
         min_size=1,
         max_size=10,
     )
-)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tracks=track_lists(1300))
 def test_pool_matches_per_step_reference(tracks):
     try:
         want = pool_per_step(POOL_GRID, tracks, RISING)
@@ -435,6 +488,32 @@ def test_pool_matches_per_step_reference(tracks):
             _pool(POOL_GRID, tracks, RISING)
         return
     assert pooled_same_bits(_pool(POOL_GRID, tracks, RISING), want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    tracks=st.one_of(track_lists(1300), track_lists(3)),
+    dt=st.sampled_from([78.0, 77.7]),
+    polarity=st.sampled_from([RISING, FALLING]),
+)
+def test_transfer_function_matches_by_index_reference(tracks, dt, polarity):
+    # _track walks the phase steps in order, so its tracks list them ascending;
+    # at dt 77.7 the phases are not integers and the summation order shows
+    tracks = [dict(sorted(track.items())) for track in tracks]
+    try:
+        tr = _pool(pool_grid(dt), tracks, polarity)
+    except CalibrationError:
+        return
+    try:
+        want = transfer_function_by_index(tracks, tr, polarity)
+    except CalibrationError as exc:
+        with pytest.raises(CalibrationError, match=str(exc)):
+            _transfer_function(tr, polarity)
+        return
+    got = _transfer_function(tr, polarity)
+    assert got.polarity == want.polarity
+    for k in ("index", "t_ps", "dt_ps", "populated"):
+        assert same_bits(getattr(got, k), getattr(want, k)), k
 
 
 def test_pool_censors_steps_at_mixed_wraps_or_missing_channels():

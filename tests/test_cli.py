@@ -82,6 +82,9 @@ GOLDEN = [
      "4a152a806c1fd5f2af51774c92c0fae711e39ff4f6bbf22f7017e4139f9bca6e"),
     ("ro", "appendix-ro19", "node_0/times.csv",
      "a6ad040e45d3d70b376eb77bb3780a80ab787d78fea120807c2aaa6cb6a2f5e8"),
+    # recorded before the transfer function grouped the pooled index matrix
+    ("calibrate", "fig4", "transfer.csv",
+     "75af167655edaa64613dad97b3fe5106780f1d6a82377212a7814b46dfe2d173"),
 ]
 
 
@@ -90,6 +93,21 @@ def test_preset_output_is_pinned(tmp_path, command, preset, name, sha):
     out = tmp_path / "run"
     assert run(command, "--config", f"preset:{preset}", "--out", str(out), "--quiet") == 0
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
+
+
+def test_calibrate_report_is_pinned(tmp_path):
+    # recorded before the transfer function grouped the pooled index matrix;
+    # single_shot_fall_ps is the only output of the falling transfer function
+    out = tmp_path / "cal"
+    assert run("calibrate", "--config", "preset:fig4", "--out", str(out), "--quiet") == 0
+    assert json.loads((out / "report.json").read_text())["recovered"] == {
+        "tau_rise_ps": 4.905101015209875,
+        "tau_rise_err_ps": 0.0039363565800153025,
+        "tau_fall_ps": 4.541659658192305,
+        "tau_fall_err_ps": 0.0041584828707085485,
+        "single_shot_rise_ps": 29.69213359854559,
+        "single_shot_fall_ps": 28.972013635666713,
+    }
 
 
 def test_seed_override_changes_frames(tmp_path):
@@ -115,6 +133,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     code = run("sweep", "--config", str(cfg), "--out", str(tmp_path / "x"))
     assert code == 2
     assert "bogus_knob" in capsys.readouterr().err
+
+
+def test_removed_shrink_key_rejected(tmp_path, capsys):
+    text = (resources.files("wavecap.presets") / "fig3c.config").read_text()
+    cfg = tmp_path / "old.config"
+    cfg.write_text(text + "shrink.min_run = 15\n")
+    assert run("shrink", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+    assert "unknown config keys" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

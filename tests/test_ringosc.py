@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from wavecap import ringosc
 from wavecap.chain import ChainSpec, RegisterSpec
 from wavecap.ringosc import (
-    NodeTimescale,
     RingError,
     RingSpec,
     measure_node_timescale,
