@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -418,6 +418,7 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # one parser per process: each parse returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavecap",

@@ -102,10 +102,14 @@ def _fidelity(truth_bits, test_bits) -> FidelityStats:
     true pulse takes the free measured pulse of its row overlapping it most."""
     if np.shape(truth_bits)[-1] != np.shape(test_bits)[-1]:
         raise WavecapError("frames have different lengths")
-    t_rows, t_l, t_r = (a.tolist() for a in _level_runs(truth_bits, 1))
-    m_rows, m_l, m_r = (a.tolist() for a in _level_runs(test_bits, 1))
-    lo = np.searchsorted(m_rows, t_rows).tolist()
-    hi = np.searchsorted(m_rows, t_rows, side="right").tolist()
+    span = np.shape(truth_bits)[-1] + 1
+    t_rows, t_l, t_r = _level_runs(truth_bits, 1)
+    m_rows, m_l, m_r = _level_runs(test_bits, 1)
+    # a row's measured pulses are disjoint and sorted, so are their ends: the
+    # candidates [lo, hi) are exactly those that overlap the true pulse
+    lo = np.searchsorted(m_rows * span + m_r, t_rows * span + t_l).tolist()
+    hi = np.searchsorted(m_rows * span + m_l, t_rows * span + t_r, side="right").tolist()
+    t_l, t_r, m_l, m_r = (a.tolist() for a in (t_l, t_r, m_l, m_r))
     used = [False] * len(m_l)
     errors = []
     for tl, tr, a, z in zip(t_l, t_r, lo, hi):

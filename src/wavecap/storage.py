@@ -19,6 +19,7 @@ import hashlib
 import json
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -177,10 +178,12 @@ def reject_unknown_keys(kv: dict[str, str]) -> None:
         raise CorruptFileError(f"unknown config keys: {sorted(kv)}")
 
 
-def _spec_keys(cls, prefix: str) -> list[tuple[str, str, object, object]]:
+@cache
+def _spec_keys(cls, prefix: str) -> tuple[tuple[str, str, object, object], ...]:
     """(field, config key, annotation, default) per field of a spec class, keys
     under ``prefix``; a dataclass-typed field is a nested spec whose keys take
-    its name as prefix.  A key may be left out iff its field has a default."""
+    its name as prefix.  A key may be left out iff its field has a default.
+    Cached per class and prefix, and a tuple, so no caller can change it."""
     hints = typing.get_type_hints(cls)
     out = []
     for f in fields(cls):
@@ -189,7 +192,7 @@ def _spec_keys(cls, prefix: str) -> list[tuple[str, str, object, object]]:
             raise TypeError(f"no config parser for {cls.__name__}.{f.name}: {hint}")
         key = f.name if is_dataclass(hint) else f"{prefix}.{f.name}"
         out.append((f.name, key, hint, _REQUIRED if f.default is MISSING else f.default))
-    return out
+    return tuple(out)
 
 
 def _spec_pairs(spec, prefix: str) -> list[tuple[str, object]]:

@@ -140,17 +140,21 @@ def run_sweep(
                          f"{MAX_SOURCE_EDGES} edges; {name} sets {terms[name]:.6g} ps of it")
     base = make_pll_output(spec.source, duration_ps)
 
-    # the draws interleave, step by step: their order fixes every output
+    # the draw order fixes every output.  Only for sigma > 0 do the jitter
+    # and dead-cycle draws interleave, step by step; without jitter one
+    # bounded draw of n reads the stream exactly as n scalar draws would
     rng = np.random.default_rng(spec.seed)
     dead_lo, dead_hi = spec.relock_dead_cycles
     sigma = spec.crystal_jitter_sigma_ps
-    jitter_ps, dead = [], []
-    for _ in range(spec.n_steps):
-        if sigma > 0:
+    if sigma > 0:
+        jitter_ps, dead = [], []
+        for _ in range(spec.n_steps):
             jitter_ps.append(rng.normal(0.0, sigma))
-        dead.append(rng.integers(dead_lo, dead_hi + 1))
-    jitter_fs = _instants_fs(jitter_ps) if sigma > 0 else 0
-    dead = np.array(dead, dtype=np.int64)
+            dead.append(rng.integers(dead_lo, dead_hi + 1))
+        jitter_fs = _instants_fs(jitter_ps)
+    else:
+        jitter_fs, dead = 0, rng.integers(dead_lo, dead_hi + 1, size=spec.n_steps)
+    dead = np.asarray(dead, dtype=np.int64)
     # Capture is translation-equivariant in integer femtoseconds, so the
     # source shifted n*dt later and captured at t0 reads the same bits as the
     # unshifted source captured at t0 - n*dt.

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shutil
+import typing
 from dataclasses import is_dataclass
 from importlib import resources
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from wavecap import cli, storage
 from wavecap.cli import main
 from wavecap.storage import load_dataset, parse_config_text
+from wavecap.waveform import PllOutputSpec
 
 
 def run(*argv):
@@ -85,6 +87,11 @@ GOLDEN = [
     # recorded before the transfer function grouped the pooled index matrix
     ("calibrate", "fig4", "transfer.csv",
      "75af167655edaa64613dad97b3fe5106780f1d6a82377212a7814b46dfe2d173"),
+    # recorded before a jitter-free sweep drew its dead cycles in one call
+    ("sweep", "fig3c", "times.csv",
+     "c6e3943909ed0f09ca1353fdb984dd3e1c8f2c7d2447a67de830f399b7e789d8"),
+    ("correct", "fig6", "times.csv",
+     "c6e3943909ed0f09ca1353fdb984dd3e1c8f2c7d2447a67de830f399b7e789d8"),
 ]
 
 
@@ -676,3 +683,40 @@ def test_a_plain_value_error_is_a_bug_and_escapes(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="not an input error"):
         run("sweep", "--config", "preset:fig3c", "--out", str(out), "--quiet")
     assert not out.exists()
+
+
+# -- per-process work is done once, and main stays re-entrant ---------------
+
+
+def test_parser_and_spec_field_tables_are_built_once():
+    assert cli.build_parser() is cli.build_parser()
+    keys = storage._spec_keys(cli.SweepSpec, "sweep")
+    assert isinstance(keys, tuple) and keys is storage._spec_keys(cli.SweepSpec, "sweep")
+
+
+def test_spec_type_hints_are_resolved_once_per_class(tmp_path, monkeypatch):
+    seen = []
+    get_type_hints = typing.get_type_hints
+
+    def counting(cls, *args, **kwargs):
+        seen.append(cls)
+        return get_type_hints(cls, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counting)
+    storage._spec_keys.cache_clear()
+    for out in ("a", "b"):
+        assert run("sweep", "--config", "preset:fig3a", "--out", str(tmp_path / out), "--quiet") == 0
+    spec_classes = {cli.ChainSpec, cli.RegisterSpec, cli.SweepSpec, PllOutputSpec}
+    assert spec_classes <= set(seen)
+    assert all(seen.count(cls) == 1 for cls in spec_classes)
+
+
+def test_main_is_reentrant_after_a_failed_run(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("sweep", "--config", "preset:fig3a", "--out", str(a), "--quiet") == 0
+    cfg = preset_config(tmp_path, "fig3a", extra="sweep.bogus_knob = 1\n")
+    assert run("sweep", "--config", cfg, "--out", str(tmp_path / "x"), "--quiet") == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert run("sweep", "--config", "preset:fig3a", "--out", str(b), "--quiet") == 0
+    assert "manifest.json" in output_digests(a)
+    assert output_digests(a) == output_digests(b)

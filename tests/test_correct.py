@@ -240,6 +240,70 @@ def test_dataset_fidelity_matches_per_frame_reference(truth, noise, independent,
     assert [stats.n_matched, stats.n_unmatched_truth, stats.n_unmatched_test] == counts
 
 
+def fidelity_by_row_scan(truth_bits, test_bits):
+    """Reference: the matrix fidelity as it was before it searched for the
+    overlapping pulses, every measured pulse of the row a candidate."""
+    t_rows, t_l, t_r = (a.tolist() for a in _level_runs(truth_bits, 1))
+    m_rows, m_l, m_r = (a.tolist() for a in _level_runs(test_bits, 1))
+    lo = np.searchsorted(m_rows, t_rows).tolist()
+    hi = np.searchsorted(m_rows, t_rows, side="right").tolist()
+    used = [False] * len(m_l)
+    errors = []
+    for tl, tr, a, z in zip(t_l, t_r, lo, hi):
+        best = None
+        best_ov = 0
+        for j in range(a, z):
+            if used[j]:
+                continue
+            ov = min(tr, m_r[j]) - max(tl, m_l[j]) + 1
+            if ov > best_ov:
+                best_ov, best = ov, j
+        if best is None:
+            continue
+        used[best] = True
+        errors.append((m_r[best] - m_l[best]) - (tr - tl))
+    return np.array(errors, dtype=float), len(errors), len(t_l) - len(errors), used.count(False)
+
+
+def morphed(bits, op, left, right):
+    """Each row dilated (op = np.maximum) or eroded (np.minimum) by a window
+    reaching left taps back and right taps ahead, the rows' ends padded with
+    the op's identity; dilation merges pulses, erosion splits them."""
+    pad = 0 if op is np.maximum else 1
+    k = bits.shape[1]
+    padded = np.pad(bits, ((0, 0), (left, right)), constant_values=pad)
+    return op.reduce([padded[:, i : i + k] for i in range(left + right + 1)])
+
+
+def bit_rows(n_rows, k):
+    return st.lists(
+        st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=n_rows, max_size=n_rows
+    ).map(lambda rows: np.array(rows, dtype=np.uint8))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    bits=st.tuples(st.integers(1, 6), st.integers(1, 40)).flatmap(lambda fk: bit_rows(*fk)),
+    how=st.sampled_from(["independent", "test morphed", "truth morphed"]),
+    op=st.sampled_from([np.maximum, np.minimum]),
+    left=st.integers(0, 3),
+    right=st.integers(0, 3),
+    data=st.data(),
+)
+def test_fidelity_matches_row_scan_reference(bits, how, op, left, right, data):
+    # morphed copies overlap their original by 1 cell and more, so that a
+    # search missing pulses that only touch the true one is caught
+    if how == "independent":
+        other = data.draw(bit_rows(*bits.shape))
+    else:
+        other = morphed(bits, op, left, right)
+    truth, test = (other, bits) if how == "truth morphed" else (bits, other)
+    stats = dataset_fidelity(dataset_of(truth), dataset_of(test))
+    errors, *counts = fidelity_by_row_scan(truth, test)
+    assert stats.errors.tobytes() == errors.tobytes()
+    assert [stats.n_matched, stats.n_unmatched_truth, stats.n_unmatched_test] == counts
+
+
 # -- fidelity ---------------------------------------------------------------
 
 

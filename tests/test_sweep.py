@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecap.chain import ChainSpec, RegisterSpec, capture, sample_chain, sample_registers
@@ -164,17 +164,22 @@ def test_continuous_equals_per_frame_capture():
 # -- run_sweep against the shift-per-step loop it replaced -------------------
 
 
-def shift_per_step_sweep(spec, chain_spec, reg_spec):
-    """The sweep loop as first written: shift the whole source n*dt later at
-    every step and capture it at the fixed phase t0."""
-    chain = sample_chain(chain_spec)
-    regs = sample_registers(reg_spec, chain_spec.k)
+def sweep_t0_ps(spec, chain_spec):
+    """The fixed capture phase of a sweep and the margin after it."""
     lookback_ps = chain_spec.k * max(chain_spec.tau_rise_ps, chain_spec.tau_fall_ps) * (
         1 + 6 * chain_spec.tau_sigma_ps / max(chain_spec.tau_rise_ps, 1e-9)
     )
     total_shift_ps = spec.dt_ps * (spec.n_steps - 1)
     margin_ps = chain_spec.entry_delay_ps + 10 * spec.crystal_jitter_sigma_ps + 1_000
-    t0_ps = lookback_ps + total_shift_ps + margin_ps
+    return lookback_ps + total_shift_ps + margin_ps, margin_ps
+
+
+def shift_per_step_sweep(spec, chain_spec, reg_spec):
+    """The sweep loop as first written: shift the whole source n*dt later at
+    every step and capture it at the fixed phase t0."""
+    chain = sample_chain(chain_spec)
+    regs = sample_registers(reg_spec, chain_spec.k)
+    t0_ps, margin_ps = sweep_t0_ps(spec, chain_spec)
     base = make_pll_output(spec.source, t0_ps + margin_ps)
     rng = np.random.default_rng(spec.seed)
     dead_lo, dead_hi = spec.relock_dead_cycles
@@ -236,6 +241,51 @@ def test_run_sweep_equals_shift_per_step_loop(
     ):
         assert np.array_equal(row, bits)
         assert (t_row, n_row) == (t_fs, n)
+
+
+# -- jitter-free dead cycles: one bounded draw against the per-step loop ------
+
+# spans (hi - lo + 1) on both sides of numpy's 32- and 64-bit bounded fills
+dead_ranges = st.one_of(
+    st.sampled_from([1, 2**32 - 1, 2**32, 2**32 + 1]), st.integers(1, 2**63 - 2)
+).flatmap(lambda span: st.integers(2, 2**63 - span).map(lambda lo: (lo, lo + span - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 600), lo_hi=dead_ranges)
+@example(seed=0, n=600, lo_hi=(2, 2))
+@example(seed=1, n=600, lo_hi=(2, 2**32))
+@example(seed=2, n=600, lo_hi=(2, 2**32 + 1))
+@example(seed=3, n=600, lo_hi=(2, 2**32 + 2))
+def test_one_bounded_draw_equals_per_step_draws(seed, n, lo_hi):
+    lo, hi = lo_hi
+    rng = np.random.default_rng(seed)
+    per_step = [int(rng.integers(lo, hi + 1)) for _ in range(n)]
+    after_per_step = rng.integers(0, 2**63 - 1)
+    rng = np.random.default_rng(seed)
+    assert rng.integers(lo, hi + 1, size=n).tolist() == per_step
+    assert rng.integers(0, 2**63 - 1) == after_per_step  # the same stream consumed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_steps=st.integers(2, 200),
+    span=st.sampled_from([1, 39, 2**32 - 1, 2**32, 2**32 + 1]),
+    lo=st.integers(2, 1000),
+    seed=st.integers(0, 2**16),
+)
+def test_jitter_free_sweep_times_equal_per_step_draws(n_steps, span, lo, seed):
+    chain = ChainSpec(16, 5.0, 5.0)
+    spec = SweepSpec(
+        PllOutputSpec(500e6, 0.5, seed=seed), t_capture_ps=70.0, dt_ps=3.0, n_steps=n_steps,
+        relock_dead_cycles=(lo, lo + span - 1), seed=seed,
+    )
+    rng = np.random.default_rng(seed)
+    t_fs, expected = ps_to_fs(sweep_t0_ps(spec, chain)[0]), []
+    for _ in range(n_steps):
+        t_fs += int(rng.integers(lo, lo + span)) * ps_to_fs(70.0)
+        expected.append(t_fs)
+    assert run_sweep(spec, chain, REGS).capture_time_fs.tolist() == expected
 
 
 # -- frame instants against the per-frame ps_to_fs they replaced ------------
