@@ -276,14 +276,14 @@ def cmd_ro(args, ring, opts, chain, regs):
     trace = simulate_ring(ring, t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
     report: dict = {"kind": "ro", "truth": {"tau_gate_ps": ring.tau_gate_ps, "n": ring.n}}
     tau_nominal = chain.spec.tau_fall_ps
-    datasets = {}
+    runs = {}
     lines = []
     for node in opts.capture_nodes:
-        ds = datasets[node] = run_continuous(
+        ds = run_continuous(
             trace.node(node), chain, regs, opts.t_capture_ps, opts.n_frames,
             t_start_ps=t_start_ps,
         )
-        stitch_frames(ds, tau_nominal)  # fails here, before any file is written
+        runs[node] = ds, stitch_frames(ds, tau_nominal)  # fails here, before any file is written
         if opts.measure_timescale:
             m = measure_node_timescale(ring, ds, tau_nominal)
             rec = report.setdefault("recovered", {})
@@ -292,12 +292,11 @@ def cmd_ro(args, ring, opts, chain, regs):
             lines.append(f"node {node}: {m.per_node_ps:.2f} +- {m.err_ps:.2f} ps/inverter")
 
     def write(out: Path) -> None:
-        # each node's stitched series is made again here, not held since the run
-        for node, ds in datasets.items():
+        # each node's series is the one stitched when its run was checked
+        for node, (ds, series) in runs.items():
             (out / f"node_{node}_edges.csv").write_text(trace.node(node).to_csv())
             save_dataset(ds, out / f"node_{node}")
-            series = stitch_frames(ds, tau_nominal)
-            (out / f"node_{node}_stitched.csv").write_bytes(bit_lines(series[:, None]).tobytes())
+            (out / f"node_{node}_stitched.csv").write_bytes(bit_lines(series[:, None]))
             width = int(np.ceil(np.sqrt(series.size)))
             pad = (-series.size) % width
             strip = np.concatenate([series, np.zeros(pad, dtype=series.dtype)])
@@ -374,6 +373,8 @@ def _check_ro(rep: dict) -> list[tuple[bool, str]]:
             checks.append(
                 (abs(got - want) <= 6.0, f"{key} {got:.2f} ps vs {want:.0f} (+-6)")
             )
+    if not checks:
+        raise KeyError("recovered names no node_*_per_inverter_ps")
     return checks
 
 

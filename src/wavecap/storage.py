@@ -255,27 +255,42 @@ def config_to_specs(
 
 def bit_lines(bits: np.ndarray) -> np.ndarray:
     """A 0/1 matrix as ASCII text, one uint8 row per line: cells joined by
-    commas, newline last, so ``bit_lines(m).tobytes()`` is the whole text."""
+    commas, newline last.  The array's buffer is the whole text."""
     m = np.asarray(bits, dtype=np.uint8)
-    out = np.full((m.shape[0], 2 * m.shape[1]), ord(","), dtype=np.uint8)
-    out[:, 0::2] = m + ord("0")
+    return _fill_bit_lines(np.empty((m.shape[0], 2 * m.shape[1]), dtype=np.uint8), m)
+
+
+def _fill_bit_lines(out: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    # each cell is one little-endian 2-byte word: its digit, then a comma
+    np.add(bits, np.uint16(ord("0") | ord(",") << 8), out=out.view("<u2"))
     out[:, -1] = ord("\n")
     return out
 
 
-def _frames_csv(dataset: SweepDataset) -> bytes:
-    header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, dataset.k + 1))
-    rows = [(header + "\n").encode()]
-    for idx, line in zip(dataset.phase_index.tolist(), bit_lines(dataset.bits)):
-        rows.append(f"{idx},".encode() + line.tobytes())
-    return b"".join(rows)
+def _frames_csv(dataset: SweepDataset) -> memoryview:
+    """frames.csv as one uint8 buffer.  Adjacent rows whose ``index,``
+    prefixes have one width are one (rows, width + 2K) block of it, filled in
+    one pass; in any index order, at worst a block is one row."""
+    header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, dataset.k + 1)) + "\n"
+    digits = dataset.phase_index.astype("S20")  # an int64 has at most 20 characters
+    cells = digits.view(np.uint8).reshape(-1, 20)
+    widths = np.char.str_len(digits) + 1  # the comma too
+    bounds = np.cumsum(np.concatenate(([len(header)], widths + 2 * dataset.k)))
+    buf = np.empty(bounds[-1], dtype=np.uint8)
+    buf[: len(header)] = np.frombuffer(header.encode(), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
+    for a, b in zip(starts, [*starts[1:], widths.size]):
+        w = int(widths[a])
+        block = buf[bounds[a] : bounds[b]].reshape(b - a, -1)
+        block[:, : w - 1] = cells[a:b, : w - 1]
+        block[:, w - 1] = ord(",")
+        _fill_bit_lines(block[:, w:], dataset.bits[a:b])
+    return memoryview(buf)
 
 
 def _times_csv(dataset: SweepDataset) -> bytes:
-    rows = [_TIMES_HEADER]
-    for idx, t in zip(dataset.phase_index.tolist(), dataset.capture_time_fs.tolist()):
-        rows.append(f"{idx},{t}")
-    return ("\n".join(rows) + "\n").encode()
+    cells = np.stack([dataset.phase_index, dataset.capture_time_fs], axis=1).ravel().tolist()
+    return (_TIMES_HEADER + "\n" + "%d,%d\n" * dataset.n_frames % tuple(cells)).encode()
 
 
 def write_pgm(bits_matrix: np.ndarray, path: Union[str, Path]) -> None:
@@ -283,11 +298,12 @@ def write_pgm(bits_matrix: np.ndarray, path: Union[str, Path]) -> None:
     m = np.asarray(bits_matrix, dtype=np.uint8)
     if m.ndim != 2:
         raise StorageError("expected a frames x taps matrix")
-    header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode()
-    Path(path).write_bytes(header + (m * 255).tobytes())
+    with Path(path).open("wb") as f:
+        f.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
+        f.write(m * 255)
 
 
-def _sha256(data: bytes) -> str:
+def _sha256(data: bytes | memoryview) -> str:
     return hashlib.sha256(data).hexdigest()
 
 

@@ -39,9 +39,3 @@ def ps_to_fs(t_ps: float) -> int:
 def fs_to_ps(t_fs: int) -> float:
     return t_fs / FS_PER_PS
 
-
-def format_fs_as_ps(t_fs: int) -> str:
-    """Fixed three-decimal picosecond string, exact (no float formatting)."""
-    sign = "-" if t_fs < 0 else ""
-    q, r = divmod(abs(int(t_fs)), FS_PER_PS)
-    return f"{sign}{q}.{r:03d}"

@@ -92,6 +92,15 @@ GOLDEN = [
      "c6e3943909ed0f09ca1353fdb984dd3e1c8f2c7d2447a67de830f399b7e789d8"),
     ("correct", "fig6", "times.csv",
      "c6e3943909ed0f09ca1353fdb984dd3e1c8f2c7d2447a67de830f399b7e789d8"),
+    # recorded before the edge list was formatted in whole-array passes
+    ("ro", "appendix-ro19", "node_0_edges.csv",
+     "76428a28ee8040e0f3a7deb27f36bb2f836ce0899aa65f22fc97cc3aec70cd74"),
+    ("ro", "fig7", "node_0_edges.csv",
+     "f7a6d3ca109f9fba99b00127e90f25fb803a877c3428a826d0fdbca04fc180fd"),
+    ("ro", "fig7", "node_1_edges.csv",
+     "914491cbcecaac8a489ae449ea9ef533a6fc88d4d0935e89f5e1174a36f249e6"),
+    ("ro", "fig7", "node_2_edges.csv",
+     "04380394ed4e078755ee0d0cceaa9eee17d86cb92e27bc27c48f3819ba6b52ce"),
 ]
 
 
@@ -420,6 +429,11 @@ def test_impossible_ring_config_exits_2(tmp_path, capsys):
             "malformed calibrate report",
         ),
         ({"kind": "ro", "recovered": [1], "truth": {"tau_gate_ps": 240.0}}, "malformed ro report"),
+        # a measured ro report with no per-inverter delay has nothing to check
+        (
+            {"kind": "ro", "truth": {"tau_gate_ps": 240, "n": 19}, "recovered": {"node_0_err_ps": 1.0}},
+            "malformed ro report",
+        ),
     ],
 )
 def test_malformed_report_exits_2(tmp_path, capsys, report, message):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecap import storage
@@ -16,6 +16,7 @@ from wavecap.storage import (
     VersionSkewError,
     _frames_csv,
     _parse_frames_csv,
+    _times_csv,
     bit_lines,
     config_to_specs,
     load_dataset,
@@ -305,6 +306,44 @@ def as_dataset(rows):
 def test_frames_csv_matches_per_bit_encoding(rows):
     ds = as_dataset(rows)
     assert _frames_csv(ds) == per_bit_frames_csv(ds)
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# the first index after each prefix-width step a run should cross: -100 -> -99,
+# -10 -> -9, -1 -> 0, 9 -> 10, 99 -> 100, 999 -> 1000, and to 19 digits at +-10**18
+WIDTH_STEPS = [-(10**18) + 1, -99, -9, 0, 10, 100, 1000, 10**18]
+
+
+@st.composite
+def frame_payloads(draw):
+    """(phase indices, bits, capture times) of a dataset.  The indices are
+    0-5 runs of 1-40 ascending rows, most of them across a prefix-width step
+    or at an end of int64, and in half the draws shuffled."""
+    indices = []
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 40))
+        start = draw(st.one_of(
+            st.builds(lambda step, back: step - back, st.sampled_from(WIDTH_STEPS), st.integers(0, n)),
+            st.sampled_from([-(2**63), 2**63 - n]),
+            st.integers(-(2**63), 2**63 - n),
+        ))
+        indices += range(start, start + n)
+    if draw(st.booleans()):
+        indices = draw(st.permutations(indices))
+    shape = (len(indices), draw(st.integers(1, 5)))
+    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, shape)
+    return indices, bits, draw(st.lists(INT64, min_size=len(indices), max_size=len(indices)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=frame_payloads())
+@example(payload=([], np.zeros((0, 3)), []))  # a header-only dataset
+def test_payload_blocks_match_per_row_encoding_in_any_index_order(payload):
+    indices, bits, times = payload
+    ds = SweepDataset(bits, times, indices, ChainSpec(bits.shape[1], 5.0, 5.0), RegisterSpec())
+    assert _frames_csv(ds) == per_bit_frames_csv(ds)
+    rows = ["phase_index,capture_time_fs", *(f"{i},{t}" for i, t in zip(indices, times))]
+    assert _times_csv(ds) == ("\n".join(rows) + "\n").encode()
 
 
 @settings(max_examples=200, deadline=None)

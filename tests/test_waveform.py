@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecap.waveform import (
@@ -11,7 +11,7 @@ from wavecap.waveform import (
     reject_short_pulses,
     shift_phase,
 )
-from wavecap.units import ps_to_fs
+from wavecap.units import FS_PER_PS, ps_to_fs
 
 
 def test_constant_high_evaluates_high_everywhere():
@@ -126,6 +126,32 @@ GOLDEN_CSV = """time_ps,level
 def test_waveform_csv_golden():
     w = make_pll_output(PllOutputSpec(600e6, 0.5), 2_600)
     assert w.to_csv() == GOLDEN_CSV
+
+
+def format_fs_as_ps(t_fs: int) -> str:
+    """Fixed three-decimal picosecond string, exact (no float formatting):
+    the per-edge formatter that to_csv once called, kept as its reference."""
+    sign = "-" if t_fs < 0 else ""
+    q, r = divmod(abs(int(t_fs)), FS_PER_PS)
+    return f"{sign}{q}.{r:03d}"
+
+
+EDGE_TIMES = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-3_000, 3_000),
+    st.sampled_from([-(2**63), -(2**63) + 1, -1_000, -999, -1, 0, 999, 1_000, 2**63 - 1]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(level=st.integers(0, 1), times=st.sets(EDGE_TIMES, max_size=40).map(sorted))
+@example(level=1, times=[-(2**63), -1_001, -1_000, -999, -1, 0, 2**63 - 1])
+@example(level=0, times=[-(2**63), 2**63 - 1])
+@example(level=0, times=[])
+def test_to_csv_matches_per_edge_formatting(level, times):
+    w = DigitalWaveform(level, np.array(times, dtype=np.int64))
+    lines = [f"{format_fs_as_ps(t)},{w.level_after(i)}" for i, t in enumerate(times)]
+    assert w.to_csv() == "\n".join(["time_ps,level", *lines]) + "\n"
 
 
 def test_reject_short_pulses():
