@@ -11,9 +11,10 @@ sweep's crystal jitter.  The benchmark configs set the key, so removing it
 waits for a change to them.
 
 Two independent implementations of the capture are provided: ``capture_at``
-(frames in blocks, one due-time row per edge position, with annihilation only
-where a pair can meet; ``capture`` is its one-frame form) and ``capture_oracle``
-(element-by-element timeline reconstruction).  They must agree bit-exactly.
+(every frame one row of level flips, one flip per edge at the taps it has
+reached, with annihilation only where a pair can meet; ``capture`` is its
+one-frame form) and ``capture_oracle`` (element-by-element timeline
+reconstruction).  They must agree bit-exactly.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ MAX_CHAIN_LEN = 1740
 
 RISING, FALLING = 1, 0
 
-# frames per block of capture_at: each block temporary holds this many rows of K
-_FRAME_BLOCK = 256
+# cells (rows x taps) per chunk of capture_at's row-wise passes: 256 KiB as int64
+_CHUNK_CELLS = 2**15
 
 
 class ChainError(WavecapError):
@@ -295,28 +296,44 @@ def _annihilation_elements(
     return out
 
 
+def _flip_rows(rows, cuts, start, n_rows: int, k: int) -> np.ndarray:
+    """(n_rows, k) uint8 matrix whose row f starts at start[f] (or a scalar)
+    and flips level at each of its cuts c, 0..k in any order, repeats allowed:
+    a cut flips taps c.. of its row, so one at k flips nothing."""
+    keys = np.sort(np.asarray(rows, dtype=np.int64) * (k + 1) + cuts)
+    row = keys // (k + 1)
+    first = np.searchsorted(keys, np.arange(n_rows) * (k + 1))  # each row's first cut
+    start = np.broadcast_to(np.asarray(start, dtype=np.uint8), (n_rows,))
+    # a segment per row start and per cut: a cut's level is its row's start
+    # flipped once per cut of the row up to it, its offset its key less its row
+    levels = np.insert(start[row] ^ ((np.arange(keys.size) - first[row] + 1) & 1), first, start)
+    at = np.insert(keys - row, first, np.arange(n_rows) * k)
+    return np.repeat(levels.astype(np.uint8), np.diff(at, append=n_rows * k)).reshape(n_rows, k)
+
+
 def capture_at(
     w: DigitalWaveform, chain: ChainInstance, regs: RegisterBank, sample_fs
 ) -> np.ndarray:
-    """Register the chain state at each of F instants (integer fs, clock
-    jitter included); returns bits[F, K].
+    """Register the chain state at each of F instants (a 1-D integer array
+    of femtoseconds, clock jitter included); returns bits[F, K].
 
     Bit k of frame f is the level of the entry-filtered waveform delayed by
     the entry gate plus the cumulative polarity-dependent element delays,
     sampled at sample_fs[f] + skew_k (post-edge convention at exact
     coincidence).  Edges older than the slowest path are already past every
     tap, but they can still annihilate a younger edge mid-chain, so a frame's
-    edge window extends back by the maximum rise/fall catch-up.  Annihilation
-    runs once per distinct window holding an adjacent pair that can meet in the
-    chain (no preset has one, so only the tests exercise it).  Frames whose
-    windows start on edges of one parity see one polarity sequence; in blocks
-    of them, edge j of each frame flips every tap whose due-time row entry is
-    at most the frame instant minus the edge time: in rank space, every tap
-    whose rank in the sorted row is below the count of entries reached.
+    edge window extends back by the maximum rise/fall catch-up.  Each frame
+    is one row of flips (_flip_rows), gathered back to taps, per polarity
+    when rise and fall rank the taps differently.  Annihilation runs once per
+    distinct window holding an adjacent pair that can meet in the chain (no
+    preset has one, so only the tests exercise it).
     """
     if regs.k != chain.k:
         raise ChainError("register bank length does not match chain")
-    t_fs = np.asarray(sample_fs, dtype=np.int64)
+    t_fs = np.asarray(sample_fs)
+    if t_fs.ndim != 1 or t_fs.dtype.kind not in "iu" or not np.can_cast(t_fs.dtype, np.int64):
+        raise ChainError("sample_fs must be a 1-D integer array of femtoseconds within int64")
+    t_fs = t_fs.astype(np.int64, copy=False)
     lo = t_fs + regs.skews_fs.min() - _reach_fs(chain)
     hi = t_fs + regs.skews_fs.max()
 
@@ -335,12 +352,34 @@ def capture_at(
     prefix = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs])  # by polarity
     # a live edge of polarity p at t_e is counted at tap k from t_e + due_by_pol[p, k] on,
     # that is once more of that row's due times are at most t - t_e than are below
-    # due_by_pol[p, k] (its rank); the counts, 0 to K, compare in the smallest type
+    # due_by_pol[p, k] (its rank)
     due_by_pol = ps_to_fs(chain.spec.entry_delay_ps) + prefix - regs.skews_fs
     due_sorted = np.sort(due_by_pol, axis=1)
-    rank_type = np.min_scalar_type(chain.k)
     rank = np.stack([np.searchsorted(s, d, side="left") for s, d in zip(due_sorted, due_by_pol)])
-    rank = rank.astype(rank_type)
+
+    # every (frame, window edge) pair, frame by frame, and the ranks it reaches
+    n_edges = stop - first
+    frame = np.repeat(np.arange(t_fs.size), n_edges)
+    edge = np.arange(frame.size) + np.repeat(first + n_edges - np.cumsum(n_edges), n_edges)
+    pol = pols[edge]
+    since = t_fs[frame] - times[edge]
+    reached = np.choose(pol, [np.searchsorted(s, since, side="right") for s in due_sorted])
+
+    # in rank space a frame is a row that starts at its base level, flipped
+    # once per edge, and flips at each count reached; with one rank order per
+    # polarity, each polarity's rows are built and gathered back apart
+    by_pol = [slice(None)] if np.array_equal(*rank) else [pol == FALLING, pol == RISING]
+    chunk = max(1, _CHUNK_CELLS // chain.k)  # rows
+    for p, of_p in enumerate(by_pol):
+        base = (wf.initial_level + first) * (p == 0)  # the level before the window
+        start = (np.bincount(frame[of_p], minlength=t_fs.size) + base) & 1
+        flips = _flip_rows(frame[of_p], reached[of_p], start, t_fs.size, chain.k)
+        if p == 0:
+            bits = flips if np.array_equal(rank[0], np.arange(chain.k)) else flips.take(rank[0], axis=1)
+        else:  # gathered a chunk of rows at a time, so no third matrix is held
+            for a in range(0, t_fs.size, chunk):
+                bits[a : a + chunk] ^= flips[a : a + chunk].take(rank[1], axis=1)
+        del flips  # before the next polarity's matrix is built
 
     # edges alternate polarity: a pair meets only if its gap is at most the most
     # the trailing polarity gains, and a window without such a pair loses no edge
@@ -348,35 +387,18 @@ def capture_at(
     can_meet = np.diff(times) + closing[pols[:-1]] <= 0  # pair (i, i + 1)
     meets = np.cumsum(np.concatenate(([0], can_meet, [0])))  # pairs before edge i
     risky = np.flatnonzero(meets[np.maximum(stop - 1, first)] > meets[first])
-    windows, window_of = np.unique(np.stack((first, stop), 1)[risky], axis=0, return_inverse=True)
-    # edge j of risky window w lives at the taps below limits[w, j]; last row: at all
-    limits = np.full((len(windows) + 1, int(np.max(stop - first, initial=0))), chain.k)
-    for row, (i0, i1) in zip(limits, windows.tolist()):
-        death = _annihilation_elements(times[i0:i1], pols[i0:i1], prefix)
-        row[: i1 - i0] = np.where(death, death - 1, chain.k)
-    limit_of = np.full(t_fs.size, -1)
-    limit_of[risky] = window_of.reshape(-1)
-
-    bits = np.empty((t_fs.size, chain.k), dtype=np.uint8)
-    # edge j of every window starting on an edge of one parity has one polarity;
-    # within a parity, frames go by window size, so a block's windows are alike
-    order = np.lexsort((stop - first, first & 1))
-    for parity, of_parity in enumerate(np.split(order, [np.count_nonzero((first & 1) == 0)])):
-        for a in range(0, of_parity.size, _FRAME_BLOCK):
-            rows = of_parity[a : a + _FRAME_BLOCK]
-            n_edges = stop[rows] - first[rows]
-            block = np.full((rows.size, chain.k), wf.initial_level ^ parity, dtype=np.uint8)
-            limit_row = limit_of[rows]
-            for j in range(int(n_edges.max())):
-                edge_t = times.take(first[rows] + j, mode="clip")  # past the window: unused
-                since = np.where(j < n_edges, t_fs[rows] - edge_t, np.iinfo(np.int64).min)
-                pol = wf.initial_level ^ ((parity + j + 1) & 1)
-                reached = np.searchsorted(due_sorted[pol], since, side="right").astype(rank_type)
-                hit = rank[pol] < reached[:, None]
-                if limit_row.max() >= 0:  # a death in the block
-                    hit &= np.arange(chain.k) < limits[limit_row, j, None]
-                block ^= hit
-            bits[rows] = block
+    if risky.size:  # an edge that dies at element d reads only at the taps below d - 1
+        windows, window_of = np.unique(np.stack((first, stop), 1)[risky], axis=0, return_inverse=True)
+        death = np.zeros((len(windows) + 1, int(n_edges.max())), dtype=np.int64)  # row -1: none dies
+        for row, (i0, i1) in zip(death, windows.tolist()):
+            row[: i1 - i0] = _annihilation_elements(times[i0:i1], pols[i0:i1], prefix)
+        window = np.full(t_fs.size, -1)
+        window[risky] = window_of.reshape(-1)
+        limit = death[window[frame], edge - first[frame]] - 1
+        dead = np.flatnonzero(limit >= 0)
+        for d in (dead[a : a + chunk] for a in range(0, dead.size, chunk)):
+            undo = (rank[pol[d]] < reached[d, None]) & (np.arange(chain.k) >= limit[d, None])
+            np.bitwise_xor.at(bits, frame[d], undo.view(np.uint8))
     return bits
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibrate import _runs
-from .chain import CaptureFrame
+from .chain import CaptureFrame, _flip_rows
 from .sweep import SweepDataset
 from .units import WavecapError
 
@@ -54,11 +54,8 @@ def _corrected(bits, spec: CorrectionSpec) -> np.ndarray:
     rows, l, r = _level_runs(bits, 0)
     r = np.where(r == k, r, np.floor(spec.dilation_factor * r).astype(np.int64))
     keep = r - l + 1 >= spec.gap_threshold
-    # kept runs are disjoint and never touch, so no two marks share a cell
-    step = np.zeros((len(bits), k + 1), dtype=np.int8)
-    step[rows[keep], l[keep] - 1] = 1
-    step[rows[keep], r[keep]] = -1
-    return (np.cumsum(step[:, :k], axis=1, dtype=np.int8) == 0).astype(np.uint8)
+    # kept runs never overlap, so each is a flip to 0 at tap l - 1 and one back at r
+    return _flip_rows(np.tile(rows[keep], 2), np.concatenate((l[keep] - 1, r[keep])), 1, len(bits), k)
 
 
 def correct_frame(frame: CaptureFrame, spec: CorrectionSpec = CorrectionSpec()) -> CaptureFrame:

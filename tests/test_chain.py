@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from wavecap.chain import (
     sample_registers,
     validate_config,
     _annihilation_elements,
+    _flip_rows,
     _max_catchup_fs,
     _reach_fs,
 )
@@ -302,7 +304,7 @@ def test_capture_equals_oracle_random_small():
 
 # -- pulse-width conservation at symmetric delays ----------------------------
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -538,7 +540,6 @@ def test_capture_at_equals_per_frame_loop(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    block=st.integers(1, 5),
     k=st.integers(1, 30),
     tau_fall_fs=st.integers(2_000, 6_000),
     asym_fs=st.integers(0, 4_000),
@@ -550,14 +551,13 @@ def test_capture_at_equals_per_frame_loop(
     repeats=st.integers(1, 2),
     late=st.booleans(),
 )
-def test_capture_at_frame_blocks(
-    block, k, tau_fall_fs, asym_fs, skew_ps, seed, initial_level, gaps_fs, positions,
-    repeats, late,
+def test_capture_at_windows_of_both_parities_duplicates_and_empty(
+    k, tau_fall_fs, asym_fs, skew_ps, seed, initial_level, gaps_fs, positions, repeats, late,
 ):
-    # blocks of one to five frames, so several blocks of both parities; the
-    # instants repeated (duplicates), one at 0 and one past every edge (empty
-    # windows), and rise delays up to 4 ps above fall delays with gaps from
-    # 1 fs, so most examples hold windows whose pairs meet in the chain
+    # windows starting on edges of both parities; the instants repeated
+    # (duplicates), one at 0 and one past every edge (empty windows), and rise
+    # delays up to 4 ps above fall delays with gaps from 1 fs, so most
+    # examples hold windows whose pairs meet in the chain
     chain = sample_chain(ChainSpec(k, (tau_fall_fs + asym_fs) / 1_000.0, tau_fall_fs / 1_000.0))
     regs = sample_registers(RegisterSpec(skew_sigma_ps=skew_ps, seed=seed), k)
     w = DigitalWaveform(initial_level, np.cumsum(gaps_fs, dtype=np.int64), (None, None))
@@ -566,14 +566,147 @@ def test_capture_at_frame_blocks(
     instants += [0] + [2 * reach_fs + sum(gaps_fs)] * late
     sample_fs = np.array(instants, dtype=np.int64)
 
-    with mock.patch.object(chain_module, "_FRAME_BLOCK", block):
-        bits = capture_at(w, chain, regs, sample_fs)
-        none = capture_at(w, chain, regs, sample_fs[:0])
+    bits = capture_at(w, chain, regs, sample_fs)
+    none = capture_at(w, chain, regs, sample_fs[:0])
     assert np.array_equal(bits, per_frame_capture_at(w, chain, regs, sample_fs))
     for f in (0, len(instants) // 2, len(instants) - 1):
         oracle = capture_oracle(w, chain, regs, int(sample_fs[f]) / 1_000.0)
         assert np.array_equal(bits[f], oracle.bits)
     assert none.shape == (0, k) and none.dtype == np.uint8
+
+
+# -- capture_at: each way of gathering the frames back to taps ----------------
+
+
+def order_path(chain, regs):
+    """How capture_at gathers frames back to taps for this chain: the tap
+    orders of the two polarities' due times (prefix less skew)."""
+    due = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs]) - regs.skews_fs
+    fall, rise = np.argsort(due, axis=1, kind="stable")
+    if not np.array_equal(fall, rise):
+        return "two orders"
+    return "identity" if np.array_equal(fall, np.arange(chain.k)) else "shared"
+
+
+def path_chain(path, k=20):
+    """A k-tap chain of 6 ps rises and 4 ps falls, or 5 ps both, and a
+    register bank that make order_path(chain, regs) the path named before
+    any comma."""
+    rise_fs, fall_fs = (5_000, 5_000) if path.endswith("rise = fall") else (6_000, 4_000)
+    skews = np.zeros(k, dtype=np.int64)
+    if path == "shared, rise = fall":  # any skews: the two due rows are one
+        skews = np.random.default_rng(k).integers(-20_000, 20_001, size=k)
+    elif path == "shared":  # one tap ahead of every other, one behind
+        skews[3], skews[-2] = 200_000, -200_000
+    elif path == "two orders":  # +5 ps: a tap passes its neighbour at 4 ps falls only
+        skews[1::3] = 5_000
+    chain = ChainInstance(ChainSpec(k, rise_fs / 1_000, fall_fs / 1_000), np.full(k, rise_fs),
+                          np.full(k, fall_fs))
+    regs = RegisterBank(RegisterSpec(), skews)
+    assert order_path(chain, regs) == path.split(",")[0]
+    return chain, regs
+
+
+@pytest.mark.parametrize(
+    "path, dies",
+    [(path, dies) for path in ("identity", "shared", "two orders") for dies in (False, True)]
+    + [("shared, rise = fall", False)],
+)
+def test_capture_at_each_order_path_pinned(path, dies):
+    chain, regs = path_chain(path)
+    # a 20 ps pulse dies at element 10 (the fall gains 2 ps an element); the
+    # 60 and 70 ps pulses and the 40 ps gap between them outlast the chain
+    edges = [0, 20_000 if dies else 60_000, 100_000, 170_000]
+    w = DigitalWaveform(0, edges)
+    prefix = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs])
+    assert np.any(_annihilation_elements(w.edge_times_fs, np.array([1, 0, 1, 0]), prefix)) == dies
+    sample_fs = np.concatenate((np.arange(-250_000, 450_001, 2_500), [100_000, 100_000]))
+
+    bits = capture_at(w, chain, regs, sample_fs)
+    none = capture_at(w, chain, regs, sample_fs[:0])
+    assert bits.dtype == np.uint8 and bits.shape == (sample_fs.size, chain.k)
+    assert bits.flags.c_contiguous
+    assert none.dtype == np.uint8 and none.shape == (0, chain.k) and none.flags.c_contiguous
+    assert np.array_equal(bits, per_frame_capture_at(w, chain, regs, sample_fs))
+    oracle = [capture_oracle(w, chain, regs, t / 1_000).bits for t in sample_fs.tolist()]
+    assert np.array_equal(bits, np.stack(oracle))
+    assert 0 < np.count_nonzero(bits) < bits.size
+
+
+@pytest.mark.parametrize(
+    "path, edge_ps",
+    [("identity, rise = fall", 1_300), ("identity", 2_100), ("shared", 2_100),
+     ("two orders", 2_100), ("identity", 1_300)],
+    ids=["identity, rise = fall", "identity", "shared", "two orders", "identity, pulses die"],
+)
+def test_capture_at_memory_bound(path, edge_ps):
+    # 2,000 frames of 1,024 taps, a frame every 5 ns.  Pulses of 2.1 ns outlast
+    # the 2 ns that 1,024 falls of 4 ps gain on rises of 6 ps; pulses of 1.3 ns
+    # die in such a chain.  At its peak, capture holds at most one matrix and
+    # 1 MiB beside the one it returns
+    chain, regs = path_chain(path, 1_024)
+    w = DigitalWaveform(0, np.arange(1, 6_000) * edge_ps * 1_000)
+    sample_fs = 10_000_000 + np.arange(2_000) * 5_000_000
+    tracemalloc.start()
+    try:
+        bits = capture_at(w, chain, regs, sample_fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.shape == (2_000, 1_024) and np.any(bits) and not np.all(bits)
+    assert peak - bits.nbytes <= bits.nbytes + 2**20
+
+
+@pytest.mark.parametrize(
+    "sample_fs",
+    [150_000, [[150_000]], [2**63], [2**64], [float("nan")], [150_000.7], [True],
+     np.array([150_000], dtype=np.uint64)],
+    ids=["scalar", "2-D", "past int64", "past uint64", "NaN", "fraction", "bool", "uint64"],
+)
+def test_capture_at_rejects_sample_fs_not_1d_integer_within_int64(sample_fs):
+    chain = ideal_chain(4, 6.0)
+    regs = regs_for(chain)
+    w = DigitalWaveform(0, [0, 20_000])
+    with pytest.raises(ChainError, match="sample_fs"):
+        capture_at(w, chain, regs, sample_fs)
+    for dtype in (np.int32, np.uint32, np.int64):
+        assert capture_at(w, chain, regs, np.array([150_000], dtype=dtype)).shape == (1, 4)
+
+
+# -- _flip_rows against a per-row reference ----------------------------------
+
+
+def per_row_flips(rows, cuts, start, n_rows, k):
+    out = np.empty((n_rows, k), dtype=np.uint8)
+    for f, level in enumerate(np.broadcast_to(start, n_rows).tolist()):
+        out[f] = level
+        for row, cut in zip(rows, cuts):
+            if row == f:
+                out[f, cut:] ^= 1
+    return out
+
+
+@st.composite
+def flip_rows_args(draw):
+    n_rows, k = draw(st.integers(0, 6)), draw(st.integers(1, 12))
+    rows = st.integers(0, n_rows - 1) if n_rows else st.nothing()
+    # cut positions drawn from both ends as often as from inside
+    cut = st.one_of(st.just(0), st.just(k), st.integers(0, k))
+    pairs = draw(st.lists(st.tuples(rows, cut), max_size=4 * n_rows))
+    start = draw(st.one_of(st.integers(0, 1), st.lists(st.integers(0, 1), min_size=n_rows,
+                                                       max_size=n_rows).map(np.array)))
+    return [a for a, _ in pairs], [c for _, c in pairs], start, n_rows, k
+
+
+@settings(max_examples=500, deadline=None)
+@given(args=flip_rows_args())
+@example(args=([], [], 1, 0, 5))
+@example(args=([0, 0, 0], [1, 0, 1], 0, 1, 1))
+@example(args=([2, 0, 2, 0], [3, 3, 0, 0], np.array([1, 0, 1]), 3, 3))
+def test_flip_rows_matches_per_row_reference(args):
+    got = _flip_rows(np.array(args[0], dtype=np.int64), np.array(args[1], dtype=np.int64), *args[2:])
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert np.array_equal(got, per_row_flips(*args))
 
 
 def test_equal_delays_never_annihilate():

@@ -214,6 +214,7 @@ def test_correct_dataset_matches_per_frame_reference(bits, alpha, threshold):
     spec = CorrectionSpec(threshold, alpha)
     got = correct_dataset(dataset_of(bits), spec).bits
     want = np.array([correct_frame_per_frame(row, spec) for row in bits])
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
     assert np.array_equal(got, want)
     assert np.array_equal(correct_frame(frame_of(bits[0]), spec).bits, want[0])
 
