@@ -104,12 +104,20 @@ def _fidelity(truth_bits, test_bits) -> FidelityStats:
     m_rows, m_l, m_r = _level_runs(test_bits, 1)
     # a row's measured pulses are disjoint and sorted, so are their ends: the
     # candidates [lo, hi) are exactly those that overlap the true pulse
-    lo = np.searchsorted(m_rows * span + m_r, t_rows * span + t_l).tolist()
-    hi = np.searchsorted(m_rows * span + m_l, t_rows * span + t_r, side="right").tolist()
-    t_l, t_r, m_l, m_r = (a.tolist() for a in (t_l, t_r, m_l, m_r))
+    lo = np.searchsorted(m_rows * span + m_r, t_rows * span + t_l)
+    hi = np.searchsorted(m_rows * span + m_l, t_rows * span + t_r, side="right")
+    # a true pulse with one candidate that no other true pulse has takes it in
+    # any visiting order; only the rest go through the greedy loop, in order
+    n = m_l.size + 1
+    n_ranges = np.cumsum(np.bincount(lo, minlength=n) - np.bincount(hi, minlength=n))
+    matched = (hi - lo == 1) & (n_ranges[lo] == 1)
+    errors = np.full(t_l.size, np.nan)
+    errors[matched] = (m_r - m_l)[lo[matched]] - (t_r - t_l)[matched]
+    contested = np.flatnonzero((hi > lo) & ~matched)
+    rest = zip(contested.tolist(), *(x[contested].tolist() for x in (t_l, t_r, lo, hi)))
+    m_l, m_r = m_l.tolist(), m_r.tolist()
     used = [False] * len(m_l)
-    errors = []
-    for tl, tr, a, z in zip(t_l, t_r, lo, hi):
+    for i, tl, tr, a, z in rest:
         best = None
         best_ov = 0
         for j in range(a, z):
@@ -121,12 +129,13 @@ def _fidelity(truth_bits, test_bits) -> FidelityStats:
         if best is None:
             continue
         used[best] = True
-        errors.append((m_r[best] - m_l[best]) - (tr - tl))
+        errors[i] = (m_r[best] - m_l[best]) - (tr - tl)
+    errors = errors[~np.isnan(errors)]
     return FidelityStats(
-        errors=np.array(errors, dtype=float),
-        n_matched=len(errors),
-        n_unmatched_truth=len(t_l) - len(errors),
-        n_unmatched_test=used.count(False),
+        errors=errors,
+        n_matched=errors.size,
+        n_unmatched_truth=t_l.size - errors.size,
+        n_unmatched_test=len(m_l) - errors.size,
     )
 
 

@@ -267,17 +267,23 @@ def _fill_bit_lines(out: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return out
 
 
+@cache
+def _frames_header(k: int) -> bytes:
+    """frames.csv's ``phase_index,bit_1,...,bit_K`` line, newline included."""
+    return ("phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1)) + "\n").encode()
+
+
 def _frames_csv(dataset: SweepDataset) -> memoryview:
     """frames.csv as one uint8 buffer.  Adjacent rows whose ``index,``
     prefixes have one width are one (rows, width + 2K) block of it, filled in
     one pass; in any index order, at worst a block is one row."""
-    header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, dataset.k + 1)) + "\n"
+    header = _frames_header(dataset.k)
     digits = dataset.phase_index.astype("S20")  # an int64 has at most 20 characters
     cells = digits.view(np.uint8).reshape(-1, 20)
     widths = np.char.str_len(digits) + 1  # the comma too
     bounds = np.cumsum(np.concatenate(([len(header)], widths + 2 * dataset.k)))
     buf = np.empty(bounds[-1], dtype=np.uint8)
-    buf[: len(header)] = np.frombuffer(header.encode(), dtype=np.uint8)
+    buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
     starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
     for a, b in zip(starts, [*starts[1:], widths.size]):
         w = int(widths[a])
@@ -351,7 +357,7 @@ def _load_manifest(d: Path) -> dict[str, str]:
     return hashes
 
 
-def _int64(cell: str) -> int:
+def _int64(cell: str | bytes) -> int:
     if -(2**63) <= int(cell) < 2**63:
         return int(cell)
     raise ValueError(f"{cell!r} is outside int64")
@@ -366,24 +372,38 @@ def _text(name: str, data: bytes) -> str:
 
 def _parse_frames_csv(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The phase indices and the (frames, K) bits matrix of frames.csv."""
+    # read as one buffer in blocks of rows whose ``index,`` prefixes have one
+    # width, the mirror of _frames_csv; a malformed row, or a line that does
+    # not end in \n, falls through to the row-by-row checks, which name it
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # the header's own comes first
+    widths = np.diff(ends) - 2 * k  # each row's ``index,`` prefix, its comma too
+    if data.startswith(_frames_header(k)) and ends[-1] == buf.size - 1 and np.all(widths >= 2):
+        bits = np.empty((widths.size, k), dtype=np.uint8)
+        indices = []
+        starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
+        for a, b in zip(starts, [*starts[1:], widths.size]):
+            w = int(widths[a])
+            block = buf[ends[a] + 1 : ends[b] + 1].reshape(b - a, -1)
+            prefixes = block[:, : w - 1]
+            # each cell is one little-endian 2-byte word: a comma, then its digit
+            if not np.all(block[:, w - 1 : -1].view("<u2") | 0x100 == ord(",") | ord("1") << 8):
+                break
+            # int() would skip a NUL or a \r, \v or \f, which end a line in str.splitlines
+            if np.any((prefixes < ord(" ")) | (prefixes > ord("~"))):
+                break
+            try:
+                indices += map(_int64, prefixes.view(f"S{w - 1}").ravel().tolist())
+            except ValueError:
+                break
+            np.subtract(block[:, w:-1:2], ord("0"), out=bits[a:b])
+        else:
+            return np.array(indices, dtype=np.int64), bits
     lines = _text("frames.csv", data).splitlines()
     if not lines:
         raise CorruptFileError("frames.csv is empty")
-    expected_header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1))
-    if lines[0] != expected_header:
+    if (lines[0] + "\n").encode() != _frames_header(k):
         raise CorruptFileError("frames.csv header does not match the chain length")
-    # well-formed rows are checked in one numpy pass; a malformed row falls
-    # through to the row-by-row checks, which name it
-    split = [line.partition(",") for line in lines[1:]]
-    text = "".join(tail for _, _, tail in split)
-    if text.isascii() and all(len(tail) == 2 * k - 1 for _, _, tail in split):
-        cells = np.frombuffer(text.encode(), dtype=np.uint8).reshape(len(split), 2 * k - 1)
-        bits = cells[:, 0::2] - np.uint8(ord("0"))
-        if not (np.any(bits > 1) or np.any(cells[:, 1::2] != ord(","))):
-            try:
-                return np.array([_int64(h) for h, _, _ in split], dtype=np.int64), bits
-            except ValueError:
-                pass
     indices, rows = [], []
     for row_no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec
@@ -282,7 +282,36 @@ def bit_rows(n_rows, k):
     ).map(lambda rows: np.array(rows, dtype=np.uint8))
 
 
+class Drawn:
+    """Stands in for st.data() in an @example: the draw is given."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
+# true pulses [1, 2] [4, 5] [7, 11] [14, 15], measured [1, 5] [7, 7] [9, 11] [14, 16]:
+# one measured pulse over two true ones, one true pulse over two measured
+# ones, and a pulse pair that no other pulse contests
+CONTESTED_ROW = [1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0]
+CONTESTED_TEST = [1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1]
+
+
 @settings(max_examples=1000, deadline=None)
+@example(  # one measured pulse over two true ones
+    bits=np.array([[1, 0, 1, 1, 1]], dtype=np.uint8), how="test morphed", op=np.maximum,
+    left=1, right=0, data=None,
+)
+@example(  # one true pulse over two measured ones
+    bits=np.array([[1, 0, 1, 1, 1]], dtype=np.uint8), how="truth morphed", op=np.maximum,
+    left=1, right=0, data=None,
+)
+@example(  # both in one row
+    bits=np.array([CONTESTED_ROW], dtype=np.uint8), how="independent", op=np.maximum,
+    left=0, right=0, data=Drawn(np.array([CONTESTED_TEST], dtype=np.uint8)),
+)
 @given(
     bits=st.tuples(st.integers(1, 6), st.integers(1, 40)).flatmap(lambda fk: bit_rows(*fk)),
     how=st.sampled_from(["independent", "test morphed", "truth morphed"]),

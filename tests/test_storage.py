@@ -1,6 +1,8 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,6 +385,56 @@ def test_parse_frames_csv_matches_the_per_row_parser(rows, edits):
         assert got[0] is CorruptFileError and got[1].endswith("bits must be 0 or 1")
     else:
         assert got == want
+
+
+def test_frames_csv_is_read_without_copies_of_its_text():
+    # fig6's shape: 256 frames of a 1,300-tap chain, with indices of 1-3 digits
+    bits = np.random.default_rng(0).integers(0, 2, (256, 1300), dtype=np.uint8)
+    ds = SweepDataset(bits, np.zeros(256), np.arange(256), ChainSpec(1300, 5.0, 5.0), RegisterSpec())
+    data = bytes(_frames_csv(ds))
+    tracemalloc.start()
+    try:
+        with mock.patch.object(storage, "_text", wraps=storage._text) as text:
+            indices, back = _parse_frames_csv(data, 1300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text.assert_not_called()
+    assert np.array_equal(indices, np.arange(256)) and np.array_equal(back, bits)
+    assert peak <= len(data) + bits.nbytes + 2**20
+
+
+@pytest.mark.parametrize("bad_row", [None, 3])
+@pytest.mark.parametrize("line_end", ["\r\n", "no last newline"])
+def test_lines_not_ending_in_newline_are_read_row_by_row(small_dataset, line_end, bad_row):
+    lines = per_bit_frames_csv(small_dataset).decode().splitlines()
+    if bad_row is not None:
+        lines[bad_row - 1] = lines[bad_row - 1][:-1] + "2"
+    if line_end == "\r\n":
+        data = ("\r\n".join(lines) + "\r\n").encode()
+    else:
+        data = "\n".join(lines).encode()
+    want = outcome(per_row_parse, data, small_dataset.k)
+    # only the row-by-row checks decode the file
+    with mock.patch.object(storage, "_text", wraps=storage._text) as text:
+        assert outcome(_parse_frames_csv, data, small_dataset.k) == want
+    text.assert_called_once()
+    if bad_row is None:
+        assert want == (small_dataset.phase_index.tolist(), small_dataset.bits.tolist())
+    else:
+        assert want == (CorruptFileError, "frames.csv row 3: bits must be 0 or 1")
+
+
+@pytest.mark.parametrize("char", ["\x00", "\r", "\x0b", "\x0c", "\x1c"])
+def test_index_with_a_control_character_reads_as_row_by_row(small_dataset, char):
+    # int() skips a trailing \v or \f and numpy strings drop a trailing NUL,
+    # while str.splitlines ends a line at \r \v \f \x1c and int() rejects a NUL
+    lines = per_bit_frames_csv(small_dataset).decode().splitlines()
+    lines[2] = lines[2].replace(",", char + ",", 1)
+    data = ("\n".join(lines) + "\n").encode()
+    want = outcome(per_row_parse, data, small_dataset.k)
+    assert want[0] is CorruptFileError
+    assert outcome(_parse_frames_csv, data, small_dataset.k) == want
 
 
 @pytest.mark.parametrize("cell", ["-1", "256", "99999999999999999999"])
