@@ -3,14 +3,16 @@
 A dataset's frames are held as the runs (row, level, first and last tap) of
 its bits matrix.  Rows holding a short run are smoothed by merging it into its
 surroundings, and the edges of every frame, both polarities, are read off
-the run boundaries in one pass per dataset.  Each channel and polarity is
-then tracked once through the sweep (unwrapping source-period wraps), and
-the tracks are pooled per phase step across channels, once per polarity,
-into one (steps x channels) matrix of edge indices.  That pooled matrix
-feeds both the straight-line fit of edge index against unwrapped phase,
-whose reciprocal slope is the per-element delay, and the carry-index-to-time
-transfer function and its uncertainty, whose RMS is the single-shot
-precision.
+the run boundaries in one pass per dataset.  Every (channel, polarity) track
+is then followed through the sweep, whose phase indices must ascend, in one
+array pass up to the track's first frame of several edges or no match, and
+by a per-frame loop from there.  A track is (steps, index, wraps) arrays;
+per polarity, the tracks are pooled on the steps all channels share at one
+wrap count into one (steps x channels) matrix of edge indices.  That pooled
+matrix feeds both the straight-line fit of edge index against unwrapped
+phase, whose reciprocal slope is the per-element delay, and the
+carry-index-to-time transfer function and its uncertainty, whose RMS is the
+single-shot precision.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -139,97 +142,117 @@ def extract_edges(frame: CaptureFrame | np.ndarray, min_run: int = 1) -> list[Ed
 # ---------------------------------------------------------------------------
 
 
-# {phase step: (edge index, wrap count)} of one edge trajectory
-_Track = dict[int, tuple[int, int]]
+# (phase steps, edge indices, wrap counts) of one edge trajectory, steps ascending
+_Track = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _estimate_step_carries(rows, polarity: int) -> float:
-    """Median per-step index drop, from nearest-below matching of consecutive
-    nonempty frames."""
-    drops = []
-    prev = None
-    for _, idx in rows:
-        if prev and idx:
-            for x in prev:
-                below = bisect_left(idx, x)  # idx[below - 1] is the nearest y < x
-                if below:
-                    drops.append(x - idx[below - 1])
-        prev = idx or prev
-    if not drops:
-        raise CalibrationError(f"not enough {_NAMES[polarity]} edges to track")
-    return float(np.median(drops))
+def _estimate_step_carries(starts: np.ndarray, frame: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per track, the median index drop from each edge to the nearest lower
+    edge of the track's next nonempty frame; NaN where there is none.  Track
+    t holds frames starts[t] up to starts[t + 1]; frame and index list every
+    edge (index >= 1), by frame and then index ascending."""
+    rank = np.cumsum(np.diff(frame, prepend=frame[:1]) != 0)  # of each nonempty frame
+    trk = np.searchsorted(starts, frame, side="right") - 1
+    span = int(index.max(initial=0)) + 2
+    key = rank * span + index  # ascending, one band of span per nonempty frame
+    below = np.searchsorted(key, key + span) - 1  # the highest key under x in the next band
+    paired = (rank[below] == rank + 1) & (trk[below] == trk)
+    drops = (index - index[below])[paired]
+    cut = np.searchsorted(trk[paired], np.arange(len(starts) + 1))  # drops come track by track
+    return np.array([np.median(drops[a:z]) if z > a else np.nan for a, z in zip(cut, cut[1:])])
 
 
-def _track(rows, polarity: int, period_ps: float, dt_ps: float) -> _Track:
-    """Follow one edge trajectory through rows of (phase step, ascending edge
-    indices); returns {step: (edge_index, wrap_count)}.
+def _track(steps, starts, frame, index, step, period_ps: float, dt_ps: float) -> list[_Track]:
+    """Follow one edge trajectory per track (frames as in
+    _estimate_step_carries, steps each frame's phase step, step each track's
+    finite index drop per frame), from the highest edge of its first nonempty
+    frame on to each later frame's edge nearest the last match less step per
+    frame since.  An upward jump close to a multiple of the per-period carry
+    span is a source-period wrap; any other jump beyond tolerance leaves the
+    frame unmatched."""
+    head = np.flatnonzero(np.diff(frame, prepend=-1))  # each nonempty frame's first edge
+    end = np.r_[head[1:], frame.size]
+    fr, x = frame[head], index[end - 1]
+    trk = np.searchsorted(starts, fr, side="right") - 1
+    new = np.diff(trk, prepend=-1) != 0
+    s = step[trk]
+    period_carries = period_ps / (dt_ps / s)
+    tol = np.maximum(period_carries / 4.0, 3 * s)
+    # one pass that takes every frame as matched, so that each prediction is
+    # the previous frame's edge less step per frame between (exact: step is a
+    # median of integers), and each match test is the loop's own expression
+    jump = x - (np.r_[x[:1], x[:-1]] - s * np.diff(fr, prepend=fr[:1]))
+    direct = np.abs(jump) <= tol
+    wraps = np.rint(jump / period_carries)  # half to even, as round()
+    wrap = (wraps > 0) & (np.abs(jump - wraps * period_carries) <= tol)
+    ok = new | (end - head == 1) & (direct | wrap)
+    # the pass holds up to a track's first frame with several edges or no match
+    own = np.flatnonzero(new)[np.cumsum(new) - 1]  # the first frame of each one's track
+    n_bad = np.cumsum(~ok)
+    m = np.cumsum(np.where(direct | new, 0, wraps))
+    m = (m - m[own]).astype(np.int64)
 
-    The tracked pulse is the one nearest the previous step's position; an
-    upward jump close to a multiple of the per-period carry span is a
-    source-period wrap and bumps the wrap counter.
-    """
-    step = _estimate_step_carries(rows, polarity)
-    tau0 = dt_ps / step if step > 0 else float("nan")
-    period_carries = period_ps / tau0
-    tol = max(period_carries / 4.0, 3 * step)
-
-    out: _Track = {}
-    predicted = None
-    m = 0
-    for n, idx in rows:
-        if not idx:
-            if predicted is not None:
-                predicted -= step
-            continue
-        if predicted is None:
-            x = max(idx)
-            out[n] = (x, m)
-            predicted = x - step
-            continue
-        # the nearer of the two neighbours of predicted; a tie keeps the lower
-        i = bisect_left(idx, predicted)
-        if i == len(idx) or (i and predicted - idx[i - 1] <= idx[i] - predicted):
-            i -= 1
-        best = idx[i]
-        jump = best - predicted
-        if abs(jump) <= tol:
-            out[n] = (best, m)
-            predicted = best - step
-        else:
-            wraps = round(jump / period_carries)
-            if wraps > 0 and abs(jump - wraps * period_carries) <= tol:
-                m += wraps
-                out[n] = (best, m)
-                predicted = best - step
-            else:
-                predicted -= step  # unmatched; keep coasting
+    n = steps[fr]
+    bounds = np.searchsorted(trk, np.arange(len(starts) + 1))
+    cuts = bounds[:-1] + np.bincount(trk[n_bad == n_bad[own]], minlength=len(starts))
+    out = []
+    for a, c, z in zip(bounds.tolist(), cuts.tolist(), bounds[1:].tolist()):
+        more = []
+        if c < z:  # the loop takes the track on from the pass's last match
+            ref_x, ref_f, count = x[c - 1].item(), fr[c - 1].item(), m[c - 1].item()
+            st, pc, tl = s[c].item(), period_carries[c].item(), tol[c].item()
+            for g in range(c, z):
+                idx = index[head[g] : end[g]].tolist()
+                predicted = ref_x - st * (fr[g].item() - ref_f)
+                # the nearer of the two neighbours of predicted; a tie keeps the lower
+                i = bisect_left(idx, predicted)
+                if i == len(idx) or (i and predicted - idx[i - 1] <= idx[i] - predicted):
+                    i -= 1
+                jump = idx[i] - predicted
+                if not abs(jump) <= tl:
+                    w = round(jump / pc)
+                    if not (w > 0 and abs(jump - w * pc) <= tl):
+                        continue  # unmatched; keep coasting
+                    count += w
+                ref_x, ref_f = idx[i], fr[g].item()
+                more.append((n[g].item(), ref_x, count))
+        track = (n[a:c], x[a:c], m[a:c])
+        out.append(tuple(np.r_[t, u] for t, u in zip(track, zip(*more))) if more else track)
     return out
 
 
 def _tracks(
     datasets: Sequence[SweepDataset], min_run: int, polarities: Sequence[int]
 ) -> dict[int, list[_Track]]:
-    """Per polarity, one track per dataset; the edges of a dataset, of every
-    polarity, come from one pass over its bits matrix."""
+    """Per polarity, one track per dataset, whose phase steps must ascend.
+    The edges of a dataset, of every polarity, come from one pass over its
+    bits matrix, and every track is followed in one _track call."""
     if not datasets:
         raise CalibrationError("no datasets")
     spec = datasets[0].sweep_spec
-    for ds in datasets:
+    for d, ds in enumerate(datasets, start=1):
         s = ds.sweep_spec
         if s is None or s.dt_ps != spec.dt_ps or s.source.frequency_hz != spec.source.frequency_hz:
             raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
-    out: dict[int, list[_Track]] = {pol: [] for pol in polarities}
-    for ds in datasets:
-        rows, ks, levels = _edges(ds.bits, min_run)
-        steps = ds.phase_index.tolist()
-        for pol in polarities:
-            sel = levels == pol
-            # rows ascend, so frame f's edges are one slice, index ascending
-            cuts = np.searchsorted(rows[sel], np.arange(len(steps) + 1)).tolist()
-            pol_ks = ks[sel].tolist()
-            idx = [pol_ks[a:z] for a, z in zip(cuts, cuts[1:])]
-            out[pol].append(_track(list(zip(steps, idx)), pol, spec.source.period_ps, spec.dt_ps))
-    return out
+        if not np.all(ds.phase_index[1:] > ds.phase_index[:-1]):
+            raise CalibrationError(
+                f"dataset {d} of {len(datasets)}: phase indices must be strictly increasing"
+            )
+    # track i + d * len(polarities) is dataset d's polarity i; frames are
+    # numbered on from track to track
+    steps = [ds.phase_index for ds in datasets for _ in polarities]
+    starts = np.cumsum([0] + [len(n) for n in steps])[:-1]
+    edges = [_edges(ds.bits, min_run) for ds in datasets]
+    sel = [(rows, ks, levels == pol) for rows, ks, levels in edges for pol in polarities]
+    frame = np.concatenate([rows[s] + start for (rows, _, s), start in zip(sel, starts.tolist())])
+    index = np.concatenate([ks[s] for _, ks, s in sel])
+    step = _estimate_step_carries(starts, frame, index)
+    if np.isnan(step).any():
+        pol = polarities[np.argmax(np.isnan(step)) % len(polarities)]
+        raise CalibrationError(f"not enough {_NAMES[pol]} edges to track")
+    steps = np.concatenate(steps)
+    tracks = _track(steps, starts, frame, index, step, spec.source.period_ps, spec.dt_ps)
+    return {pol: tracks[i :: len(polarities)] for i, pol in enumerate(polarities)}
 
 
 @dataclass(frozen=True)
@@ -250,13 +273,14 @@ def _pool(
     # steps not seen by every channel at one wrap count are censored (the
     # edge sits within jitter reach of a chain end, so only
     # favorably-jittered channels report it); keeping them tilts the slope
-    common = set(tracks[0]).intersection(*tracks[1:])
-    steps = sorted(n for n in common if len({track[n][1] for track in tracks}) == 1)
+    steps = reduce(partial(np.intersect1d, assume_unique=True), [n for n, _, _ in tracks])
+    at = [np.searchsorted(n, steps) for n, _, _ in tracks]
+    xs = np.stack([x[i] for (_, x, _), i in zip(tracks, at)], axis=1)  # steps x tracks
+    wraps = np.stack([m[i] for (_, _, m), i in zip(tracks, at)], axis=1)
+    same = np.all(wraps == wraps[:, :1], axis=1)
+    steps, wraps, xs = steps[same], wraps[same, 0], xs[same].astype(float)
     if len(steps) < 2:
         raise CalibrationError(f"fewer than two phase steps with {_NAMES[polarity]} edges")
-    xs = np.array([[track[n][0] for track in tracks] for n in steps], dtype=float)  # steps x tracks
-    wraps = np.array([tracks[0][n][1] for n in steps])
-    steps = np.array(steps)
     std = xs.std(axis=1, ddof=1) if len(tracks) > 1 else np.full(len(steps), np.nan)
     return _PooledTrajectory(steps, wraps, steps * dt - wraps * period, xs, xs.mean(axis=1), std)
 

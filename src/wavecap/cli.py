@@ -210,11 +210,10 @@ def cmd_calibrate(args, opts, chain, regs, sweep):
 
     def write(out: Path) -> None:
         tf = result.t_of_x
-        lines = ["index,t_ps,dt_ps"]
-        lines += [
-            f"{int(i)},{t:.6f},{dt:.6f}" for i, t, dt in zip(tf.index, tf.t_ps, tf.dt_ps)
-        ]
-        (out / "transfer.csv").write_text("\n".join(lines) + "\n")
+        cells = [None] * (3 * tf.index.size)  # row by row: index, t_ps, dt_ps
+        cells[::3], cells[1::3], cells[2::3] = tf.index.tolist(), tf.t_ps.tolist(), tf.dt_ps.tolist()
+        rows = "%d,%.6f,%.6f\n" * tf.index.size % tuple(cells)
+        (out / "transfer.csv").write_text("index,t_ps,dt_ps\n" + rows)
 
     closing = (
         "tau_rise = {tau_rise_ps:.4f} +- {tau_rise_err_ps:.4f} ps, "

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecap.calibrate import (
@@ -13,6 +13,7 @@ from wavecap.calibrate import (
     EdgeObservation,
     TransferFunction,
     _edges,
+    _estimate_step_carries,
     _isotonic_increasing,
     _pool,
     _runs,
@@ -436,11 +437,53 @@ def pooled_same_bits(got, want):
     return all(same_bits(g, w) for g, w in zip(fields, want))
 
 
+def as_dict(track):
+    """An array track as the {step: (edge index, wrap count)} dict of the references."""
+    steps, index, wraps = (a.tolist() for a in track)
+    return dict(zip(steps, zip(index, wraps)))
+
+
+def as_arrays(track):
+    """A {step: (edge index, wrap count)} dict as an array track, steps ascending."""
+    steps = sorted(track)
+    columns = (steps, [track[n][0] for n in steps], [track[n][1] for n in steps])
+    return tuple(np.array(col, dtype=np.int64) for col in columns)
+
+
+def dict_tracks(tracks):
+    return {pol: [as_dict(t) for t in ts] for pol, ts in tracks.items()}
+
+
+def edge_arrays(tracks_frames):
+    """Per track, per frame, its edge indices, as _track's inputs: each track's
+    first frame, and every edge's frame (numbered across tracks) and index."""
+    starts = np.cumsum([0] + [len(frames) for frames in tracks_frames])[:-1]
+    frame, index = [], []
+    for start, frames in zip(starts.tolist(), tracks_frames):
+        for f, idx in enumerate(frames, start=start):
+            frame += [f] * len(idx)
+            index += sorted(idx)
+    return starts, np.array(frame, dtype=np.int64), np.array(index, dtype=np.int64)
+
+
+def track_each(tracks_frames, steps, period_ps, dt_ps):
+    """_tracks' two calls on per-track frame lists, every track on the same
+    phase steps: _estimate_step_carries, raising where a step is NaN as
+    _tracks does, then _track; the tracks as dicts."""
+    starts, frame, index = edge_arrays(tracks_frames)
+    step = _estimate_step_carries(starts, frame, index)
+    if np.isnan(step).any():
+        raise CalibrationError("not enough edges to track")
+    all_steps = np.tile(np.asarray(steps, dtype=np.int64), len(tracks_frames))
+    return [as_dict(t) for t in _track(all_steps, starts, frame, index, step, period_ps, dt_ps)]
+
+
 def test_tracks_match_per_frame_reference(reference_datasets):
     pols = (RISING, FALLING)
-    assert _tracks(reference_datasets, 15, pols) == tracks_per_frame(reference_datasets, 15, pols)
+    got = dict_tracks(_tracks(reference_datasets, 15, pols))
+    assert got == tracks_per_frame(reference_datasets, 15, pols)
     jitter_free = mlab_datasets(jitter=0.0)
-    assert _tracks(jitter_free, 15, pols) == tracks_per_frame(jitter_free, 15, pols)
+    assert dict_tracks(_tracks(jitter_free, 15, pols)) == tracks_per_frame(jitter_free, 15, pols)
 
 
 @settings(max_examples=500, deadline=None)
@@ -455,9 +498,95 @@ def test_track_on_edge_indices_matches_per_frame_reference(frames, dt):
         want = track_per_frame(as_edges, RISING, 1_000.0, dt)
     except CalibrationError:
         with pytest.raises(CalibrationError):
-            _track(rows, RISING, 1_000.0, dt)
+            track_each([frames], range(len(frames)), 1_000.0, dt)
         return
-    assert _track(rows, RISING, 1_000.0, dt) == want
+    assert track_each([frames], range(len(frames)), 1_000.0, dt) == [want]
+
+
+def saw(x0, n_frames, step=10, span=100):
+    """One edge per frame: x0 - step * n, wrapped into 1..span."""
+    return [[1 + (x0 - 1 - step * n) % span] for n in range(n_frames)]
+
+
+def edited(frames, at):
+    """frames with each frame number in at given its edge list there."""
+    return [at.get(f, idx) for f, idx in enumerate(frames)]
+
+
+@st.composite
+def sawtooth_tracks(draw):
+    """1-3 tracks on one grid, each a sawtooth x0 - step * n wrapped by the
+    per-period carry span, with +-1 noise and per-frame mishaps: empty
+    frames, outliers, frames of 2-4 edges and exact ties.  Returns the
+    source period, the phase steps and each track's per-frame edge lists."""
+    step, n_frames = draw(st.integers(1, 12)), draw(st.integers(2, 40))
+    span = draw(st.integers(2 * step, 300))
+    steps = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n_frames, max_size=n_frames)))
+    kinds = st.sampled_from(["edge"] * 4 + ["empty", "outlier", "several", "tie"])
+    tracks = []
+    for _ in range(draw(st.integers(1, 3))):
+        frames = []
+        for (x,) in saw(draw(st.integers(1, span)), n_frames, step, span):
+            kind, noise = draw(kinds), draw(st.integers(-1, 1))
+            if kind == "outlier":
+                idx = [x + draw(st.integers(-span, span))]
+            elif kind == "several":
+                others = draw(st.lists(st.integers(-span, span), min_size=1, max_size=3))
+                idx = [x + noise] + [x + d for d in others]
+            elif kind == "tie":
+                d = draw(st.integers(1, 3))
+                idx = [x - d, x + d]
+            else:
+                idx = [x + noise] if kind == "edge" else []
+            frames.append(sorted({max(v, 1) for v in idx}))
+        tracks.append(frames)
+    return span * 78.0 / step, steps.tolist(), tracks
+
+
+# step 10, span 100 and dt 78: period 780 ps, so a wrap is a jump of 100 and
+# the tolerance is max(100 / 4, 3 * 10) = 30
+PASS_ONLY = saw(55, 12)  # every frame matched, a wrap at frame 6
+OUTLIER = edited(saw(95, 12), {4: [20]})  # 35 under the prediction: coasted over, then resumed
+TIE = edited(saw(95, 10), {3: [60, 70], 6: [35, 90]})  # 60 and 70 tie around 65; 35 is nearer
+SEVERAL_FIRST = edited(saw(73, 14), {0: [], 1: [20, 63], 3: [], 4: [], 5: []})
+SEVERAL_LATER = edited(saw(55, 14), {2: [40, 90], 12: [], 13: []})  # 40 is nearer 35
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sawtooth_tracks())
+@example(case=(780.0, list(range(12)), [PASS_ONLY]))
+@example(case=(780.0, list(range(0, 36, 3)), [OUTLIER, PASS_ONLY]))
+@example(case=(780.0, list(range(10)), [PASS_ONLY[:10], TIE]))
+@example(case=(780.0, list(range(14)), [SEVERAL_FIRST, SEVERAL_LATER]))
+@example(case=(780.0, list(range(3)), [[[50], [], []], [[50], [40], [30]]]))
+def test_array_pass_matches_per_frame_reference(case):
+    period_ps, steps, tracks_frames = case
+    want_steps, want_tracks = [], []
+    for frames in tracks_frames:
+        rows = [(n, [EdgeObservation(k, RISING) for k in idx]) for n, idx in zip(steps, frames)]
+        try:
+            want_steps.append(estimate_step_carries_per_frame(rows, RISING))
+            want_tracks.append(track_per_frame(rows, RISING, period_ps, 78.0))
+        except CalibrationError:
+            want_steps.append(float("nan"))
+    assert same_bits(_estimate_step_carries(*edge_arrays(tracks_frames)), np.array(want_steps))
+    if len(want_tracks) < len(tracks_frames):
+        with pytest.raises(CalibrationError):
+            track_each(tracks_frames, steps, period_ps, 78.0)
+        return
+    assert track_each(tracks_frames, steps, period_ps, 78.0) == want_tracks
+
+
+def test_tracks_match_per_frame_reference_on_multi_edge_frames(multi_pulse_dataset):
+    # a 600 MHz sweep holds several edges of each polarity per frame, so the
+    # loop tracks it from the second nonempty frame on; fig4 holds one at most
+    fig4 = mlab_datasets(n_channels=1, seed0=7)
+    for datasets, several in (([multi_pulse_dataset], True), (fig4, False)):
+        rows, _, levels = _edges(datasets[0].bits, 15)
+        for pol in (RISING, FALLING):
+            assert (np.bincount(rows[levels == pol]).max() > 1) == several
+        pols = (RISING, FALLING)
+        assert dict_tracks(_tracks(datasets, 15, pols)) == tracks_per_frame(datasets, 15, pols)
 
 
 def pool_grid(dt_ps):
@@ -485,9 +614,9 @@ def test_pool_matches_per_step_reference(tracks):
         want = pool_per_step(POOL_GRID, tracks, RISING)
     except CalibrationError as exc:
         with pytest.raises(CalibrationError, match=str(exc)):
-            _pool(POOL_GRID, tracks, RISING)
+            _pool(POOL_GRID, [as_arrays(t) for t in tracks], RISING)
         return
-    assert pooled_same_bits(_pool(POOL_GRID, tracks, RISING), want)
+    assert pooled_same_bits(_pool(POOL_GRID, [as_arrays(t) for t in tracks], RISING), want)
 
 
 @settings(max_examples=500, deadline=None)
@@ -501,7 +630,7 @@ def test_transfer_function_matches_by_index_reference(tracks, dt, polarity):
     # at dt 77.7 the phases are not integers and the summation order shows
     tracks = [dict(sorted(track.items())) for track in tracks]
     try:
-        tr = _pool(pool_grid(dt), tracks, polarity)
+        tr = _pool(pool_grid(dt), [as_arrays(t) for t in tracks], polarity)
     except CalibrationError:
         return
     try:
@@ -522,7 +651,7 @@ def test_pool_censors_steps_at_mixed_wraps_or_missing_channels():
         {0: (901, 0), 1: (881, 0), 2: (861, 1), 3: (841, 1)},
         {0: (899, 0), 1: (879, 0), 2: (859, 0), 3: (839, 1), 4: (819, 1)},
     ]
-    got = _pool(POOL_GRID, tracks, FALLING)
+    got = _pool(POOL_GRID, [as_arrays(t) for t in tracks], FALLING)
     assert got.steps.tolist() == [0, 1, 3]
     assert got.wraps.tolist() == [0, 0, 1]
     assert pooled_same_bits(got, pool_per_step(POOL_GRID, tracks, FALLING))

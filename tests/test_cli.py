@@ -3,7 +3,7 @@ import json
 import re
 import shutil
 import typing
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -395,6 +395,28 @@ def test_calibrate_accepts_existing_datasets(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["recovered"]["tau_rise_ps"] == pytest.approx(4.91, abs=0.05)
     assert (out / "transfer.csv").read_text().startswith("index,t_ps,dt_ps")
+
+
+
+@pytest.mark.parametrize("reorder", ["shuffled", "halved", "reversed"])
+def test_calibrate_rejects_frames_out_of_phase_order(tmp_path, capsys, reorder):
+    # a sweep re-saved with its frames out of phase order, its hashes valid
+    good, raw, bad, out = (str(tmp_path / name) for name in ("good", "raw", "bad", "cal"))
+    for d, seed in ((good, "0"), (raw, "1000")):
+        assert run("sweep", "--config", "preset:fig3a", "--out", d, "--seed", seed, "--quiet") == 0
+    ds = load_dataset(raw)
+    if reorder == "halved":  # every index twice
+        ds = replace(ds, phase_index=ds.phase_index // 2)
+    else:
+        order = np.arange(ds.n_frames)[::-1]
+        if reorder == "shuffled":
+            order = np.random.default_rng(5).permutation(ds.n_frames)
+        ds = replace(ds, bits=ds.bits[order], capture_time_fs=ds.capture_time_fs[order],
+                     phase_index=ds.phase_index[order])
+    storage.save_dataset(ds, bad)
+    assert run("calibrate", "--config", "preset:fig4", "--out", out, good, bad, "--quiet") == 2
+    assert "dataset 2 of 2: phase indices must be strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "cal").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):
