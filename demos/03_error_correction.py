@@ -36,7 +36,7 @@ def main():
     measured = run_sweep(sweep, chain, regs)
     truth = run_sweep(sweep, replace(chain, tau_fall_ps=chain.tau_rise_ps), regs)
 
-    res = shrink_analysis(measured, min_run=15, bin_width=25)
+    res = shrink_analysis(measured)
     print(f"measured contraction rate: {res.rate:.4f} carries per carry of travel")
 
     corrected = correct_dataset(measured, CorrectionSpec(15, 1.0 - res.rate))

@@ -33,7 +33,7 @@ def main():
     series = stitch_frames(dataset, 5.0)
     print(f"stitched {dataset.n_frames} frames into {series.size} contiguous samples")
 
-    m = measure_node_timescale(ring, dataset, tau_ps=5.0)
+    m = measure_node_timescale(ring, series, tau_ps=5.0)
     print(
         f"per-inverter delay: {m.per_node_ps:.2f} +- {m.err_ps:.2f} ps "
         f"from {m.n_pulses} pulses (configured 240.00)"

@@ -50,6 +50,9 @@ _NAMES = {RISING: "rising", FALLING: "falling"}
 # One-sample index quantization floor (uniform distribution over one carry).
 QUANT_FLOOR_CARRIES = 1.0 / math.sqrt(12.0)
 
+MIN_PULSE_CARRIES = 15  # the shortest pulse counted, and calibrate's default smoothing
+SHRINK_BIN_CARRIES = 25  # shrink_analysis's bin of pulse positions
+
 
 class CalibrationError(WavecapError):
     pass
@@ -76,17 +79,15 @@ def _runs(bits, min_run: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     # at min_run 1 no run is short: skip np.unique, which allocates even on []
     redo = np.unique(rows[lengths < min_run]) if min_run > 1 else ()
     if len(redo):
-        lo, hi = np.searchsorted(rows, redo), np.searchsorted(rows, redo, side="right")
-        keep = ~np.isin(rows, redo)
-        pieces = [(rows[keep], levels[keep], lengths[keep])]
-        for r, a, z in zip(redo.tolist(), lo.tolist(), hi.tolist()):
-            lv, ln = levels[a:z].tolist(), lengths[a:z].tolist()
+        cuts = np.searchsorted(rows, np.c_[redo, redo + 1].ravel())
+        # odd pieces are the rows to merge, spliced back in place; even ones stay as they are
+        parts = [np.split(a, cuts) for a in (rows, levels, lengths)]
+        for i in range(1, len(cuts), 2):
+            lv, ln = parts[1][i].tolist(), parts[2][i].tolist()
             _smooth_runs(lv, ln, min_run)
-            pieces.append((np.full(len(ln), r), np.array(lv, np.uint8), np.array(ln)))
-        # the merged rows come last; a stable sort by row puts them back in place
-        rows, levels, lengths = (np.concatenate(a) for a in zip(*pieces))
-        order = np.argsort(rows, kind="stable")
-        rows, levels, lengths = rows[order], levels[order], lengths[order]
+            parts[0][i] = parts[0][i][: len(ln)]  # merging only drops runs
+            parts[1][i], parts[2][i] = np.array(lv, np.uint8), np.array(ln)
+        rows, levels, lengths = (np.concatenate(p) for p in parts)
     last = np.cumsum(lengths) - rows * b.shape[1]
     return rows, levels, last - lengths + 1, last
 
@@ -362,7 +363,7 @@ def _fit_polarity(tr: _PooledTrajectory) -> CarryTimeFit:
 
 
 def fit_carry_times(
-    datasets: Sequence[SweepDataset], min_run: int = 15
+    datasets: Sequence[SweepDataset], min_run: int = MIN_PULSE_CARRIES
 ) -> dict[int, CarryTimeFit]:
     """Carry times from pooled sweep data, keyed by RISING and FALLING."""
     tracks = _tracks(datasets, min_run, (RISING, FALLING))
@@ -409,7 +410,7 @@ def _isotonic_increasing(y: np.ndarray) -> np.ndarray:
 
 def build_transfer_function(
     datasets: Sequence[SweepDataset],
-    min_run: int = 15,
+    min_run: int = MIN_PULSE_CARRIES,
     polarity: int = RISING,
 ) -> TransferFunction:
     """Transpose the edge trajectory into t(x) with dt(x) = t'(x) * dx."""
@@ -477,27 +478,23 @@ class ShrinkResult:
     samples: tuple[tuple[int, int], ...]  # (falling-edge index, width)
 
 
-def shrink_analysis(
-    dataset: SweepDataset, min_run: int = 15, bin_width: int = 25
-) -> ShrinkResult:
+def shrink_analysis(dataset: SweepDataset) -> ShrinkResult:
     """Pulse width versus falling-edge position, binned and fit to a line."""
-    if min_run < 1 or bin_width < 1:
-        raise CalibrationError("min_run and bin_width must be >= 1")
-    _, levels, first, last = _runs(dataset.bits, min_run)
+    _, levels, first, last = _runs(dataset.bits, MIN_PULSE_CARRIES)
     widths = last - first + 1
     # a pulse truncated at a chain boundary has no width to report; its
     # position is the 1-based index of the 0 just below it
-    keep = (levels == 1) & (widths >= min_run) & (first > 1) & (last < dataset.k)
+    keep = (levels == 1) & (widths >= MIN_PULSE_CARRIES) & (first > 1) & (last < dataset.k)
     pos, wid = (first - 1)[keep], widths[keep]
     if pos.size < 2:
         raise CalibrationError("not enough pulses for a shrink fit")
 
-    bins = pos // bin_width
+    bins = pos // SHRINK_BIN_CARRIES
     counts = np.bincount(bins)
     nz = np.flatnonzero(counts)
     if nz.size < 2:
         raise CalibrationError("fewer than two populated bins")
-    centers = (nz + 0.5) * bin_width
+    centers = (nz + 0.5) * SHRINK_BIN_CARRIES
     # integer widths: each bin's float sum is exact in any order, as in a per-bin mean
     means = np.bincount(bins, wid)[nz] / counts[nz]
     _, b, *_ = _wls_line(centers, means, np.ones_like(centers))
@@ -538,7 +535,7 @@ class CalibrationResult:
         }
 
 
-def calibrate(datasets: Sequence[SweepDataset], min_run: int = 15) -> CalibrationResult:
+def calibrate(datasets: Sequence[SweepDataset], min_run: int = MIN_PULSE_CARRIES) -> CalibrationResult:
     tracks = _tracks(datasets, min_run, (RISING, FALLING))
     pooled = {pol: _pool(datasets, tracks[pol], pol) for pol in tracks}
     fits = {pol: _fit_polarity(pooled[pol]) for pol in tracks}

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .calibrate import calibrate, shrink_analysis
+from .calibrate import MIN_PULSE_CARRIES, calibrate, shrink_analysis
 from .chain import ChainSpec, RegisterSpec, sample_chain, sample_registers
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
 from .ringosc import RingSpec, measure_node_timescale, simulate_ring, stitch_frames
@@ -55,7 +55,7 @@ class CliError(WavecapError):
 @dataclass(frozen=True)
 class CalibrateOptions:
     n_channels: int = 1  # sweeps generated, each with seeds shifted by 1000
-    min_run: int = 15
+    min_run: int = MIN_PULSE_CARRIES
 
 
 @dataclass(frozen=True)
@@ -282,9 +282,10 @@ def cmd_ro(args, ring, opts, chain, regs):
             trace.node(node), chain, regs, opts.t_capture_ps, opts.n_frames,
             t_start_ps=t_start_ps,
         )
-        runs[node] = ds, stitch_frames(ds, tau_nominal)  # fails here, before any file is written
+        series = stitch_frames(ds, tau_nominal)  # fails here, before any file is written
+        runs[node] = ds, series
         if opts.measure_timescale:
-            m = measure_node_timescale(ring, ds, tau_nominal)
+            m = measure_node_timescale(ring, series, tau_nominal)
             rec = report.setdefault("recovered", {})
             rec[f"node_{node}_per_inverter_ps"] = m.per_node_ps
             rec[f"node_{node}_err_ps"] = m.err_ps

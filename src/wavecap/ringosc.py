@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .calibrate import _runs
+from .calibrate import MIN_PULSE_CARRIES, _runs
 from .sweep import SweepDataset
 from .units import FS_PER_PS, WavecapError, ps_to_fs, require_finite
 from .waveform import DigitalWaveform
@@ -183,6 +183,8 @@ def stitch_frames(dataset: SweepDataset, tau_ps: float) -> np.ndarray:
     so index order matches signal time, read row by row off the bits matrix."""
     if dataset.t_capture_ps is None:
         raise RingError("dataset was not captured at a fixed period")
+    if not 0 < tau_ps < np.inf:
+        raise RingError(f"carry time tau_ps {tau_ps} must be positive and finite")
     k_t = taps_within(tau_ps, dataset.t_capture_ps)
     if k_t < 1:
         raise RingError("capture period shorter than one carry")
@@ -203,30 +205,27 @@ class NodeTimescale:
     n_pulses: int
 
 
-def measure_node_timescale(
-    ring: RingSpec,
-    dataset: SweepDataset,
-    tau_ps: float,
-    min_run: int = 15,
-) -> NodeTimescale:
+def measure_node_timescale(ring: RingSpec, series: np.ndarray, tau_ps: float) -> NodeTimescale:
     """Per-inverter delay from continuously captured single-pulse traffic.
 
     The stable single-pulse state makes every node high for one full lap,
     so the mean pulse width divided by the node count is the gate delay.
-    Frames are stitched first so pulses spanning a frame boundary count
-    once, at full width.
+    series is one node's frames stitched at carry time tau_ps, so pulses
+    spanning a frame boundary count once, at full width.
     """
-    series = stitch_frames(dataset, tau_ps)
+    if np.ndim(series) != 1:
+        raise RingError("series must be one stitched bit series, as stitch_frames returns")
+    if not 0 < tau_ps < np.inf:
+        raise RingError(f"carry time tau_ps {tau_ps} must be positive and finite")
     _, levels, first, last = _runs(series)
     widths = last - first + 1
-    interior = (first > 1) & (last < series.size)
-    widths = widths[(levels == 1) & interior & (widths >= min_run)]
+    interior = (first > 1) & (last < len(series))
+    widths = widths[(levels == 1) & interior & (widths >= MIN_PULSE_CARRIES)]
     if widths.size < 2:
         raise RingError("not enough pulses to estimate a timescale")
-    mean_w = float(widths.mean())
     sem_w = float(widths.std(ddof=1)) / np.sqrt(widths.size)
     return NodeTimescale(
-        per_node_ps=mean_w * tau_ps / ring.n,
-        err_ps=float(abs(sem_w * tau_ps)) / ring.n,
-        n_pulses=int(widths.size),
+        per_node_ps=float(widths.mean()) * tau_ps / ring.n,
+        err_ps=float(sem_w * tau_ps) / ring.n,
+        n_pulses=widths.size,
     )

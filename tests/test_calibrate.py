@@ -846,12 +846,12 @@ def multi_pulse_dataset():
 
 
 def test_shrink_rate_mlab(multi_pulse_dataset):
-    res = shrink_analysis(multi_pulse_dataset, min_run=15, bin_width=25)
+    res = shrink_analysis(multi_pulse_dataset)
     assert 0.06 <= res.rate <= 0.12
 
 
 def test_shrink_rate_matches_tau_asymmetry(multi_pulse_dataset):
-    res = shrink_analysis(multi_pulse_dataset, min_run=15, bin_width=25)
+    res = shrink_analysis(multi_pulse_dataset)
     assert abs(res.rate - (4.91 - 4.54) / 4.91) < 0.05
 
 
@@ -859,7 +859,7 @@ def test_shrink_rate_zero_for_symmetric_chain():
     src = PllOutputSpec(600e6, 0.5, seed=77)
     spec = SweepSpec(src, 5_000, 104, 64, seed=5)
     ds = run_sweep(spec, ChainSpec(1300, 5.0, 5.0), RegisterSpec())
-    res = shrink_analysis(ds, min_run=15, bin_width=25)
+    res = shrink_analysis(ds)
     assert res.rate < 0.01
 
 
@@ -867,7 +867,7 @@ def test_shrink_rate_lab_set():
     src = PllOutputSpec(600e6, 0.5, seed=78)
     spec = SweepSpec(src, 5_000, 104, 128, seed=6)
     ds = run_sweep(spec, ChainSpec(1100, 6.35, 5.60), RegisterSpec())
-    res = shrink_analysis(ds, min_run=15, bin_width=25)
+    res = shrink_analysis(ds)
     assert 0.10 <= res.rate <= 0.20
 
 
@@ -885,5 +885,5 @@ def shrink_samples_per_frame(dataset, min_run):
 
 
 def test_shrink_samples_match_per_frame_reference(multi_pulse_dataset):
-    res = shrink_analysis(multi_pulse_dataset, min_run=15, bin_width=25)
+    res = shrink_analysis(multi_pulse_dataset)
     assert res.samples == shrink_samples_per_frame(multi_pulse_dataset, 15)

@@ -126,6 +126,88 @@ def test_calibrate_report_is_pinned(tmp_path):
     }
 
 
+def preset_text(name):
+    return (resources.files("wavecap.presets") / f"{name}.config").read_text()
+
+
+def ro19_on_fig4_chain(tmp_path):
+    """appendix-ro19's ring on fig4's chain (k 1300, tau 4.91/4.54 ps, sigma
+    0.02 ps), whose stitched pulses spread in width."""
+    ring = [ln for ln in preset_text("appendix-ro19").splitlines() if not ln.startswith("chain.")]
+    chain = [ln for ln in preset_text("fig4").splitlines() if ln.startswith("chain.")]
+    cfg = tmp_path / "ro19-fig4.config"
+    cfg.write_text("\n".join(ring + chain) + "\n")
+    return str(cfg)
+
+
+# recorded, without runtime_s, before ro stitched each node once and the
+# pulse rules of shrink_analysis and measure_node_timescale became constants
+PINNED_REPORTS = [
+    ("shrink", "preset:fig3c", {
+        "kind": "shrink",
+        "truth": {"rate": 0.07535641547861509},
+        "recovered": {"rate": 0.07537536174118771, "n_pulses": 831},
+    }),
+    ("correct", "preset:fig6", {
+        "kind": "correct",
+        "alpha": 0.9246246382588122,
+        "measured_rate": 0.07537536174118771,
+        "recovered": {
+            "uncorrected_mean_abs_err": 43.06298449612403,
+            "corrected_mean_abs_err": 0.627906976744186,
+            "improvement": 0.9854188699624221,
+        },
+    }),
+    ("ro", "preset:appendix-ro19", {
+        "kind": "ro",
+        "truth": {"tau_gate_ps": 240.0, "n": 19},
+        "recovered": {"node_0_per_inverter_ps": 240.0, "node_0_err_ps": 0.0},
+    }),
+    ("ro", ro19_on_fig4_chain, {
+        "kind": "ro",
+        "truth": {"tau_gate_ps": 240.0, "n": 19},
+        "recovered": {
+            "node_0_per_inverter_ps": 215.83615667074665,
+            "node_0_err_ps": 5.539205873153572,
+        },
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "command,config,want",
+    PINNED_REPORTS,
+    ids=["shrink-fig3c", "correct-fig6", "ro-appendix-ro19", "ro-ro19-on-fig4-chain"],
+)
+def test_report_is_pinned(tmp_path, command, config, want):
+    config = config if isinstance(config, str) else config(tmp_path)
+    out = tmp_path / "run"
+    assert run(command, "--config", config, "--out", str(out), "--quiet") == 0
+    report = json.loads((out / "report.json").read_text())
+    del report["runtime_s"]
+    assert report == want
+
+
+def test_ro_stitches_each_captured_node_once(tmp_path, monkeypatch):
+    from wavecap import ringosc
+
+    calls, stitch = [], ringosc.stitch_frames
+
+    def counted(*args):
+        calls.append(args)
+        return stitch(*args)
+
+    # both bindings: cmd_ro's import and ringosc's own module global
+    monkeypatch.setattr(cli, "stitch_frames", counted)
+    monkeypatch.setattr(ringosc, "stitch_frames", counted)
+    cfg = tmp_path / "ring.config"
+    cfg.write_text(
+        preset_text("appendix-ro19").replace("ro.capture_nodes = 0", "ro.capture_nodes = 0,7")
+    )
+    assert run("ro", "--config", str(cfg), "--out", str(tmp_path / "ring"), "--quiet") == 0
+    assert len(calls) == 2
+
+
 def test_seed_override_changes_frames(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("sweep", "--config", "preset:fig3a", "--out", str(a), "--quiet") == 0

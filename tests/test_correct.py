@@ -391,7 +391,7 @@ def test_uncorrected_error_tracks_travel_distance(shrink_pair):
 
 def test_correction_halves_width_error(shrink_pair):
     truth_ds, meas_ds = shrink_pair
-    rate = shrink_analysis(meas_ds, min_run=15, bin_width=25).rate
+    rate = shrink_analysis(meas_ds).rate
     fixed_ds = correct_dataset(meas_ds, CorrectionSpec(15, 1.0 - rate))
     raw = dataset_fidelity(truth_ds, meas_ds).mean_abs_error
     fixed = dataset_fidelity(truth_ds, fixed_ds).mean_abs_error

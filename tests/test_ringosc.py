@@ -293,6 +293,31 @@ def test_stitch_boundary_pulse_is_contiguous():
     assert np.array_equal(series, direct)
 
 
+@pytest.fixture(scope="module")
+def pulse_capture():
+    spec = RingSpec(5, 311.0, initial_state=stable_pulse_state(5))
+    tr = simulate_ring(spec, 60_000)
+    chain = ChainSpec(128, 5.0, 5.0, tau_sigma_ps=0.0, entry_delay_ps=0.0)
+    return spec, run_continuous(tr.node(0), chain, RegisterSpec(), 500.0, 80, t_start_ps=9_000)
+
+
+@pytest.mark.parametrize("tau_ps", [0.0, -5.0, float("nan"), float("inf")])
+def test_carry_time_must_be_positive_and_finite(pulse_capture, tau_ps):
+    spec, ds = pulse_capture
+    with pytest.raises(RingError, match="must be positive and finite"):
+        stitch_frames(ds, tau_ps)
+    with pytest.raises(RingError, match="must be positive and finite"):
+        measure_node_timescale(spec, stitch_frames(ds, 5.0), tau_ps)
+
+
+def test_timescale_takes_the_stitched_series_not_the_frames(pulse_capture):
+    spec, ds = pulse_capture
+    m = measure_node_timescale(spec, stitch_frames(ds, 5.0), 5.0)
+    assert m.per_node_ps == pytest.approx(311.0, abs=5.0)
+    with pytest.raises(RingError, match="one stitched bit series"):
+        measure_node_timescale(spec, ds.bits, 5.0)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(
     n=st.sampled_from([1, 3, 5]),
@@ -340,7 +365,7 @@ def run_timescale(tau_gate, n, capture_setup, n_frames=150):
     spec = RingSpec(n, tau_gate, initial_state=stable_pulse_state(n))
     tr = simulate_ring(spec, 20_000 + n_frames * 5_000)
     ds = run_continuous(tr.node(0), chain, regs, 5_000, n_frames, t_start_ps=15_000)
-    return measure_node_timescale(spec, ds, 5.0)
+    return measure_node_timescale(spec, stitch_frames(ds, 5.0), 5.0)
 
 
 def test_recovers_240ps_per_node(capture_setup):
