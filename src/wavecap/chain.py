@@ -346,7 +346,7 @@ def capture_at(
         )
     times = wf.edge_times_fs
     # the level after each edge, which is also its polarity (RISING == 1)
-    pols = wf.initial_level ^ ((np.arange(times.size) + 1) & 1)
+    pols = wf.level_after(np.arange(times.size))
     first = np.searchsorted(times, lo - _max_catchup_fs(chain), side="left")
     stop = np.searchsorted(times, hi, side="right")
     prefix = np.stack([chain.prefix_fall_fs, chain.prefix_rise_fs])  # by polarity

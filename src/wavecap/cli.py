@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .calibrate import MIN_PULSE_CARRIES, calibrate, shrink_analysis
-from .chain import ChainSpec, RegisterSpec, sample_chain, sample_registers
+from .chain import MAX_CHAIN_LEN, ChainSpec, RegisterSpec, sample_chain, sample_registers
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
 from .ringosc import RingSpec, measure_node_timescale, simulate_ring, stitch_frames
 from .storage import (
@@ -42,7 +42,7 @@ from .storage import (
     write_pgm,
     write_report,
 )
-from .sweep import SweepSpec, _default_start_ps, run_continuous, run_sweep
+from .sweep import MAX_FRAMES, SweepSpec, _default_start_ps, run_continuous, run_sweep
 from .units import WavecapError, require_finite
 
 OUT_ROOT_ENV = "WAVECAP_OUT_ROOT"
@@ -78,6 +78,10 @@ class RoOptions:
 
     def __post_init__(self):
         require_finite(self, CliError)
+        if self.t_capture_ps <= 0:
+            raise CliError("ro.t_capture_ps must be positive")
+        if not 1 <= self.n_frames <= MAX_FRAMES:
+            raise CliError(f"ro.n_frames must lie in [1, {MAX_FRAMES}], the frame bound")
 
 
 # the spec read from each config key prefix, per command
@@ -268,6 +272,8 @@ def cmd_correct(args, opts, chain, regs, sweep):
 def cmd_ro(args, ring, opts, chain, regs):
     if not all(0 <= node < ring.n for node in opts.capture_nodes):
         raise CliError(f"ro.capture_nodes {list(opts.capture_nodes)} must lie in [0, {ring.n})")
+    if chain.k > MAX_CHAIN_LEN:  # before sampling, as run_sweep checks it
+        raise CliError(f"device bound: chain.k = {chain.k} > {MAX_CHAIN_LEN}")
     chain, regs = sample_chain(chain), sample_registers(regs, chain.k)
     t_start_ps = opts.t_start_ps
     if t_start_ps is None:

@@ -16,8 +16,9 @@ from typing import Union
 import numpy as np
 
 from .calibrate import MIN_PULSE_CARRIES, _runs
+from .chain import ChainError, _sample_delays
 from .sweep import SweepDataset
-from .units import FS_PER_PS, WavecapError, ps_to_fs, require_finite
+from .units import WavecapError, ps_to_fs, require_finite
 from .waveform import DigitalWaveform
 
 __all__ = [
@@ -56,8 +57,8 @@ class RingSpec:
 
     def __post_init__(self):
         require_finite(self, RingError)
-        if self.n < 1:
-            raise RingError("need at least one node")
+        if not 1 <= self.n <= MAX_RING_EVENTS:  # before the per-node state is built
+            raise RingError(f"n must lie in [1, {MAX_RING_EVENTS}], the ring event bound")
         if self.tau_gate_ps <= 0:
             raise RingError("gate delay must be positive")
         if self.tau_sigma_ps < 0 or self.min_pulse_ps < 0 or self.tau_fall_extra_ps < 0:
@@ -83,21 +84,16 @@ def stable_pulse_state(n: int) -> tuple[int, ...]:
 
 
 def sample_gate_delays(spec: RingSpec) -> np.ndarray:
-    """Static per-node delays in fs, drawn once per instance."""
+    """Static per-node delays in fs, drawn as a chain's element delays are."""
     rng = np.random.default_rng(spec.seed)
-    taus = np.zeros(spec.n) if spec.tau_sigma_ps > 0 else np.full(spec.n, spec.tau_gate_ps)
-    for i in range(spec.n):
-        while taus[i] <= 0:  # truncate positive by rejection
-            taus[i] = spec.tau_gate_ps + rng.normal(0.0, spec.tau_sigma_ps)
-    if not np.all(taus * FS_PER_PS < 2**63):
-        raise RingError(f"tau_gate_ps/tau_sigma_ps draw {taus.max()} ps is not finite in int64 fs")
-    return np.array([ps_to_fs(t) for t in taus], dtype=np.int64)
+    try:
+        return _sample_delays(rng, spec.tau_gate_ps, np.ones(spec.n), spec.tau_sigma_ps)
+    except ChainError:
+        raise RingError("a tau_gate_ps/tau_sigma_ps draw is not finite in int64 fs") from None
 
 
 @dataclass(frozen=True)
 class RingTrace:
-    spec: RingSpec
-    delays_fs: np.ndarray
     nodes: tuple[DigitalWaveform, ...]
 
     def node(self, i: int) -> DigitalWaveform:
@@ -164,17 +160,12 @@ def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
     nodes = tuple(
         DigitalWaveform(init[i], np.sort(t), (0, duration_fs)) for i, t in enumerate(per_node)
     )
-    return RingTrace(spec, delays, nodes)
+    return RingTrace(nodes)
 
 
 # ---------------------------------------------------------------------------
 # frame stitching
 # ---------------------------------------------------------------------------
-
-
-def taps_within(tau_ps: float, window_ps: float) -> int:
-    """Number of leading taps of nominal carry time tau_ps inside window_ps."""
-    return int(np.floor(window_ps / float(tau_ps)))
 
 
 def stitch_frames(dataset: SweepDataset, tau_ps: float) -> np.ndarray:
@@ -185,7 +176,7 @@ def stitch_frames(dataset: SweepDataset, tau_ps: float) -> np.ndarray:
         raise RingError("dataset was not captured at a fixed period")
     if not 0 < tau_ps < np.inf:
         raise RingError(f"carry time tau_ps {tau_ps} must be positive and finite")
-    k_t = taps_within(tau_ps, dataset.t_capture_ps)
+    k_t = int(np.floor(dataset.t_capture_ps / float(tau_ps)))
     if k_t < 1:
         raise RingError("capture period shorter than one carry")
     if k_t > dataset.k:

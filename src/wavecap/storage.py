@@ -358,8 +358,9 @@ def _load_manifest(d: Path) -> dict[str, str]:
 
 
 def _int64(cell: str | bytes) -> int:
-    if -(2**63) <= int(cell) < 2**63:
-        return int(cell)
+    value = int(cell)
+    if -(2**63) <= value < 2**63:
+        return value
     raise ValueError(f"{cell!r} is outside int64")
 
 

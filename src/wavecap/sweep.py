@@ -36,6 +36,10 @@ class SweepError(WavecapError):
     pass
 
 
+# frames per run, checked before any draw; at the 1,740-tap device bound, 1.7 GB of bits
+MAX_FRAMES = 1_000_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One dynamic-phase calibration sweep."""
@@ -52,8 +56,8 @@ class SweepSpec:
         require_finite(self, SweepError)
         if self.dt_ps < 0:
             raise SweepError("phase increment must be >= 0")
-        if self.n_steps < 2:
-            raise SweepError("a sweep needs at least 2 steps")
+        if not 2 <= self.n_steps <= MAX_FRAMES:
+            raise SweepError(f"n_steps must lie in [2, {MAX_FRAMES}], the frame bound")
         lo, hi = self.relock_dead_cycles
         if lo < 2 or hi < lo or hi >= 2**63:  # the cycle draw is int64
             raise SweepError("dead-cycle range must satisfy 2 <= min <= max < 2**63")
@@ -113,14 +117,13 @@ def run_sweep(
     regs: RegisterSpec | RegisterBank,
 ) -> SweepDataset:
     """Capture n_steps frames, the n-th of the source shifted by n*dt."""
-    chain_inst = chain if isinstance(chain, ChainInstance) else sample_chain(chain)
-    chain_spec = chain_inst.spec
-    reg_bank = regs if isinstance(regs, RegisterBank) else sample_registers(regs, chain_spec.k)
-    reg_spec = reg_bank.spec
-
+    chain_spec = chain.spec if isinstance(chain, ChainInstance) else chain
+    # validated before sampling: a chain past the device bound can exhaust memory there
     report = validate_config(chain_spec, spec.t_capture_ps, spec.min_resolvable_gap_ps())
     if not report.ok:
         raise SweepError("invalid configuration: " + "; ".join(report.violations))
+    chain_inst = chain if isinstance(chain, ChainInstance) else sample_chain(chain)
+    reg_bank = regs if isinstance(regs, RegisterBank) else sample_registers(regs, chain_spec.k)
 
     # Fixed capture phase t0, far enough in that the look-back window (plus
     # the largest accumulated shift) stays inside the generated waveform.
@@ -168,7 +171,7 @@ def run_sweep(
     if last_fs >= 2**63:
         raise SweepError(f"a frame time of {last_fs / FS_PER_PS} ps does not fit int64 fs")
     t_abs_fs = ps_to_fs(t0_ps) + np.cumsum(dead) * t_capture_fs
-    return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain_spec, reg_spec, spec)
+    return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain_spec, reg_bank.spec, spec)
 
 
 def _default_start_ps(
@@ -191,8 +194,8 @@ def run_continuous(
     seed: int = 0,
 ) -> SweepDataset:
     """Capture frame m at t_start + m*T with no dead time."""
-    if n_frames < 1:
-        raise SweepError("need at least one frame")
+    if not 1 <= n_frames <= MAX_FRAMES:
+        raise SweepError(f"n_frames must lie in [1, {MAX_FRAMES}], the frame bound")
     chain_inst = chain if isinstance(chain, ChainInstance) else sample_chain(chain)
     reg_bank = regs if isinstance(regs, RegisterBank) else sample_registers(
         regs, chain_inst.spec.k

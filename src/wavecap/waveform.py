@@ -62,8 +62,8 @@ class DigitalWaveform:
     def n_edges(self) -> int:
         return int(self.edge_times_fs.size)
 
-    def level_after(self, i: int) -> int:
-        """Level after the i-th edge (0-based)."""
+    def level_after(self, i: int | np.ndarray) -> int | np.ndarray:
+        """Level after the i-th edge (0-based); elementwise on arrays."""
         return self.initial_level ^ ((i + 1) & 1)
 
     def value_at_fs(self, t_fs: int) -> int:
@@ -72,11 +72,6 @@ class DigitalWaveform:
         if i == 0:
             return self.initial_level
         return self.level_after(i - 1)
-
-    def shift_fs(self, dt_fs: int) -> "DigitalWaveform":
-        lo, hi = self.domain_fs
-        dom = (None if lo is None else lo + dt_fs, None if hi is None else hi + dt_fs)
-        return DigitalWaveform(self.initial_level, self.edge_times_fs + np.int64(dt_fs), dom)
 
     def covers_fs(self, lo, hi) -> bool | np.ndarray:
         """Whether [lo, hi] lies inside the domain; elementwise on arrays."""
@@ -91,14 +86,17 @@ class DigitalWaveform:
         magnitude, which is exact for every int64, -2**63 included."""
         t = self.edge_times_fs
         ps, fs = np.divmod(np.abs(t).view(np.uint64), np.uint64(FS_PER_PS))
-        levels = self.initial_level ^ 1 ^ (np.arange(t.size) & 1)
+        levels = self.level_after(np.arange(t.size))
         cells = zip(np.where(t < 0, "-", "").tolist(), ps.tolist(), fs.tolist(), levels.tolist())
         return "time_ps,level\n" + "%s%d.%03d,%d\n" * t.size % tuple(chain.from_iterable(cells))
 
 
 def shift_phase(w: DigitalWaveform, dt_ps: float) -> DigitalWaveform:
     """Translate the whole waveform dt picoseconds later in time."""
-    return w.shift_fs(ps_to_fs(dt_ps))
+    dt_fs = ps_to_fs(dt_ps)
+    lo, hi = w.domain_fs
+    dom = (None if lo is None else lo + dt_fs, None if hi is None else hi + dt_fs)
+    return DigitalWaveform(w.initial_level, w.edge_times_fs + np.int64(dt_fs), dom)
 
 
 @dataclass(frozen=True)

@@ -260,18 +260,19 @@ def test_removed_shrink_key_rejected(tmp_path, capsys):
 )
 def test_non_finite_or_zero_config_value_exits_2(tmp_path, capsys, key, value):
     command, preset = ("ro", "fig7") if key.startswith("ring.") else ("correct", "fig6")
-    cfg = set_config_value(tmp_path, preset, key, value)
+    cfg = set_config_values(tmp_path, preset, {key: value})
     # an escaping exception would fail the test instead of returning
     assert run(command, "--config", cfg, "--out", str(tmp_path / "x")) == 2
     assert key.split(".")[1] in capsys.readouterr().err
 
 
-def set_config_value(tmp_path, preset, key, value):
+def set_config_values(tmp_path, preset, edits):
     text = (resources.files("wavecap.presets") / f"{preset}.config").read_text()
-    edited, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-    assert n == 1
+    for key, value in edits.items():
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1
     cfg = tmp_path / "bad.config"
-    cfg.write_text(edited)
+    cfg.write_text(text)
     return str(cfg)
 
 
@@ -286,7 +287,7 @@ def set_config_value(tmp_path, preset, key, value):
     ],
 )
 def test_ring_time_beyond_femtoseconds_exits_2(tmp_path, capsys, key, value):
-    cfg = set_config_value(tmp_path, "fig7", key, value)
+    cfg = set_config_values(tmp_path, "fig7", {key: value})
     assert run("ro", "--config", cfg, "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err
     assert key.split(".")[1] in err and "finite" in err
@@ -303,6 +304,46 @@ def test_ring_duration_beyond_int64_femtoseconds_exits_2(tmp_path, capsys):
     )
     assert run("ro", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
     assert "duration" in capsys.readouterr().err
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("called on a config that should have been rejected")
+
+
+@pytest.mark.parametrize("command,preset", [("sweep", "fig3a"), ("correct", "fig6"), ("ro", "fig7")])
+def test_chain_past_the_device_bound_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                             command, preset):
+    from wavecap import sweep
+    from wavecap.chain import MAX_CHAIN_LEN
+
+    for module in (cli, sweep):
+        monkeypatch.setattr(module, "sample_chain", never_called)
+        monkeypatch.setattr(module, "sample_registers", never_called)
+    cfg = set_config_values(tmp_path, preset, {"chain.k": MAX_CHAIN_LEN + 1})
+    out = tmp_path / "x"
+    assert run(command, "--config", cfg, "--out", str(out)) == 2
+    assert "device bound: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edits,key",
+    [
+        ({"ro.t_capture_ps": "0"}, "ro.t_capture_ps"),
+        ({"ro.t_capture_ps": "-5000.0"}, "ro.t_capture_ps"),
+        ({"ro.n_frames": "0"}, "ro.n_frames"),
+        ({"ro.n_frames": "1000001"}, "ro.n_frames"),  # MAX_FRAMES + 1
+        ({"ro.n_frames": "100000000000", "ro.t_capture_ps": "0"}, "ro.t_capture_ps"),
+    ],
+)
+def test_ro_frame_options_exit_2_before_the_ring_is_simulated(tmp_path, capsys, monkeypatch,
+                                                              edits, key):
+    monkeypatch.setattr(cli, "simulate_ring", never_called)
+    cfg = set_config_values(tmp_path, "appendix-ro19", edits)
+    out = tmp_path / "x"
+    assert run("ro", "--config", cfg, "--out", str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -325,14 +366,9 @@ def test_ring_duration_beyond_int64_femtoseconds_exits_2(tmp_path, capsys):
     ids=["source-duration", "dead-cycles", "phase-offset", "dead-cycle-sum", "dead-cycle-range"],
 )
 def test_sweep_beyond_int64_exits_2(tmp_path, capsys, edits, messages):
-    text = (resources.files("wavecap.presets") / "fig3a.config").read_text()
-    for key, value in edits.items():
-        text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
-        assert n == 1
-    cfg = tmp_path / "sweep.config"
-    cfg.write_text(text)
+    cfg = set_config_values(tmp_path, "fig3a", edits)
     out = tmp_path / "x"
-    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert run("sweep", "--config", cfg, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert all(m in err for m in messages), err
     assert not out.exists()
@@ -350,7 +386,7 @@ def test_sweep_beyond_int64_exits_2(tmp_path, capsys, edits, messages):
 )
 def test_unbounded_source_exits_2(tmp_path, capsys, key, value, message):
     # each edit once made the source generator run without bound
-    cfg = set_config_value(tmp_path, "fig6", key, value)
+    cfg = set_config_values(tmp_path, "fig6", {key: value})
     assert run("correct", "--config", cfg, "--out", str(tmp_path / "x")) == 2
     err = capsys.readouterr().err
     assert message in err

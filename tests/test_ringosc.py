@@ -15,9 +15,8 @@ from wavecap.ringosc import (
     simulate_ring,
     stable_pulse_state,
     stitch_frames,
-    taps_within,
 )
-from wavecap.sweep import run_continuous
+from wavecap.sweep import SweepDataset, run_continuous
 from wavecap.units import ps_to_fs
 from wavecap.waveform import DigitalWaveform
 
@@ -76,9 +75,26 @@ def test_pulse_width_floor_is_smallest_gate_delay():
         assert d.min() >= delays.min()
 
 
+@pytest.mark.parametrize("n", [3, 5, 19, 101])
+@pytest.mark.parametrize("sigma", [0.0, 10.0])
+def test_gate_delays_equal_per_node_draws(n, sigma):
+    # the per-node draws sample_gate_delays replaced; at fig7's 240 ps and
+    # 10 ps no draw is rejected, so the bulk draw reads the same stream
+    for seed in range(50):
+        spec = RingSpec(n, 240.0, sigma, seed=seed)
+        rng = np.random.default_rng(seed)
+        want = [ps_to_fs(240.0 + (rng.normal(0.0, sigma) if sigma else 0.0)) for _ in range(n)]
+        assert sample_gate_delays(spec).tolist() == want
+
+
 def test_release_time_holds_initial_state():
     tr = simulate_ring(RingSpec(1, 240.0, release_time_ps=3_000.0), 10_000)
     assert tr.node(0).edge_times_fs[0] == ps_to_fs(3_240.0)
+
+
+def test_ring_size_is_bounded_before_the_node_state_is_built():
+    with pytest.raises(RingError, match=f"n must lie in \\[1, {ringosc.MAX_RING_EVENTS}\\]"):
+        RingSpec(ringosc.MAX_RING_EVENTS + 1)
 
 
 def test_event_budget_guard(monkeypatch):
@@ -158,7 +174,7 @@ def heap_simulate_ring(spec: RingSpec, duration_ps: float) -> ringosc.RingTrace:
             [e[0] for e in edges[i] if e[0] <= duration_fs], dtype=np.int64
         )
         nodes.append(DigitalWaveform(init[i], times, (0, duration_fs)))
-    return ringosc.RingTrace(spec, delays, tuple(nodes))
+    return ringosc.RingTrace(tuple(nodes))
 
 
 def ring_outcome(simulate, spec, duration_ps):
@@ -166,8 +182,7 @@ def ring_outcome(simulate, spec, duration_ps):
         trace = simulate(spec, duration_ps)
     except RingError:
         return "RingError"
-    nodes = [(w.initial_level, w.domain_fs, w.edge_times_fs.tolist()) for w in trace.nodes]
-    return nodes, trace.delays_fs.tolist()
+    return [(w.initial_level, w.domain_fs, w.edge_times_fs.tolist()) for w in trace.nodes]
 
 
 @st.composite
@@ -196,7 +211,7 @@ def ring_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=ring_cases())
 def test_closed_form_matches_heap_simulator(case):
-    # the same edges, levels, domains and delays, and a RingError from the
+    # the same edges, levels and domains, and a RingError from the
     # event budget exactly when the heap loop raises one
     spec, duration, budget = case
     with pytest.MonkeyPatch.context() as mp:
@@ -245,8 +260,12 @@ def test_high_time_conservation_per_lap():
 # -- stitching ---------------------------------------------------------------
 
 
-def test_taps_within_nominal():
-    assert taps_within(5.319, 5_000.0) == 940
+def test_stitch_frames_reads_the_taps_within_one_period():
+    # 940 taps of 5.319 ps fit in a 5,000 ps frame, read newest tap last
+    bits = np.random.default_rng(0).integers(0, 2, (3, 1024), dtype=np.uint8)
+    chain = ChainSpec(1024, 5.319, 5.319)
+    ds = SweepDataset(bits, [0, 1, 2], [0, 1, 2], chain, RegisterSpec(), t_capture_ps=5_000.0)
+    assert np.array_equal(stitch_frames(ds, 5.319), bits[:, 939::-1].ravel())
 
 
 def test_stitch_constant_high():

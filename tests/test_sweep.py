@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wavecap.chain import ChainSpec, RegisterSpec, capture, sample_chain, sample_registers
 from wavecap.sweep import (
-    SweepDataset, SweepError, SweepSpec, _instants_fs, run_continuous, run_sweep,
+    MAX_FRAMES, SweepDataset, SweepError, SweepSpec, _instants_fs, run_continuous, run_sweep,
 )
 from wavecap.units import WavecapError, ps_to_fs
 from wavecap.waveform import DigitalWaveform, PllOutputSpec, make_pll_output, shift_phase
@@ -106,6 +106,17 @@ def test_sweep_deterministic():
 def test_dataset_rejects_disagreeing_shapes(bits, times, index):
     with pytest.raises(SweepError, match="one time and index per frame"):
         SweepDataset(bits, times, index, ChainSpec(16, 5.0, 5.0), REGS)
+
+
+def test_sweep_frame_count_is_bounded():
+    with pytest.raises(SweepError, match=f"n_steps must lie in \\[2, {MAX_FRAMES}\\]"):
+        SweepSpec(PllOutputSpec(100e6), dt_ps=0.0, n_steps=MAX_FRAMES + 1)
+
+
+def test_continuous_frame_count_is_bounded_before_any_draw():
+    w = DigitalWaveform(1, np.array([], dtype=np.int64))
+    with pytest.raises(SweepError, match=f"n_frames must lie in \\[1, {MAX_FRAMES}\\]"):
+        run_continuous(w, ChainSpec(4, 5.0, 5.0), REGS, 0.0, MAX_FRAMES + 1, t_start_ps=100)
 
 
 def test_continuous_constant_high():
