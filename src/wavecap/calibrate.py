@@ -113,7 +113,7 @@ def smooth_bits(bits: np.ndarray, min_run: int) -> np.ndarray:
     """Run-length smoothing: merge runs shorter than min_run into their
     surroundings, shortest first."""
     _, levels, first, last = _runs(bits, min_run)
-    return np.repeat(levels, last - first + 1)
+    return np.repeat(levels, last - first + 1).reshape(np.shape(bits))
 
 
 def _edges(bits, min_run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

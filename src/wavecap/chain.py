@@ -19,7 +19,6 @@ reconstruction).  They must agree bit-exactly.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -262,11 +261,6 @@ def _annihilation_elements(
     """
     n = times_fs.size
     out = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return out
-    prev = np.arange(n) - 1
-    nxt = np.arange(n) + 1
-    alive = np.ones(n, dtype=bool)
 
     def first_crossing(i: int, j: int) -> int:
         gap = times_fs[j] - times_fs[i]
@@ -275,24 +269,15 @@ def _annihilation_elements(
         hits = np.nonzero(g <= 0)[0]
         return int(hits[0]) + 1 if hits.size else 0
 
-    heap: list[tuple[int, int, int]] = []
-    for i in range(n - 1):
-        c = first_crossing(i, i + 1)
-        if c:
-            heapq.heappush(heap, (c, i, i + 1))
-
-    while heap:
-        c, i, j = heapq.heappop(heap)
-        if not (alive[i] and alive[j] and nxt[i] == j):
-            continue
+    live = list(range(n))  # the surviving edges, in order
+    cross = [first_crossing(i, i + 1) for i in range(n - 1)]  # per adjacent pair of live
+    while any(cross):
+        c, a = min((c, a) for a, c in enumerate(cross) if c)  # the earlier pair on a tie
+        i, j = live[a], live[a + 1]
         out[i] = out[j] = c
-        alive[i] = alive[j] = False
-        p, q = prev[i], nxt[j]
-        if p >= 0 and q < n:
-            nxt[p], prev[q] = q, p
-            c2 = first_crossing(p, q)
-            if c2:
-                heapq.heappush(heap, (c2, p, q))
+        del live[a : a + 2]
+        # the pairs ending at i, of i and j, and starting at j become one pair (none at an end)
+        cross[max(a - 1, 0) : a + 2] = [first_crossing(live[a - 1], live[a])] if 0 < a < len(live) else []
     return out
 
 

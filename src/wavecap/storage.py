@@ -10,13 +10,17 @@ A dataset directory holds:
 Each fact is stored once: the bits only in frames.csv, the format version
 only in spec.config, which the manifest hashes.  Times are integers end to
 end, so identical specs reproduce byte-identical files, and the manifest
-hashes make silent edits loud.
+hashes make silent edits loud.  One rule decides whether frames.csv and
+times.csv load: each must be byte for byte what save_dataset writes for the
+values read from it.  spec.config keeps its looser key = value grammar, so a
+dataset written before a spec field existed loads with that field's default.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
@@ -273,15 +277,15 @@ def _frames_header(k: int) -> bytes:
     return ("phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1)) + "\n").encode()
 
 
-def _frames_csv(dataset: SweepDataset) -> memoryview:
+def _frames_csv(phase_index: np.ndarray, bits: np.ndarray) -> memoryview:
     """frames.csv as one uint8 buffer.  Adjacent rows whose ``index,``
     prefixes have one width are one (rows, width + 2K) block of it, filled in
     one pass; in any index order, at worst a block is one row."""
-    header = _frames_header(dataset.k)
-    digits = dataset.phase_index.astype("S20")  # an int64 has at most 20 characters
+    header = _frames_header(bits.shape[1])
+    digits = phase_index.astype("S20")  # an int64 has at most 20 characters
     cells = digits.view(np.uint8).reshape(-1, 20)
     widths = np.char.str_len(digits) + 1  # the comma too
-    bounds = np.cumsum(np.concatenate(([len(header)], widths + 2 * dataset.k)))
+    bounds = np.cumsum(np.concatenate(([len(header)], widths + 2 * bits.shape[1])))
     buf = np.empty(bounds[-1], dtype=np.uint8)
     buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
     starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
@@ -290,13 +294,13 @@ def _frames_csv(dataset: SweepDataset) -> memoryview:
         block = buf[bounds[a] : bounds[b]].reshape(b - a, -1)
         block[:, : w - 1] = cells[a:b, : w - 1]
         block[:, w - 1] = ord(",")
-        _fill_bit_lines(block[:, w:], dataset.bits[a:b])
+        _fill_bit_lines(block[:, w:], bits[a:b])
     return memoryview(buf)
 
 
-def _times_csv(dataset: SweepDataset) -> bytes:
-    cells = np.stack([dataset.phase_index, dataset.capture_time_fs], axis=1).ravel().tolist()
-    return (_TIMES_HEADER + "\n" + "%d,%d\n" * dataset.n_frames % tuple(cells)).encode()
+def _times_csv(phase_index: np.ndarray, times_fs: np.ndarray) -> bytes:
+    cells = np.stack([phase_index, times_fs], axis=1).ravel().tolist()
+    return (_TIMES_HEADER + "\n" + "%d,%d\n" * phase_index.size % tuple(cells)).encode()
 
 
 def write_pgm(bits_matrix: np.ndarray, path: Union[str, Path]) -> None:
@@ -307,10 +311,6 @@ def write_pgm(bits_matrix: np.ndarray, path: Union[str, Path]) -> None:
     with Path(path).open("wb") as f:
         f.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
         f.write(m * 255)
-
-
-def _sha256(data: bytes | memoryview) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> None:
@@ -325,12 +325,12 @@ def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> None:
             dataset.sweep_spec,
             dataset.t_capture_ps,
         ).encode(),
-        "frames.csv": _frames_csv(dataset),
-        "times.csv": _times_csv(dataset),
+        "frames.csv": _frames_csv(dataset.phase_index, dataset.bits),
+        "times.csv": _times_csv(dataset.phase_index, dataset.capture_time_fs),
     }
     for name, data in payloads.items():
         (d / name).write_bytes(data)
-    hashes = {name: _sha256(data) for name, data in payloads.items()}
+    hashes = {name: hashlib.sha256(data).hexdigest() for name, data in payloads.items()}
     manifest = {"hashes": hashes, "tool_version": __version__}
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -357,13 +357,6 @@ def _load_manifest(d: Path) -> dict[str, str]:
     return hashes
 
 
-def _int64(cell: str | bytes) -> int:
-    value = int(cell)
-    if -(2**63) <= value < 2**63:
-        return value
-    raise ValueError(f"{cell!r} is outside int64")
-
-
 def _text(name: str, data: bytes) -> str:
     try:
         return data.decode()
@@ -371,56 +364,56 @@ def _text(name: str, data: bytes) -> str:
         raise CorruptFileError(f"{name} is not UTF-8: {exc}") from exc
 
 
+def _int64(cell: bytes) -> int:
+    """A cell's int64 value, or 0 where it has none, which _check_written rejects."""
+    try:
+        value = int(cell)
+    except ValueError:
+        return 0
+    return value if -(2**63) <= value < 2**63 else 0
+
+
+def _check_written(name: str, data: bytes, written: bytes | memoryview) -> None:
+    """Raise unless ``data`` is byte for byte ``written``, what save_dataset
+    writes for the values read from it, naming the first row that differs."""
+    step = 1 << 16  # a block at a time: no whole-file temporary beside the two files
+    for a in range(0, max(len(data), len(written)), step):
+        got, want = data[a : a + step], bytes(written[a : a + step])
+        if got != want:
+            at = a + len(os.path.commonprefix([got, want]))
+            row = data.count(b"\n", 0, at) + 1  # the header is row 1
+            col = at - data.rfind(b"\n", 0, at)
+            raise CorruptFileError(
+                f"{name} row {row}, byte {col}: {data[at : at + 1]!r} where save_dataset"
+                f" writes {bytes(written[at : at + 1])!r} for the values read"
+            )
+
+
 def _parse_frames_csv(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The phase indices and the (frames, K) bits matrix of frames.csv."""
+    """The phase indices and the (frames, K) bits matrix of frames.csv, which
+    must be byte for byte what _frames_csv writes for them."""
+    if not data.startswith(_frames_header(k)):
+        raise CorruptFileError("frames.csv row 1: header does not match the chain length")
     # read as one buffer in blocks of rows whose ``index,`` prefixes have one
-    # width, the mirror of _frames_csv; a malformed row, or a line that does
-    # not end in \n, falls through to the row-by-row checks, which name it
+    # width, the mirror of _frames_csv, up to the first row too short for that
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))  # the header's own comes first
     widths = np.diff(ends) - 2 * k  # each row's ``index,`` prefix, its comma too
-    if data.startswith(_frames_header(k)) and ends[-1] == buf.size - 1 and np.all(widths >= 2):
-        bits = np.empty((widths.size, k), dtype=np.uint8)
-        indices = []
-        starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
-        for a, b in zip(starts, [*starts[1:], widths.size]):
-            w = int(widths[a])
-            block = buf[ends[a] + 1 : ends[b] + 1].reshape(b - a, -1)
-            prefixes = block[:, : w - 1]
-            # each cell is one little-endian 2-byte word: a comma, then its digit
-            if not np.all(block[:, w - 1 : -1].view("<u2") | 0x100 == ord(",") | ord("1") << 8):
-                break
-            # int() would skip a NUL or a \r, \v or \f, which end a line in str.splitlines
-            if np.any((prefixes < ord(" ")) | (prefixes > ord("~"))):
-                break
-            try:
-                indices += map(_int64, prefixes.view(f"S{w - 1}").ravel().tolist())
-            except ValueError:
-                break
-            np.subtract(block[:, w:-1:2], ord("0"), out=bits[a:b])
-        else:
-            return np.array(indices, dtype=np.int64), bits
-    lines = _text("frames.csv", data).splitlines()
-    if not lines:
-        raise CorruptFileError("frames.csv is empty")
-    if (lines[0] + "\n").encode() != _frames_header(k):
-        raise CorruptFileError("frames.csv header does not match the chain length")
-    indices, rows = [], []
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != k + 1:
-            raise CorruptFileError(
-                f"frames.csv row {row_no}: expected {k + 1} cells, got {len(cells)}"
-            )
-        try:
-            indices.append(_int64(cells[0]))
-            values = [int(c) for c in cells[1:]]
-        except ValueError as exc:
-            raise CorruptFileError(f"frames.csv row {row_no}: {exc}") from exc
-        if any(v not in (0, 1) for v in values):
-            raise CorruptFileError(f"frames.csv row {row_no}: bits must be 0 or 1")
-        rows.append(values)
-    return np.array(indices, dtype=np.int64), np.array(rows, dtype=np.uint8).reshape(-1, k)
+    widths = widths[: np.flatnonzero(np.append(widths, 0) < 2)[0]]
+    indices = np.empty(widths.size, dtype=np.int64)
+    bits = np.empty((widths.size, k), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
+    for a, b in zip(starts, [*starts[1:], widths.size]):
+        w = int(widths[a])
+        block = buf[ends[a] + 1 : ends[b] + 1].reshape(b - a, -1)
+        indices[a:b] = list(map(_int64, block[:, : w - 1].view(f"S{w - 1}").ravel().tolist()))
+        np.subtract(block[:, w:-1:2], ord("0"), out=bits[a:b])
+    # checked apart, as the writer renders any digit: a 2 would write back as read
+    bad = np.flatnonzero(bits.max(axis=1, initial=0) > 1)
+    if bad.size:
+        raise CorruptFileError(f"frames.csv row {bad[0] + 2}: bits must be 0 or 1")
+    _check_written("frames.csv", data, _frames_csv(indices, bits))
+    return indices, bits
 
 
 def load_dataset(directory: Union[str, Path]) -> SweepDataset:
@@ -428,31 +421,18 @@ def load_dataset(directory: Union[str, Path]) -> SweepDataset:
     blobs = {}
     for name, want in _load_manifest(d).items():
         blobs[name] = _read(d / name)
-        got = _sha256(blobs[name])
+        got = hashlib.sha256(blobs[name]).hexdigest()
         if got != want:
             raise HashMismatchError(f"{name}: sha256 {got} != manifest {want}")
     chain, regs, sweep, t_capture = config_to_specs(
         parse_config_text(_text("spec.config", blobs["spec.config"]))
     )
     indices, bits = _parse_frames_csv(blobs["frames.csv"], chain.k)
-    time_lines = _text("times.csv", blobs["times.csv"]).splitlines()
-    if time_lines[:1] != [_TIMES_HEADER]:
-        raise CorruptFileError(f"times.csv header is not {_TIMES_HEADER!r}")
-    if len(time_lines) - 1 != len(indices):
-        raise CorruptFileError("times.csv row count does not match frames.csv")
-    times = []
-    for row_no, (idx, line) in enumerate(zip(indices.tolist(), time_lines[1:]), start=2):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise CorruptFileError(f"times.csv row {row_no}: expected 2 cells, got {len(cells)}")
-        if cells[0] != str(idx):
-            raise CorruptFileError(
-                f"times.csv row {row_no}: phase index {cells[0]!r} is not frames.csv's {idx}"
-            )
-        try:
-            times.append(_int64(cells[1]))
-        except ValueError as exc:
-            raise CorruptFileError(f"times.csv row {row_no}: {exc}") from exc
+    times = np.zeros(indices.size, dtype=np.int64)
+    # times.csv's two header cells, then a phase index and a time per row
+    cells = blobs["times.csv"].replace(b"\n", b",").split(b",")[3 : 2 * times.size + 3 : 2]
+    times[: len(cells)] = [_int64(cell) for cell in cells]
+    _check_written("times.csv", blobs["times.csv"], _times_csv(indices, times))
     return SweepDataset(bits, times, indices, chain, regs, sweep, t_capture_ps=t_capture)
 
 

@@ -101,6 +101,14 @@ def test_smooth_bits_merges_short_runs():
     assert np.all(smooth_bits(bits, 1) == bits)
 
 
+def test_smooth_bits_keeps_the_shape_of_its_input():
+    bits = np.array([[1, 1, 0, 1, 1, 1, 0, 0], [0, 1, 0, 0, 0, 1, 1, 1]], dtype=np.uint8)
+    smoothed = smooth_bits(bits, 3)
+    assert smoothed.shape == (2, 8)
+    assert np.array_equal(smoothed, [smooth_bits(row, 3) for row in bits])
+    assert smooth_bits(bits[:0], 3).shape == (0, 8)
+
+
 def smooth_bits_per_bit(bits, min_run):
     """Reference: build the runs bit by bit, then merge shortest first."""
     if min_run <= 1:

@@ -1,3 +1,4 @@
+import heapq
 import tracemalloc
 from unittest import mock
 
@@ -707,6 +708,67 @@ def test_flip_rows_matches_per_row_reference(args):
     got = _flip_rows(np.array(args[0], dtype=np.int64), np.array(args[1], dtype=np.int64), *args[2:])
     assert got.dtype == np.uint8 and got.flags.c_contiguous
     assert np.array_equal(got, per_row_flips(*args))
+
+
+# -- _annihilation_elements against the heap it replaced ----------------------
+
+
+def heap_annihilation_elements(times_fs, pols, prefix_by_pol_fs):
+    """Reference: collisions popped from a heap of (element, left edge, right
+    edge), stale pairs skipped, each newly adjacent pair pushed once."""
+    n = times_fs.size
+    out = np.zeros(n, dtype=np.int64)
+    prev, nxt, alive = np.arange(n) - 1, np.arange(n) + 1, np.ones(n, dtype=bool)
+
+    def first_crossing(i, j):
+        g = times_fs[j] - times_fs[i] + prefix_by_pol_fs[pols[j]] - prefix_by_pol_fs[pols[i]]
+        hits = np.nonzero(g <= 0)[0]
+        return int(hits[0]) + 1 if hits.size else 0
+
+    heap = [(c, i, i + 1) for i in range(n - 1) if (c := first_crossing(i, i + 1))]
+    heapq.heapify(heap)
+    while heap:
+        c, i, j = heapq.heappop(heap)
+        if not (alive[i] and alive[j] and nxt[i] == j):
+            continue
+        out[i] = out[j] = c
+        alive[i] = alive[j] = False
+        p, q = prev[i], nxt[j]
+        if p >= 0 and q < n:
+            nxt[p], prev[q] = q, p
+            if c2 := first_crossing(p, q):
+                heapq.heappush(heap, (c2, p, q))
+    return out
+
+
+@st.composite
+def annihilation_windows(draw):
+    """4-13 alternating edges 0-4 fs apart over a chain of 1-39 elements with
+    integer delays of 1-7 fs: most windows lose two or more pairs, some pairs
+    meet only once the pair between them is gone, and many meet at one element.
+    Coincident edges let two pairs sharing an edge meet at one element, the
+    one tie whose order changes the result (the earlier pair goes)."""
+    k = draw(st.integers(1, 39))
+    delays = st.lists(st.integers(1, 7), min_size=k, max_size=k)
+    prefix = np.cumsum([draw(delays), draw(delays)], axis=1)
+    gaps = draw(st.lists(st.integers(0, 4), min_size=3, max_size=12))
+    times = np.cumsum([0, *gaps]).astype(np.int64)
+    pols = (draw(st.integers(0, 1)) + np.arange(times.size)) & 1
+    return times, pols, prefix
+
+
+@settings(max_examples=2000, deadline=None)
+@given(window=annihilation_windows())
+def test_annihilation_elements_equal_the_heap(window):
+    assert _annihilation_elements(*window).tolist() == heap_annihilation_elements(*window).tolist()
+
+
+def test_outer_pair_meets_once_the_inner_pair_is_gone():
+    # falls are faster up to element 2 and rises after it: the inner pair
+    # meets at element 1, the outer one, then adjacent, at element 4
+    window = np.arange(4), np.array([0, 1, 0, 1]), np.array([[1, 2, 11, 20], [5, 10, 11, 12]])
+    assert _annihilation_elements(*window).tolist() == [4, 1, 1, 4]
+    assert heap_annihilation_elements(*window).tolist() == [4, 1, 1, 4]
 
 
 def test_equal_delays_never_annihilate():

@@ -787,6 +787,25 @@ def test_every_config_key_fails_cleanly_on_bad_values(tmp_path, capsys, command)
     assert not failures
 
 
+@pytest.mark.parametrize("name", ["frames.csv", "times.csv"])
+def test_correct_rejects_a_dataset_not_in_the_written_form(tmp_path, capsys, raw_sweep, name):
+    # row 3's phase index (frames.csv) or time (times.csv) spelled with a
+    # "+", which reads as the saved value, and the manifest rehashed: filter
+    # mode exits 2 and writes nothing
+    path = tmp_path / "raw" / name
+    lines = path.read_bytes().split(b"\n")
+    at = 0 if name == "frames.csv" else lines[2].index(b",") + 1
+    lines[2] = lines[2][:at] + b"+" + lines[2][at:]
+    path.write_bytes(b"\n".join(lines))
+    manifest = json.loads((tmp_path / "raw" / "manifest.json").read_text())
+    manifest["hashes"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (tmp_path / "raw" / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "y"
+    assert run("correct", "--config", "preset:fig6", "--out", str(out), raw_sweep) == 2
+    assert f"{name} row 3, byte {at + 1}: b'+' where save_dataset writes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mutated_dataset_fails_cleanly(tmp_path):
     """Random byte edits of one payload of a saved sweep, non-UTF-8 bytes
     included and the manifest rehashed on some draws: filter-mode correct and

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
@@ -133,15 +134,11 @@ def test_version_skew_detected(small_dataset, tmp_path):
 
 
 def test_every_stored_byte_is_read(small_dataset, tmp_path):
-    """One byte of frames.csv or times.csv overwritten and the manifest
-    rehashed: load_dataset raises or returns different data, so no byte of
-    the bits, indices or times is stored without being read.
-
-    A byte holding a line end is left alone: str.splitlines also splits on
-    \\r \\v \\f \\x1c \\x1d \\x1e, so any newline may become one of those, and
-    int() strips whitespace, so the last newline of a file may become a space,
-    and the file loads the same.  spec.config is left out: its key = value
-    grammar strips whitespace around each key and value."""
+    """One byte of frames.csv or times.csv overwritten, a line end included,
+    and the manifest rehashed: load_dataset raises or returns different data,
+    so no byte of the bits, indices, times or line ends is stored without
+    being read.  spec.config is left out: its key = value grammar strips
+    whitespace around each key and value."""
     save_dataset(small_dataset, tmp_path / "saved")
     saved = {path.name: path.read_bytes() for path in (tmp_path / "saved").iterdir()}
     ds = tmp_path / "ds"
@@ -152,7 +149,7 @@ def test_every_stored_byte_is_read(small_dataset, tmp_path):
     def case(data):
         name = data.draw(st.sampled_from(sorted(storage._PAYLOAD_FILES - {"spec.config"})))
         blob = bytearray(saved[name])
-        at = data.draw(st.integers(0, len(blob) - 1).filter(lambda i: blob[i] != ord("\n")))
+        at = data.draw(st.integers(0, len(blob) - 1))
         blob[at] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
         manifest = json.loads(saved["manifest.json"])
         manifest["hashes"][name] = hashlib.sha256(blob).hexdigest()
@@ -275,16 +272,6 @@ def per_row_parse(data, k):
     return indices, np.array([bits for _, bits in out], dtype=np.uint8).reshape(-1, k)
 
 
-def outcome(parse, data, k):
-    try:
-        indices, bits = parse(data, k)
-        return indices.tolist(), bits.tolist()
-    except CorruptFileError as exc:
-        return (type(exc), str(exc))
-    except OverflowError:  # the per-row parser on a cell outside uint8
-        return OverflowError
-
-
 frame_sets = st.integers(1, 12).flatmap(
     lambda k: st.lists(
         st.tuples(
@@ -307,7 +294,7 @@ def as_dataset(rows):
 @given(rows=frame_sets)
 def test_frames_csv_matches_per_bit_encoding(rows):
     ds = as_dataset(rows)
-    assert _frames_csv(ds) == per_bit_frames_csv(ds)
+    assert _frames_csv(ds.phase_index, ds.bits) == per_bit_frames_csv(ds)
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -343,9 +330,9 @@ def frame_payloads(draw):
 def test_payload_blocks_match_per_row_encoding_in_any_index_order(payload):
     indices, bits, times = payload
     ds = SweepDataset(bits, times, indices, ChainSpec(bits.shape[1], 5.0, 5.0), RegisterSpec())
-    assert _frames_csv(ds) == per_bit_frames_csv(ds)
+    assert _frames_csv(ds.phase_index, ds.bits) == per_bit_frames_csv(ds)
     rows = ["phase_index,capture_time_fs", *(f"{i},{t}" for i, t in zip(indices, times))]
-    assert _times_csv(ds) == ("\n".join(rows) + "\n").encode()
+    assert _times_csv(ds.phase_index, ds.capture_time_fs) == ("\n".join(rows) + "\n").encode()
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,6 +356,9 @@ def test_bit_lines_match_the_per_bit_stitched_text(bits):
     ),
 )
 def test_parse_frames_csv_matches_the_per_row_parser(rows, edits):
+    """An edited frames.csv loads exactly when it is the per-bit writing of
+    the values the per-row parser reads from it, and then to those values;
+    any other text raises CorruptFileError."""
     ds = as_dataset(rows)
     text = per_bit_frames_csv(ds).decode()
     for op, where, char in edits:
@@ -380,18 +370,25 @@ def test_parse_frames_csv_matches_the_per_row_parser(rows, edits):
         else:
             text = text[:i] + text[i + 1 :]
     data = text.encode()
-    got, want = outcome(_parse_frames_csv, data, ds.k), outcome(per_row_parse, data, ds.k)
-    if want is OverflowError:
-        assert got[0] is CorruptFileError and got[1].endswith("bits must be 0 or 1")
+    try:
+        indices, bits = per_row_parse(data, ds.k)
+        read = SweepDataset(bits, np.zeros(len(indices)), indices, ds.chain_spec, ds.reg_spec)
+    except (CorruptFileError, OverflowError):  # OverflowError: a cell outside uint8
+        read = None
+    if read is not None and per_bit_frames_csv(read) == data:
+        got = _parse_frames_csv(data, ds.k)
+        assert [got[0].dtype, got[1].dtype] == [np.int64, np.uint8]
+        assert (got[0].tolist(), got[1].tolist()) == (indices.tolist(), bits.tolist())
     else:
-        assert got == want
+        with pytest.raises(CorruptFileError):
+            _parse_frames_csv(data, ds.k)
 
 
 def test_frames_csv_is_read_without_copies_of_its_text():
     # fig6's shape: 256 frames of a 1,300-tap chain, with indices of 1-3 digits
     bits = np.random.default_rng(0).integers(0, 2, (256, 1300), dtype=np.uint8)
     ds = SweepDataset(bits, np.zeros(256), np.arange(256), ChainSpec(1300, 5.0, 5.0), RegisterSpec())
-    data = bytes(_frames_csv(ds))
+    data = bytes(_frames_csv(ds.phase_index, ds.bits))
     tracemalloc.start()
     try:
         with mock.patch.object(storage, "_text", wraps=storage._text) as text:
@@ -404,37 +401,51 @@ def test_frames_csv_is_read_without_copies_of_its_text():
     assert peak <= len(data) + bits.nbytes + 2**20
 
 
+def test_a_byte_past_the_first_compared_block_names_its_row():
+    # fig6's shape: 256 rows of 2,604 bytes, ten 64 KiB blocks; the last
+    # row's last comma is in the last block
+    bits = np.random.default_rng(0).integers(0, 2, (256, 1300), dtype=np.uint8)
+    data = bytearray(_frames_csv(np.arange(256), bits))
+    data[-3] = ord(";")
+    message = "^frames.csv row 257, byte 2602: b';' where save_dataset writes b','"
+    with pytest.raises(CorruptFileError, match=message):
+        _parse_frames_csv(bytes(data), 1300)
+
+
 @pytest.mark.parametrize("bad_row", [None, 3])
 @pytest.mark.parametrize("line_end", ["\r\n", "no last newline"])
 def test_lines_not_ending_in_newline_are_read_row_by_row(small_dataset, line_end, bad_row):
+    # rejected, without decoding the file, at the first row not as written:
+    # the header's \r, the last row's missing newline, or row 3's bit 2
     lines = per_bit_frames_csv(small_dataset).decode().splitlines()
     if bad_row is not None:
         lines[bad_row - 1] = lines[bad_row - 1][:-1] + "2"
     if line_end == "\r\n":
         data = ("\r\n".join(lines) + "\r\n").encode()
+        message = "frames.csv row 1: header does not match the chain length"
+    elif bad_row is None:
+        data = "\n".join(lines).encode()
+        message = f"frames.csv row {len(lines)}, byte 1: b'{lines[-1][0]}' where save_dataset writes b''"
     else:
         data = "\n".join(lines).encode()
-    want = outcome(per_row_parse, data, small_dataset.k)
-    # only the row-by-row checks decode the file
+        message = "frames.csv row 3: bits must be 0 or 1"
     with mock.patch.object(storage, "_text", wraps=storage._text) as text:
-        assert outcome(_parse_frames_csv, data, small_dataset.k) == want
-    text.assert_called_once()
-    if bad_row is None:
-        assert want == (small_dataset.phase_index.tolist(), small_dataset.bits.tolist())
-    else:
-        assert want == (CorruptFileError, "frames.csv row 3: bits must be 0 or 1")
+        with pytest.raises(CorruptFileError) as exc:
+            _parse_frames_csv(data, small_dataset.k)
+    text.assert_not_called()
+    assert str(exc.value).startswith(message)
 
 
 @pytest.mark.parametrize("char", ["\x00", "\r", "\x0b", "\x0c", "\x1c"])
 def test_index_with_a_control_character_reads_as_row_by_row(small_dataset, char):
-    # int() skips a trailing \v or \f and numpy strings drop a trailing NUL,
-    # while str.splitlines ends a line at \r \v \f \x1c and int() rejects a NUL
+    # int() skips a trailing \r, \v or \f and numpy strings drop a trailing
+    # NUL, so the index may read as 1; it does not write back with the char
     lines = per_bit_frames_csv(small_dataset).decode().splitlines()
+    assert lines[2].startswith("1,")
     lines[2] = lines[2].replace(",", char + ",", 1)
     data = ("\n".join(lines) + "\n").encode()
-    want = outcome(per_row_parse, data, small_dataset.k)
-    assert want[0] is CorruptFileError
-    assert outcome(_parse_frames_csv, data, small_dataset.k) == want
+    with pytest.raises(CorruptFileError, match="^frames.csv row 3, byte "):
+        _parse_frames_csv(data, small_dataset.k)
 
 
 @pytest.mark.parametrize("cell", ["-1", "256", "99999999999999999999"])
@@ -547,30 +558,39 @@ def test_spec_field_without_a_parser_fails_loudly():
         storage.spec_from_config(Odd, "odd", {"odd.n": "1", "odd.z": "2j"})
 
 
-def rewrite_row(directory, name, row, edit):
-    """Edit one line of a payload file (row 1 is the header) and refresh the
-    manifest, so the content and not the hash is what load_dataset sees."""
+def rewrite_file(directory, name, edit):
+    """Edit the bytes of a payload file and refresh the manifest, so the
+    content and not the hash is what load_dataset sees."""
     path = directory / name
-    lines = path.read_text().splitlines()
-    lines[row - 1] = edit(lines[row - 1])
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(edit(path.read_bytes()))
     manifest = json.loads((directory / "manifest.json").read_text())
     manifest["hashes"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
     (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
+def line_edit(row, edit):
+    """A file edit of one line (row 1 is the header)."""
+    def apply(data):
+        lines = data.decode().split("\n")
+        lines[row - 1] = edit(lines[row - 1])
+        return "\n".join(lines).encode()
+    return apply
+
+
+def rewrite_row(directory, name, row, edit):
+    rewrite_file(directory, name, line_edit(row, edit))
+
+
 @pytest.mark.parametrize(
     "name, edit, message",
     [
-        ("frames.csv", lambda ln: "abc" + ln[ln.index(","):], "frames.csv row 3: invalid"),
-        ("times.csv", lambda ln: ln[: ln.index(",") + 1] + "abc", "times.csv row 3: invalid"),
-        ("times.csv", lambda ln: "9" + ln, "times.csv row 3: phase index '9"),
-        ("times.csv", lambda ln: ln[ln.index(","):], "times.csv row 3: phase index ''"),
-        ("frames.csv", lambda ln: ln[ln.index(","):], "frames.csv row 3: invalid literal"),
-        ("frames.csv", lambda ln: f"{2**63}" + ln[ln.index(","):],
-         "frames.csv row 3: '9223372036854775808' is outside int64"),
-        ("times.csv", lambda ln: ln[: ln.index(",") + 1] + f"{2**63}",
-         "times.csv row 3: '9223372036854775808' is outside int64"),
+        ("frames.csv", lambda ln: "abc" + ln[ln.index(","):], "frames.csv row 3, byte 1: b'a' where"),
+        ("times.csv", lambda ln: ln[: ln.index(",") + 1] + "abc", "times.csv row 3, byte 3: b'a' where"),
+        ("times.csv", lambda ln: "9" + ln, "times.csv row 3, byte 1: b'9' where"),
+        ("times.csv", lambda ln: ln[ln.index(","):], "times.csv row 3, byte 1: b',' where"),
+        ("frames.csv", lambda ln: ln[ln.index(","):], "frames.csv row 3, byte 1: b',' where"),
+        ("frames.csv", lambda ln: f"{2**63}" + ln[ln.index(","):], "frames.csv row 3, byte 1: b'9' where"),
+        ("times.csv", lambda ln: ln[: ln.index(",") + 1] + f"{2**63}", "times.csv row 3, byte 3: b'9' where"),
     ],
     ids=["frames-index", "times-time", "times-index", "times-index-missing",
          "frames-index-missing", "frames-index-2**63", "times-time-2**63"],
@@ -580,3 +600,58 @@ def test_bad_dataset_cell_names_file_and_row(small_dataset, tmp_path, name, edit
     rewrite_row(tmp_path, name, 3, edit)
     with pytest.raises(CorruptFileError, match=message):
         load_dataset(tmp_path)
+
+
+def time_edit(edit):
+    """A line edit of times.csv's time cell."""
+    return lambda ln: ln[: ln.index(",") + 1] + edit(ln[ln.index(",") + 1 :])
+
+
+@pytest.mark.parametrize(
+    "name, edit, row",
+    [
+        ("frames.csv", line_edit(3, lambda ln: "+" + ln), 3),
+        ("frames.csv", line_edit(3, lambda ln: "0" + ln), 3),
+        ("frames.csv", line_edit(3, lambda ln: " " + ln), 3),
+        ("frames.csv", line_edit(5, lambda ln: "0_" + ln), 5),
+        ("times.csv", line_edit(3, time_edit(lambda t: "+" + t)), 3),
+        ("times.csv", line_edit(3, time_edit(lambda t: " " + t)), 3),
+        ("times.csv", line_edit(3, time_edit(lambda t: t[0] + "_" + t[1:])), 3),
+        ("frames.csv", lambda data: data.replace(b"\n", b"\r\n"), 1),
+        ("times.csv", lambda data: data.replace(b"\n", b"\r\n"), 1),
+        ("frames.csv", lambda data: data[:-1], 17),
+        ("times.csv", lambda data: data[:-1], 17),
+    ],
+    ids=["index-+1", "index-01", "index-space-1", "index-0_3", "time-+", "time-space",
+         "time-underscore", "frames-crlf", "times-crlf", "frames-no-last-newline",
+         "times-no-last-newline"],
+)
+def test_other_spellings_of_the_saved_values_are_rejected(small_dataset, tmp_path, name, edit, row):
+    # each edited file still reads as the saved values, spelled otherwise
+    # than save_dataset spells them; rows 3 and 5 hold indices 1 and 3
+    save_dataset(small_dataset, tmp_path)
+    rewrite_file(tmp_path, name, edit)
+    with pytest.raises(CorruptFileError, match=rf"^{re.escape(name)} row {row}[,:]"):
+        load_dataset(tmp_path)
+
+
+def test_saved_payloads_load_back_equal(tmp_path):
+    """Any dataset save_dataset writes, sweep or continuous, with phase
+    indices across all of int64 in any order, loads back equal."""
+    sweep = SweepSpec(PllOutputSpec(600e6, 0.5), 0.0, 10.0, 4)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(payload=frame_payloads(), continuous=st.booleans())
+    @example(payload=([], np.zeros((0, 3)), []), continuous=True)
+    def case(payload, continuous):
+        indices, bits, times = payload
+        kind = {"t_capture_ps": 320.0} if continuous else {"sweep_spec": sweep}
+        ds = SweepDataset(bits, times, indices, ChainSpec(bits.shape[1], 5.0, 5.0), RegisterSpec(), **kind)
+        save_dataset(ds, tmp_path)
+        back = load_dataset(tmp_path)
+        assert (back.sweep_spec, back.t_capture_ps) == (ds.sweep_spec, ds.t_capture_ps)
+        for field in ("bits", "capture_time_fs", "phase_index"):
+            got, want = getattr(back, field), getattr(ds, field)
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+    case()
