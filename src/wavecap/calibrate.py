@@ -3,7 +3,9 @@
 A dataset's frames are held as the runs (row, level, first and last tap) of
 its bits matrix.  Rows holding a short run are smoothed by merging it into its
 surroundings, and the edges of every frame, both polarities, are read off
-the run boundaries in one pass per dataset.  Every (channel, polarity) track
+the run boundaries in one pass per dataset.  The datasets may come from any
+iterable, each read once for its phase steps and edges, so a generator
+holds one dataset's frames at a time.  Every (channel, polarity) track
 is then followed through the sweep, whose phase indices must ascend, in one
 array pass up to the track's first frame of several edges or no match, and
 by a per-frame loop from there.  A track is (steps, index, wraps) arrays;
@@ -21,12 +23,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Sequence
+from typing import Iterable, Sequence, Sized
 
 import numpy as np
 
 from .chain import FALLING, RISING, CaptureFrame
-from .sweep import SweepDataset
+from .sweep import SweepDataset, SweepSpec
 from .units import WavecapError
 
 __all__ = [
@@ -223,27 +225,27 @@ def _track(steps, starts, frame, index, step, period_ps: float, dt_ps: float) ->
 
 
 def _tracks(
-    datasets: Sequence[SweepDataset], min_run: int, polarities: Sequence[int]
-) -> dict[int, list[_Track]]:
-    """Per polarity, one track per dataset, whose phase steps must ascend.
-    The edges of a dataset, of every polarity, come from one pass over its
-    bits matrix, and every track is followed in one _track call."""
-    if not datasets:
-        raise CalibrationError("no datasets")
-    spec = datasets[0].sweep_spec
+    datasets: Iterable[SweepDataset], min_run: int, polarities: Sequence[int]
+) -> tuple[SweepSpec, dict[int, list[_Track]]]:
+    """The first dataset's sweep spec and, per polarity, one track per dataset,
+    whose grid must be the first one's and whose phase steps must ascend.  Of
+    each dataset only its steps and edges, all polarities from one pass over
+    its bits, are kept, and every track is followed in one _track call."""
+    count = f" of {len(datasets)}" if isinstance(datasets, Sized) else ""
+    spec, steps, edges = None, [], []
     for d, ds in enumerate(datasets, start=1):
-        s = ds.sweep_spec
+        s, spec = ds.sweep_spec, spec or ds.sweep_spec
         if s is None or s.dt_ps != spec.dt_ps or s.source.frequency_hz != spec.source.frequency_hz:
             raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
         if not np.all(ds.phase_index[1:] > ds.phase_index[:-1]):
-            raise CalibrationError(
-                f"dataset {d} of {len(datasets)}: phase indices must be strictly increasing"
-            )
+            raise CalibrationError(f"dataset {d}{count}: phase indices must be strictly increasing")
+        steps += [ds.phase_index] * len(polarities)
+        edges.append(_edges(ds.bits, min_run))
+    if spec is None:
+        raise CalibrationError("no datasets")
     # track i + d * len(polarities) is dataset d's polarity i; frames are
     # numbered on from track to track
-    steps = [ds.phase_index for ds in datasets for _ in polarities]
     starts = np.cumsum([0] + [len(n) for n in steps])[:-1]
-    edges = [_edges(ds.bits, min_run) for ds in datasets]
     sel = [(rows, ks, levels == pol) for rows, ks, levels in edges for pol in polarities]
     frame = np.concatenate([rows[s] + start for (rows, _, s), start in zip(sel, starts.tolist())])
     index = np.concatenate([ks[s] for _, ks, s in sel])
@@ -253,7 +255,7 @@ def _tracks(
         raise CalibrationError(f"not enough {_NAMES[pol]} edges to track")
     steps = np.concatenate(steps)
     tracks = _track(steps, starts, frame, index, step, spec.source.period_ps, spec.dt_ps)
-    return {pol: tracks[i :: len(polarities)] for i, pol in enumerate(polarities)}
+    return spec, {pol: tracks[i :: len(polarities)] for i, pol in enumerate(polarities)}
 
 
 @dataclass(frozen=True)
@@ -266,10 +268,7 @@ class _PooledTrajectory:
     x_std: np.ndarray  # nan where a step has a single observation
 
 
-def _pool(
-    datasets: Sequence[SweepDataset], tracks: list[_Track], polarity: int
-) -> _PooledTrajectory:
-    spec = datasets[0].sweep_spec
+def _pool(spec: SweepSpec, tracks: list[_Track], polarity: int) -> _PooledTrajectory:
     period, dt = spec.source.period_ps, spec.dt_ps
     # steps not seen by every channel at one wrap count are censored (the
     # edge sits within jitter reach of a chain end, so only
@@ -363,11 +362,11 @@ def _fit_polarity(tr: _PooledTrajectory) -> CarryTimeFit:
 
 
 def fit_carry_times(
-    datasets: Sequence[SweepDataset], min_run: int = MIN_PULSE_CARRIES
+    datasets: Iterable[SweepDataset], min_run: int = MIN_PULSE_CARRIES
 ) -> dict[int, CarryTimeFit]:
     """Carry times from pooled sweep data, keyed by RISING and FALLING."""
-    tracks = _tracks(datasets, min_run, (RISING, FALLING))
-    return {pol: _fit_polarity(_pool(datasets, tracks[pol], pol)) for pol in tracks}
+    spec, tracks = _tracks(datasets, min_run, (RISING, FALLING))
+    return {pol: _fit_polarity(_pool(spec, tracks[pol], pol)) for pol in tracks}
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +408,13 @@ def _isotonic_increasing(y: np.ndarray) -> np.ndarray:
 
 
 def build_transfer_function(
-    datasets: Sequence[SweepDataset],
+    datasets: Iterable[SweepDataset],
     min_run: int = MIN_PULSE_CARRIES,
     polarity: int = RISING,
 ) -> TransferFunction:
     """Transpose the edge trajectory into t(x) with dt(x) = t'(x) * dx."""
-    tracks = _tracks(datasets, min_run, (polarity,))[polarity]
-    return _transfer_function(_pool(datasets, tracks, polarity), polarity)
+    spec, tracks = _tracks(datasets, min_run, (polarity,))
+    return _transfer_function(_pool(spec, tracks[polarity], polarity), polarity)
 
 
 def _transfer_function(tr: _PooledTrajectory, polarity: int) -> TransferFunction:
@@ -535,9 +534,10 @@ class CalibrationResult:
         }
 
 
-def calibrate(datasets: Sequence[SweepDataset], min_run: int = MIN_PULSE_CARRIES) -> CalibrationResult:
-    tracks = _tracks(datasets, min_run, (RISING, FALLING))
-    pooled = {pol: _pool(datasets, tracks[pol], pol) for pol in tracks}
+def calibrate(datasets: Iterable[SweepDataset], min_run: int = MIN_PULSE_CARRIES) -> CalibrationResult:
+    """Calibrate from any iterable of sweep datasets, each read once."""
+    spec, tracks = _tracks(datasets, min_run, (RISING, FALLING))
+    pooled = {pol: _pool(spec, tracks[pol], pol) for pol in tracks}
     fits = {pol: _fit_polarity(pooled[pol]) for pol in tracks}
     tf_rise = _transfer_function(pooled[RISING], RISING)
     tf_fall = _transfer_function(pooled[FALLING], FALLING)

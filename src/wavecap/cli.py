@@ -185,16 +185,35 @@ def cmd_sweep(args, chain, regs, sweep):
     return report, write, f"wrote {dataset.n_frames} frames to {{out}}"
 
 
+class _Channels:
+    """calibrate's datasets, each made from its source only when reached, so
+    one channel's frames are held at a time; sized, for "dataset N of M"."""
+
+    def __init__(self, make, sources):
+        self.make, self.sources = make, sources
+
+    def __len__(self):
+        return len(self.sources)
+
+    def __iter__(self):
+        return map(self.make, self.sources)
+
+
 def cmd_calibrate(args, opts, chain, regs, sweep):
-    if args.inputs:
-        datasets = [load_dataset(d) for d in args.inputs]
-        chain = datasets[0].chain_spec
-    else:
-        datasets = [
-            run_sweep(*(_shift_seeds(spec, 1000 * ch) for spec in (sweep, chain, regs)))
-            for ch in range(opts.n_channels)
-        ]
-    result = calibrate(datasets, min_run=opts.min_run)
+    if opts.n_channels * sweep.n_steps > MAX_FRAMES:
+        raise CliError(f"calibrate.n_channels * sweep.n_steps > {MAX_FRAMES}, the frame bound")
+    specs = []  # each dataset's chain and sweep specs; the report gives the first's
+
+    def channel(source):
+        if args.inputs:
+            ds = load_dataset(source)
+        else:
+            ds = run_sweep(*(_shift_seeds(spec, 1000 * source) for spec in (sweep, chain, regs)))
+        specs.append((ds.chain_spec, ds.sweep_spec))
+        return ds
+
+    result = calibrate(_Channels(channel, args.inputs or range(opts.n_channels)), opts.min_run)
+    chain, sweep = specs[0]
     report = {
         "kind": "calibrate",
         "truth": {"tau_rise_ps": chain.tau_rise_ps, "tau_fall_ps": chain.tau_fall_ps},
@@ -207,8 +226,8 @@ def cmd_calibrate(args, opts, chain, regs, sweep):
             "single_shot_fall_ps": result.single_shot_fall_ps,
         },
         # calibrate() pooled the datasets, so each has a sweep spec
-        "jitter_sigma_ps": datasets[0].sweep_spec.crystal_jitter_sigma_ps,
-        "n_channels": len(datasets),
+        "jitter_sigma_ps": sweep.crystal_jitter_sigma_ps,
+        "n_channels": len(specs),
         "min_run": opts.min_run,
     }
 
@@ -408,7 +427,7 @@ def cmd_report(args) -> int:
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
             raise CliError(f"{path} is not a readable JSON report: {exc}") from exc
         kind = rep.get("kind") if isinstance(rep, dict) else None
-        if kind not in _CHECKERS:
+        if not isinstance(kind, str) or kind not in _CHECKERS:
             raise CliError(f"{path}: unknown report kind {kind!r}")
         try:
             checks = _CHECKERS[kind](rep)

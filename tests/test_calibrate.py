@@ -1,6 +1,7 @@
 import hashlib
+import weakref
+from dataclasses import fields, replace
 from itertools import groupby
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -337,9 +338,8 @@ def tracks_per_frame(datasets, min_run, polarities):
     return out
 
 
-def pool_per_step(datasets, tracks, polarity):
+def pool_per_step(spec, tracks, polarity):
     """Reference: one np.mean and np.std per phase step."""
-    spec = datasets[0].sweep_spec
     period, dt = spec.source.period_ps, spec.dt_ps
     per_step = {}
     for track in tracks:
@@ -488,10 +488,10 @@ def track_each(tracks_frames, steps, period_ps, dt_ps):
 
 def test_tracks_match_per_frame_reference(reference_datasets):
     pols = (RISING, FALLING)
-    got = dict_tracks(_tracks(reference_datasets, 15, pols))
+    got = dict_tracks(_tracks(reference_datasets, 15, pols)[1])
     assert got == tracks_per_frame(reference_datasets, 15, pols)
     jitter_free = mlab_datasets(jitter=0.0)
-    assert dict_tracks(_tracks(jitter_free, 15, pols)) == tracks_per_frame(jitter_free, 15, pols)
+    assert dict_tracks(_tracks(jitter_free, 15, pols)[1]) == tracks_per_frame(jitter_free, 15, pols)
 
 
 @settings(max_examples=500, deadline=None)
@@ -594,11 +594,11 @@ def test_tracks_match_per_frame_reference_on_multi_edge_frames(multi_pulse_datas
         for pol in (RISING, FALLING):
             assert (np.bincount(rows[levels == pol]).max() > 1) == several
         pols = (RISING, FALLING)
-        assert dict_tracks(_tracks(datasets, 15, pols)) == tracks_per_frame(datasets, 15, pols)
+        assert dict_tracks(_tracks(datasets, 15, pols)[1]) == tracks_per_frame(datasets, 15, pols)
 
 
 def pool_grid(dt_ps):
-    return [SimpleNamespace(sweep_spec=SweepSpec(PllOutputSpec(100e6, 0.25), 5_000, dt_ps, 32))]
+    return SweepSpec(PllOutputSpec(100e6, 0.25), 5_000, dt_ps, 32)
 
 
 POOL_GRID = pool_grid(78.0)
@@ -751,6 +751,49 @@ def test_calibrate_golden_jitter_free():
             "fall.dt_ps": "f4ef5955872cf9e991845e901a71856d854acff36b7b073cb6669ddb53966e17",
         },
     )
+
+
+# -- streaming --------------------------------------------------------------
+# calibrate() reads its datasets once, in order, and keeps only their edges
+
+
+def test_calibrate_of_a_generator_equals_calibrate_of_a_list(reference_datasets, reference_result):
+    got = calibrate((ds for ds in reference_datasets), min_run=15)
+    for f in fields(got):
+        a, b = getattr(got, f.name), getattr(reference_result, f.name)
+        if isinstance(a, TransferFunction):
+            assert a.polarity == b.polarity, f.name
+            for k in ("index", "t_ps", "dt_ps", "populated"):
+                assert same_bits(getattr(a, k), getattr(b, k)), (f.name, k)
+        else:
+            assert repr(a) == repr(b), f.name  # repr: bit for bit, and equal NaNs too
+    assert fit_carry_times(iter(reference_datasets), 15) == reference_result.fits
+    tf = build_transfer_function(iter(reference_datasets), 15, FALLING)
+    assert all(same_bits(getattr(tf, k), getattr(reference_result.t_of_x_fall, k))
+               for k in ("index", "t_ps", "dt_ps", "populated"))
+
+
+def test_calibrate_holds_one_dataset_at_a_time(reference_datasets):
+    alive = []  # a weakref to the bits of each dataset yielded so far
+
+    def datasets():
+        for ds in reference_datasets:
+            ds = replace(ds, bits=ds.bits.copy())  # owned by this generator alone
+            assert sum(ref() is not None for ref in alive) <= 1
+            alive.append(weakref.ref(ds.bits))
+            yield ds
+
+    assert calibrate(datasets(), 15).summary() == calibrate(reference_datasets, 15).summary()
+    assert len(alive) == len(reference_datasets)
+
+
+def test_phase_order_message_counts_the_datasets_it_can(reference_datasets):
+    first, second = reference_datasets[:2]
+    bad = replace(second, phase_index=second.phase_index[::-1].copy())
+    with pytest.raises(CalibrationError, match="^dataset 2 of 2: phase indices"):
+        calibrate([first, bad], 15)
+    with pytest.raises(CalibrationError, match="^dataset 2: phase indices"):
+        calibrate(iter([first, bad]), 15)
 
 
 # -- transfer function ------------------------------------------------------

@@ -326,6 +326,19 @@ def test_chain_past_the_device_bound_exits_2_before_sampling(tmp_path, capsys, m
     assert not out.exists()
 
 
+# fig4 sweeps 512 steps per channel, so 1,954 channels are the first past the bound
+@pytest.mark.parametrize("n_channels", [1954, 99999999999])
+def test_channels_past_the_frame_bound_exit_2_before_sweeping(tmp_path, capsys, monkeypatch,
+                                                             n_channels):
+    monkeypatch.setattr(cli, "run_sweep", never_called)
+    cfg = set_config_values(tmp_path, "fig4", {"calibrate.n_channels": n_channels})
+    out = tmp_path / "x"
+    assert run("calibrate", "--config", cfg, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "calibrate.n_channels * sweep.n_steps > 1000000, the frame bound" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edits,key",
     [
@@ -574,6 +587,9 @@ def test_impossible_ring_config_exits_2(tmp_path, capsys):
             {"kind": "ro", "truth": {"tau_gate_ps": 240, "n": 19}, "recovered": {"node_0_err_ps": 1.0}},
             "malformed ro report",
         ),
+        # an unhashable kind is no kind at all
+        ({"kind": []}, "unknown report kind"),
+        ({"kind": {}}, "unknown report kind"),
     ],
 )
 def test_malformed_report_exits_2(tmp_path, capsys, report, message):
