@@ -300,7 +300,7 @@ def capture_at(
     w: DigitalWaveform, chain: ChainInstance, regs: RegisterBank, sample_fs
 ) -> np.ndarray:
     """Register the chain state at each of F instants (a 1-D integer array
-    of femtoseconds, clock jitter included); returns bits[F, K].
+    of femtoseconds, any crystal jitter already added); returns bits[F, K].
 
     Bit k of frame f is the level of the entry-filtered waveform delayed by
     the entry gate plus the cumulative polarity-dependent element delays,

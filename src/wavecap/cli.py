@@ -57,6 +57,11 @@ class CalibrateOptions:
     n_channels: int = 1  # sweeps generated, each with seeds shifted by 1000
     min_run: int = MIN_PULSE_CARRIES
 
+    def __post_init__(self):
+        for key in ("n_channels", "min_run"):
+            if getattr(self, key) < 1:
+                raise CliError(f"calibrate.{key} must be >= 1")
+
 
 @dataclass(frozen=True)
 class CorrectOptions:

@@ -1,9 +1,9 @@
 """Phase-sweep and free-running capture orchestration.
 
 A calibration sweep steps the source's phase by dt per frame while capturing
-at a fixed clock phase; the relock dead time after each phase step advances
-absolute time but not the phase bookkeeping.  Continuous runs capture every T
-with no dead time.
+at a fixed clock phase plus crystal jitter; relock dead time after each step
+advances absolute time but not the phase bookkeeping.  Continuous runs
+capture at exactly every T: no dead time and no jitter.
 """
 
 from __future__ import annotations
@@ -100,15 +100,14 @@ class SweepDataset:
         return self.bits.shape[0]
 
 
-def _instants_fs(*terms_ps: np.ndarray) -> np.ndarray:
-    """Per frame, the sum of each term's ``ps_to_fs`` (half to even) as int64;
-    raises where a term or the sum is not finite inside int64 femtoseconds."""
+def _instants_fs(t_ps: np.ndarray) -> np.ndarray:
+    """Each time's ``ps_to_fs`` (half to even) as int64; raises unless all fit int64 fs."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are caught below
-        terms_fs = [np.rint(np.asarray(t, dtype=np.float64) * FS_PER_PS) for t in terms_ps]
-        bad = np.concatenate([t[~(np.abs(t) < 2**63)] for t in [*terms_fs, sum(terms_fs)]])  # NaN too
+        t_fs = np.rint(np.asarray(t_ps, dtype=np.float64) * FS_PER_PS)
+        bad = t_fs[~(np.abs(t_fs) < 2**63)]  # NaN too
     if bad.size:
         raise SweepError(f"a frame time of {bad[0] / FS_PER_PS} ps does not fit int64 fs")
-    return sum(t_fs.astype(np.int64) for t_fs in terms_fs)
+    return t_fs.astype(np.int64)
 
 
 def run_sweep(
@@ -174,13 +173,10 @@ def run_sweep(
     return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain_spec, reg_bank.spec, spec)
 
 
-def _default_start_ps(
-    chain: ChainInstance, regs: RegisterBank, domain_start_fs: int, sigma_ps: float = 0.0
-) -> float:
-    """The earliest start whose first frame, jittered by up to ten sigma,
-    reads only where a waveform defined from domain_start_fs is defined."""
+def _default_start_ps(chain: ChainInstance, regs: RegisterBank, domain_start_fs: int) -> float:
+    """The earliest start whose first frame reads only inside a domain from domain_start_fs."""
     earliest_fs = domain_start_fs + _reach_fs(chain) + _max_catchup_fs(chain)
-    return fs_to_ps(earliest_fs - int(regs.skews_fs.min())) + 10 * sigma_ps
+    return fs_to_ps(earliest_fs - int(regs.skews_fs.min()))
 
 
 def run_continuous(
@@ -190,24 +186,18 @@ def run_continuous(
     t_capture_ps: float,
     n_frames: int,
     t_start_ps: Optional[float] = None,
-    crystal_jitter_sigma_ps: float = 0.0,
-    seed: int = 0,
 ) -> SweepDataset:
-    """Capture frame m at t_start + m*T with no dead time."""
+    """Capture frame m at exactly t_start + m*T, with no dead time."""
     if not 1 <= n_frames <= MAX_FRAMES:
         raise SweepError(f"n_frames must lie in [1, {MAX_FRAMES}], the frame bound")
     chain_inst = chain if isinstance(chain, ChainInstance) else sample_chain(chain)
     reg_bank = regs if isinstance(regs, RegisterBank) else sample_registers(
         regs, chain_inst.spec.k
     )
-    sigma = crystal_jitter_sigma_ps
     if t_start_ps is None:
-        t_start_ps = _default_start_ps(chain_inst, reg_bank, w.domain_fs[0] or 0, sigma)
+        t_start_ps = _default_start_ps(chain_inst, reg_bank, w.domain_fs[0] or 0)
 
-    rng = np.random.default_rng(seed)
-    jitter_ps = rng.normal(0.0, sigma, n_frames) if sigma > 0 else np.zeros(n_frames)
-    frame_ps = t_start_ps + np.arange(n_frames, dtype=np.float64) * t_capture_ps
-    sample_fs = _instants_fs(frame_ps, jitter_ps)
+    sample_fs = _instants_fs(t_start_ps + np.arange(n_frames, dtype=np.float64) * t_capture_ps)
     bits = capture_at(w, chain_inst, reg_bank, sample_fs)
     return SweepDataset(
         bits, sample_fs, np.arange(n_frames), chain_inst.spec, reg_bank.spec,

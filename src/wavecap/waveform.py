@@ -66,13 +66,6 @@ class DigitalWaveform:
         """Level after the i-th edge (0-based); elementwise on arrays."""
         return self.initial_level ^ ((i + 1) & 1)
 
-    def value_at_fs(self, t_fs: int) -> int:
-        """Level after the latest edge at or before t (initial level if none)."""
-        i = int(np.searchsorted(self.edge_times_fs, t_fs, side="right"))
-        if i == 0:
-            return self.initial_level
-        return self.level_after(i - 1)
-
     def covers_fs(self, lo, hi) -> bool | np.ndarray:
         """Whether [lo, hi] lies inside the domain; elementwise on arrays."""
         dlo, dhi = self.domain_fs

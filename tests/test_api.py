@@ -169,6 +169,7 @@ def test_test_only_names_are_gone():
                          ("chain", "default_dnl_ramp")]:
         assert not hasattr(importlib.import_module(f"wavecap.{module}"), name)
     for cls, name in [(DigitalWaveform, "from_edges"), (DigitalWaveform, "edges_ps"),
+                      (DigitalWaveform, "value_at_fs"),
                       (CaptureFrame, "k"), (CaptureFrame, "phase_index"),
                       (TransferFunction, "time_of"), (FidelityStats, "mean_error")]:
         assert not hasattr(cls, name)
@@ -183,3 +184,22 @@ def test_phase_index_keyword_is_gone(fn):
     regs = sample_registers(RegisterSpec(), 4)
     with pytest.raises(TypeError, match="phase_index"):
         getattr(wavecap, fn)(DigitalWaveform(0, np.array([0])), chain, regs, 10.0, phase_index=0)
+
+
+@pytest.mark.parametrize("keyword", ["crystal_jitter_sigma_ps", "seed"])
+def test_run_continuous_draws_no_jitter(keyword):
+    # crystal jitter is a sweep's: SweepSpec.crystal_jitter_sigma_ps
+    w = DigitalWaveform(1, np.array([], dtype=np.int64))
+    with pytest.raises(TypeError, match=keyword):
+        wavecap.run_continuous(w, ChainSpec(4, 5.0, 5.0), RegisterSpec(), 10.0, 2,
+                               t_start_ps=100.0, **{keyword: 0})
+
+
+@pytest.mark.parametrize("fn", ["capture", "capture_oracle"])
+def test_capture_keeps_clock_jitter_keyword(fn):
+    # acceptance criterion 6 passes clock_jitter_ps to both
+    chain = sample_chain(ChainSpec(4, 5.0, 5.0))
+    regs = sample_registers(RegisterSpec(), 4)
+    w = DigitalWaveform(0, np.array([0]))
+    frame = getattr(wavecap, fn)(w, chain, regs, 100.0, clock_jitter_ps=2.5)
+    assert frame.capture_time_fs == 102_500

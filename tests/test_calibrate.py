@@ -96,6 +96,13 @@ def test_extract_edges_all_ones():
     assert extract_edges(frame_of([1] * 16), min_run=1) == []
 
 
+@pytest.mark.parametrize("min_run", [0, -3])
+def test_min_run_below_one_is_rejected(min_run):
+    # the CLI rejects calibrate.min_run < 1 first; this is the library's own check
+    with pytest.raises(CalibrationError, match="min_run must be >= 1"):
+        extract_edges(frame_of([1] * 16), min_run=min_run)
+
+
 def test_smooth_bits_merges_short_runs():
     bits = np.array([1, 1, 0, 1, 1, 1, 1, 1], dtype=np.uint8)
     assert np.all(smooth_bits(bits, 3) == 1)

@@ -260,6 +260,13 @@ def test_capture_jitter_determinism():
     assert np.all(a.bits == c.bits)
 
 
+@pytest.mark.parametrize("fn", [capture, capture_oracle])
+def test_register_bank_must_match_the_chain(fn):
+    w = DigitalWaveform(0, np.array([0]))
+    with pytest.raises(ChainError, match="register bank length does not match chain"):
+        fn(w, ideal_chain(4, 5.0), sample_registers(RegisterSpec(), 5), 100.0)
+
+
 # -- randomized capture/oracle equivalence (small scale; full sweep lives in
 #    the acceptance suite) ---------------------------------------------------
 

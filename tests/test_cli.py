@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from wavecap import cli, storage
 from wavecap.cli import main
+from wavecap.chain import ChainSpec, RegisterSpec
 from wavecap.storage import load_dataset, parse_config_text
+from wavecap.sweep import SweepDataset, SweepSpec
 from wavecap.waveform import PllOutputSpec
 
 
@@ -339,6 +341,17 @@ def test_channels_past_the_frame_bound_exit_2_before_sweeping(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["calibrate.n_channels", "calibrate.min_run"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_calibrate_options_exit_2_before_sweeping(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setattr(cli, "run_sweep", never_called)
+    cfg = set_config_values(tmp_path, "fig4", {key: value})
+    out = tmp_path / "x"
+    assert run("calibrate", "--config", cfg, "--out", str(out)) == 2
+    assert f"error: {key} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edits,key",
     [
@@ -423,6 +436,42 @@ def test_report_flags_failures(tmp_path, capsys):
     (out / "report.json").write_text(json.dumps(rep))
     assert run("report", str(out)) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def set_recovered(**values):
+    return lambda rep: rep.setdefault("recovered", {}).update(values)
+
+
+# each verdict branch of `wavecap report`: the preset's line, then one edit that fails it
+@pytest.mark.parametrize(
+    "command,preset,edits,line,tamper",
+    [
+        ("calibrate", "fig4", {}, "vs 30 ps +-20%", set_recovered(single_shot_rise_ps=40.0)),
+        ("calibrate", "fig4", {"sweep.crystal_jitter_sigma_ps": "0.0"},
+         "vs quantization floor 2 ps", set_recovered(single_shot_rise_ps=2.5)),
+        ("correct", "fig6", {}, "need 50%", set_recovered(improvement=0.4)),
+        ("ro", "fig7", {}, "no timescale measurement",
+         set_recovered(node_0_per_inverter_ps=250.0)),
+        # a sweep report's one line is its frame count, which no value fails
+        ("sweep", "fig3a", {}, "512 frames", None),
+    ],
+    ids=["calibrate-jitter", "calibrate-floor", "correct-recovery", "ro-trace", "sweep"],
+)
+def test_report_verdicts(tmp_path, capsys, command, preset, edits, line, tamper):
+    out = tmp_path / "run"
+    cfg = set_config_values(tmp_path, preset, edits)
+    assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 0
+    assert run("report", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(v.startswith(f"PASS  {out} [{command}] ") for v in lines)
+    assert any(line in v for v in lines)
+    if tamper is None:
+        return
+    rep = json.loads((out / "report.json").read_text())
+    tamper(rep)
+    (out / "report.json").write_text(json.dumps(rep))
+    assert run("report", str(out)) == 1
+    assert [v[:4] for v in capsys.readouterr().out.splitlines()].count("FAIL") == 1
 
 
 def test_correct_recovery_mode(tmp_path):
@@ -673,6 +722,106 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
     assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+# one config per domain error that no other test raises
+@pytest.mark.parametrize(
+    "command, preset, edits, extra, message",
+    [
+        ("calibrate", "fig4", {"kind": "continuous"}, "",
+         "calibrate needs a config with kind = sweep"),
+        ("sweep", "fig3a", {}, "chain.k 1300\n", "expected 'key = value'"),
+        ("sweep", "fig3a", {"chain.k": "2", "chain.dnl_ramp": "1,1,1"}, "",
+         "dnl_ramp longer than the chain"),
+        # ro samples its chain without the coverage check, so 0.4 fs rounds to 0
+        ("ro", "fig7", {"chain.tau_rise_ps": "0.0004", "chain.tau_fall_ps": "0.0004"}, "",
+         "sampled element delays must be strictly positive"),
+        ("ro", "fig7", {"ro.t_start_ps": "1e305", "ro.t_capture_ps": "1e305"}, "",
+         "1.7e+306 ps is not a finite number of femtoseconds"),
+        ("ro", "appendix-ro19", {"ro.n_frames": "1"}, "",
+         "not enough pulses to estimate a timescale"),
+        # one 2.5 ns pulse, fixed in every frame, fills one 25-carry bin
+        ("shrink", "fig3c", {"sweep.dt_ps": "0", "source.frequency_hz": "100000000.0",
+                             "source.duty_cycle": "0.25", "source.phase_offset_ps": "3000.0"},
+         "", "fewer than two populated bins"),
+    ],
+    ids=["kind", "no-equals", "dnl-ramp", "zero-delay", "ring-duration", "one-frame", "one-bin"],
+)
+def test_config_reaching_a_domain_error_exits_2(tmp_path, capsys, command, preset, edits, extra,
+                                                message):
+    cfg = set_config_values(tmp_path, preset, edits)
+    with open(cfg, "a") as f:
+        f.write(extra)
+    out = tmp_path / "x"
+    assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def flat_sweep(d):
+    """A sweep whose first frame holds one pulse and every later frame that
+    pulse plus one above it: both edge tracks hold still, a zero slope."""
+    bits = np.zeros((6, 128), dtype=np.uint8)
+    bits[:, 40:60] = 1
+    bits[1:, 80:100] = 1
+    spec = SweepSpec(PllOutputSpec(100e6), n_steps=6)
+    storage.save_dataset(SweepDataset(bits, np.arange(6), np.arange(6), ChainSpec(128, 5.0, 5.0),
+                                      RegisterSpec(), spec), d)
+
+
+def continuous_run(d):
+    bits = np.ones((4, 128), dtype=np.uint8)
+    storage.save_dataset(SweepDataset(bits, np.arange(4), np.arange(4), ChainSpec(128, 5.0, 5.0),
+                                      RegisterSpec(), t_capture_ps=5_000.0), d)
+
+
+def rekind(d):
+    continuous_run(d)
+    text = (d / "spec.config").read_bytes().replace(b"kind = continuous", b"kind = burst")
+    (d / "spec.config").write_bytes(text)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["hashes"]["spec.config"] = hashlib.sha256(text).hexdigest()
+    (d / "manifest.json").write_text(json.dumps(manifest))
+
+
+def manifest_not_json(d):
+    continuous_run(d)
+    (d / "manifest.json").write_text("{")
+
+
+@pytest.mark.parametrize(
+    "command, preset, make, message",
+    [
+        ("calibrate", "fig4", flat_sweep, "degenerate trajectory: zero slope"),
+        ("calibrate", "fig4", continuous_run,
+         "datasets must be sweeps on one shared grid to be pooled"),
+        ("correct", "fig6", rekind, "unknown dataset kind 'burst'"),
+        ("correct", "fig6", manifest_not_json, "is not a valid manifest"),
+    ],
+    ids=["zero-slope", "not-a-sweep", "unknown-kind", "manifest-not-json"],
+)
+def test_dataset_reaching_a_domain_error_exits_2(tmp_path, capsys, command, preset, make,
+                                                 message):
+    make(tmp_path / "ds")
+    out = tmp_path / "x"
+    code = run(command, "--config", f"preset:{preset}", "--out", str(out), str(tmp_path / "ds"))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_correct_takes_one_dataset(tmp_path, capsys, raw_sweep):
+    out = tmp_path / "x"
+    assert run("correct", "--config", "preset:fig6", "--out", str(out), raw_sweep, raw_sweep) == 2
+    assert "correct takes at most one input dataset" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_needs_existing_reports(tmp_path, capsys):
+    assert run("report") == 2
+    assert "report needs at least one result directory" in capsys.readouterr().err
+    assert run("report", str(tmp_path)) == 2
+    assert f"{tmp_path / 'report.json'} does not exist" in capsys.readouterr().err
 
 
 @pytest.fixture()

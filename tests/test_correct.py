@@ -14,6 +14,7 @@ from wavecap.correct import (
     dataset_fidelity,
 )
 from wavecap.sweep import SweepDataset, SweepSpec, run_sweep
+from wavecap.units import WavecapError
 from wavecap.waveform import PllOutputSpec
 
 
@@ -352,6 +353,14 @@ def test_fidelity_width_difference():
     stats = correction_fidelity(frame_of(truth), frame_of(meas))
     assert stats.n_matched == 1
     assert stats.errors.tolist() == [-5.0]
+
+
+def test_fidelity_needs_paired_frames():
+    four = dataset_of(np.zeros((4, 16), dtype=np.uint8))
+    with pytest.raises(WavecapError, match="datasets have different frame counts"):
+        dataset_fidelity(four, dataset_of(np.zeros((3, 16), dtype=np.uint8)))
+    with pytest.raises(WavecapError, match="frames have different lengths"):
+        dataset_fidelity(four, dataset_of(np.zeros((4, 17), dtype=np.uint8)))
 
 
 def test_fidelity_unmatched_counts():

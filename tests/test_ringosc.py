@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_waveform import value_at_fs
 
 from wavecap import ringosc
 from wavecap.chain import ChainSpec, RegisterSpec
@@ -308,7 +309,7 @@ def test_stitch_boundary_pulse_is_contiguous():
     total = ds.n_frames * k_t
     t_end = ps_to_fs(9_000) + (ds.n_frames - 1) * ps_to_fs(500.0) - 5_000
     times = t_end - np.arange(total - 1, -1, -1, dtype=np.int64) * 5_000
-    direct = np.array([tr.node(0).value_at_fs(int(t)) for t in times], dtype=np.uint8)
+    direct = value_at_fs(tr.node(0), times)
     assert np.array_equal(series, direct)
 
 
@@ -366,7 +367,7 @@ def test_stitch_matches_direct_sampling(n, tau_gate, tau_carry, k, n_frames):
     total = n_frames * k
     t_end = ps_to_fs(t_start) + (n_frames - 1) * ps_to_fs(period) - step
     times = t_end - np.arange(total - 1, -1, -1, dtype=np.int64) * step
-    direct = np.array([tr.node(0).value_at_fs(int(t)) for t in times], dtype=np.uint8)
+    direct = value_at_fs(tr.node(0), times)
     assert np.array_equal(series, direct)
 
 

@@ -230,6 +230,8 @@ def test_pgm_format(tmp_path):
     data = (tmp_path / "x.pgm").read_bytes()
     assert data.startswith(b"P5\n3 2\n255\n")
     assert data[-6:] == bytes([255, 0, 255, 0, 255, 0])
+    with pytest.raises(StorageError, match="expected a frames x taps matrix"):
+        write_pgm(m[0], tmp_path / "row.pgm")
 
 
 # -- bulk frame encoding and parsing against the per-bit code they replaced ---

@@ -159,15 +159,13 @@ def test_continuous_default_start_covers_entry_delay():
 
 
 def test_continuous_equals_per_frame_capture():
-    # one entry-filtered waveform, jittered frames and skewed registers
+    # one entry-filtered waveform, a jittered source and skewed registers
     w = make_pll_output(PllOutputSpec(600e6, 0.5, period_jitter_sigma_ps=40, seed=3), 60_000)
     chain = sample_chain(ChainSpec(256, 4.91, 4.54, tau_sigma_ps=0.1, entry_min_pulse_ps=50))
     regs = sample_registers(RegisterSpec(skew_sigma_ps=3.0, seed=4), 256)
-    ds = run_continuous(w, chain, regs, 700, 40, t_start_ps=5_000, crystal_jitter_sigma_ps=20)
-    rng = np.random.default_rng(0)
+    ds = run_continuous(w, chain, regs, 700, 40, t_start_ps=5_000)
     for m, (bits, t_fs, n) in enumerate(zip(ds.bits, ds.capture_time_fs, ds.phase_index)):
-        jitter = float(rng.normal(0.0, 20))
-        f = capture(w, chain, regs, 5_000 + m * 700, clock_jitter_ps=jitter)
+        f = capture(w, chain, regs, 5_000 + m * 700)
         assert np.array_equal(bits, f.bits)
         assert (t_fs, n) == (f.capture_time_fs, m)
 
@@ -307,24 +305,15 @@ def test_jitter_free_sweep_times_equal_per_step_draws(n_steps, span, lo, seed):
     t_start_ps=st.floats(-1e9, 1e9),
     t_capture_ps=st.one_of(st.floats(1e-3, 1e7), st.integers(1, 10**7)),
     n_frames=st.integers(1, 60),
-    sigma=st.sampled_from([0.0, 0.0004, 0.5, 30.0]),
-    seed=st.integers(0, 2**16),
     dt_ps=st.one_of(st.floats(0.0, 1e6), st.integers(0, 10**6)),
 )
-def test_frame_instants_equal_per_frame_rounding(
-    t_start_ps, t_capture_ps, n_frames, sigma, seed, dt_ps
-):
+def test_frame_instants_equal_per_frame_rounding(t_start_ps, t_capture_ps, n_frames, dt_ps):
     w = DigitalWaveform(1, np.array([], dtype=np.int64))
     ds = run_continuous(
-        w, ChainSpec(4, 5.0, 5.0), REGS, t_capture_ps, n_frames, t_start_ps=t_start_ps,
-        crystal_jitter_sigma_ps=sigma, seed=seed,
+        w, ChainSpec(4, 5.0, 5.0), REGS, t_capture_ps, n_frames, t_start_ps=t_start_ps
     )
-    rng = np.random.default_rng(seed)
-    jitter_ps = rng.normal(0.0, sigma, n_frames) if sigma > 0 else np.zeros(n_frames)
     # the per-frame list that run_continuous built before
-    expected = [
-        ps_to_fs(t_start_ps + m * t_capture_ps) + ps_to_fs(j) for m, j in enumerate(jitter_ps)
-    ]
+    expected = [ps_to_fs(t_start_ps + m * t_capture_ps) for m in range(n_frames)]
     assert ds.capture_time_fs.tolist() == expected
     # run_sweep's phase shifts
     shift_fs = _instants_fs(np.arange(n_frames, dtype=np.float64) * dt_ps)
@@ -333,21 +322,11 @@ def test_frame_instants_equal_per_frame_rounding(
 
 
 @pytest.mark.parametrize(
-    "t_capture_ps, t_start_ps, sigma",
-    [(1e306, 0.0, 0.0), (1e16, 0.0, 0.0), (5_000.0, 9.3e15, 0.0), (5_000.0, 0.0, 1e300),
-     (5_000.0, -9.3e15, 0.0), (5_000.0, float("nan"), 0.0)],
-    ids=["inf", "period-past-int64", "start-past-int64", "jitter-past-int64", "below-int64", "nan"],
+    "t_capture_ps, t_start_ps",
+    [(1e306, 0.0), (1e16, 0.0), (5_000.0, 9.3e15), (5_000.0, -9.3e15), (5_000.0, float("nan"))],
+    ids=["inf", "period-past-int64", "start-past-int64", "below-int64", "nan"],
 )
-def test_frame_instants_outside_int64_raise(t_capture_ps, t_start_ps, sigma):
+def test_frame_instants_outside_int64_raise(t_capture_ps, t_start_ps):
     w = DigitalWaveform(1, np.array([], dtype=np.int64))
     with pytest.raises(WavecapError, match="does not fit int64"):
-        run_continuous(w, ChainSpec(4, 5.0, 5.0), REGS, t_capture_ps, 3, t_start_ps=t_start_ps,
-                       crystal_jitter_sigma_ps=sigma)
-
-
-def test_frame_instants_sum_never_wraps():
-    # each term fits int64 femtoseconds, their sum does not
-    near_max_ps = (2**62) / 1_000.0
-    with pytest.raises(WavecapError, match="does not fit int64"):
-        _instants_fs(np.array([near_max_ps]), np.array([near_max_ps]))
-    assert _instants_fs(np.array([near_max_ps]), np.array([-near_max_ps])).tolist() == [0]
+        run_continuous(w, ChainSpec(4, 5.0, 5.0), REGS, t_capture_ps, 3, t_start_ps=t_start_ps)

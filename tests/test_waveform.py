@@ -14,28 +14,34 @@ from wavecap.waveform import (
 from wavecap.units import FS_PER_PS, ps_to_fs
 
 
+def value_at_fs(w, t_fs):
+    """The level after the latest edge at or before t_fs, the initial level
+    if none (``level_after(-1)``); elementwise on arrays."""
+    return w.level_after(np.searchsorted(w.edge_times_fs, t_fs, side="right") - 1)
+
+
 def test_constant_high_evaluates_high_everywhere():
     w = DigitalWaveform(1, np.array([], dtype=np.int64))
     for t in (-1e6, 0, 3.7, 1e9):
-        assert w.value_at_fs(ps_to_fs(t)) == 1
+        assert value_at_fs(w, ps_to_fs(t)) == 1
 
 
 def test_post_edge_boundary_convention():
     w = DigitalWaveform(0, [0, 2_500_000])
-    assert w.value_at_fs(1_200_000) == 1
-    assert w.value_at_fs(2_500_000) == 0  # level *after* the edge at t
-    assert w.value_at_fs(-1_000) == 0
-    assert w.value_at_fs(0) == 1
+    assert value_at_fs(w, 1_200_000) == 1
+    assert value_at_fs(w, 2_500_000) == 0  # level *after* the edge at t
+    assert value_at_fs(w, -1_000) == 0
+    assert value_at_fs(w, 0) == 1
 
 
 def test_100mhz_25_duty_levels():
     spec = PllOutputSpec(frequency_hz=100e6, duty_cycle=0.25)
     w = make_pll_output(spec, 40_000)
     # 2.5 ns pulses every 10 ns
-    assert w.value_at_fs(10_000_000) == 1
-    assert w.value_at_fs(2_500_000) == 0
-    assert w.value_at_fs(1_000_000) == 1
-    assert w.value_at_fs(12_400_000) == 1
+    assert value_at_fs(w, 10_000_000) == 1
+    assert value_at_fs(w, 2_500_000) == 0
+    assert value_at_fs(w, 1_000_000) == 1
+    assert value_at_fs(w, 12_400_000) == 1
 
 
 def test_pll_edges_100mhz():
@@ -74,7 +80,7 @@ def test_shift_modular_equivalence():
     big = shift_phase(w, 512 * 78)
     small = shift_phase(w, (512 * 78) % 10_000)
     for t in range(50_000, 150_000, 613):
-        assert big.value_at_fs(ps_to_fs(t)) == small.value_at_fs(ps_to_fs(t))
+        assert value_at_fs(big, ps_to_fs(t)) == value_at_fs(small, ps_to_fs(t))
 
 
 def test_invalid_specs_rejected():
@@ -84,6 +90,10 @@ def test_invalid_specs_rejected():
         make_pll_output(PllOutputSpec(1e8, 1.0), 100)
     with pytest.raises(WaveformError):
         make_pll_output(PllOutputSpec(1e8, 0.5), 0)
+    with pytest.raises(WaveformError, match="has over 1000000 edges"):
+        make_pll_output(PllOutputSpec(1e9, 0.5), 1e9)
+    with pytest.raises(WaveformError, match="initial_level must be 0 or 1"):
+        DigitalWaveform(2, [])
 
 
 def test_jitter_deterministic_and_order_preserving():
@@ -107,7 +117,7 @@ def test_jitter_mean_period_within_bound():
 def test_jitter_free_is_exactly_periodic():
     w = make_pll_output(PllOutputSpec(200e6, 0.5), 100_000)
     for t in range(0, 80_000, 777):
-        assert w.value_at_fs(ps_to_fs(t)) == w.value_at_fs(ps_to_fs(t + 5_000))
+        assert value_at_fs(w, ps_to_fs(t)) == value_at_fs(w, ps_to_fs(t + 5_000))
 
 
 def test_redundant_edges_rejected():
@@ -176,7 +186,7 @@ def waveforms(draw):
 @settings(max_examples=1000, deadline=None)
 @given(waveforms(), st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
 def test_translation_equivariance(w, dt, t):
-    assert shift_phase(w, dt).value_at_fs(ps_to_fs(t)) == w.value_at_fs(ps_to_fs(t - dt))
+    assert value_at_fs(shift_phase(w, dt), ps_to_fs(t)) == value_at_fs(w, ps_to_fs(t - dt))
 
 
 
