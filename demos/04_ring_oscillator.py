@@ -26,7 +26,7 @@ def main():
     # a symmetric chain so the capture itself adds no pulse distortion
     chain = ChainSpec(1024, 5.0, 5.0, entry_delay_ps=0.0)
     dataset = run_continuous(
-        trace.node(0), chain, RegisterSpec(), t_capture_ps=5_000, n_frames=150,
+        trace.nodes[0], chain, RegisterSpec(), t_capture_ps=5_000, n_frames=150,
         t_start_ps=15_000,
     )
 

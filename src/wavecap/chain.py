@@ -79,16 +79,10 @@ class ChainSpec:
         require_finite(self, ChainError)
         if self.k < 1:
             raise ChainError("chain must have at least one element")
-        if self.tau_rise_ps <= 0 or self.tau_fall_ps <= 0:
-            raise ChainError("element delays must be positive")
         if self.entry_delay_ps < 0 or self.entry_min_pulse_ps < 0:
             raise ChainError("entry parameters must be >= 0")
         if self.tau_sigma_ps < 0:
             raise ChainError("tau_sigma must be >= 0")
-        if self.tau_rise_ps < self.tau_fall_ps and not self.allow_inverted:
-            raise ChainError(
-                "rise delay below fall delay; pass allow_inverted=True to override"
-            )
         if self.dnl_ramp is not None:
             object.__setattr__(self, "dnl_ramp", tuple(float(x) for x in self.dnl_ramp))
             if len(self.dnl_ramp) > self.k:
@@ -96,6 +90,15 @@ class ChainSpec:
             slowest_fs = max(self.tau_rise_ps, self.tau_fall_ps) * FS_PER_PS
             if not all(x > 0 and math.isfinite(x * slowest_fs) for x in self.dnl_ramp):
                 raise ChainError("dnl_ramp multipliers must be positive, delays finite in fs")
+        # a mean element delay under 1 fs can sample to 0 fs; taps past the ramp have 1.0
+        smallest = min((*(self.dnl_ramp or ()), 1.0)[: self.k])
+        for name in ("tau_rise_ps", "tau_fall_ps"):
+            if getattr(self, name) * smallest * FS_PER_PS < 1:
+                raise ChainError(f"{name} times the smallest dnl_ramp multiplier must be >= 1 fs")
+        if self.tau_rise_ps < self.tau_fall_ps and not self.allow_inverted:
+            raise ChainError(
+                "rise delay below fall delay; pass allow_inverted=True to override"
+            )
 
     def ramp_multipliers(self) -> np.ndarray:
         m = np.ones(self.k)

@@ -301,7 +301,7 @@ def cmd_ro(args, ring, opts, chain, regs):
     chain, regs = sample_chain(chain), sample_registers(regs, chain.k)
     t_start_ps = opts.t_start_ps
     if t_start_ps is None:
-        t_start_ps = _default_start_ps(chain, regs, 0)  # ring nodes are defined from t = 0
+        t_start_ps = _default_start_ps(chain, regs)  # ring nodes are defined from t = 0
     trace = simulate_ring(ring, t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
     report: dict = {"kind": "ro", "truth": {"tau_gate_ps": ring.tau_gate_ps, "n": ring.n}}
     tau_nominal = chain.spec.tau_fall_ps
@@ -309,7 +309,7 @@ def cmd_ro(args, ring, opts, chain, regs):
     lines = []
     for node in opts.capture_nodes:
         ds = run_continuous(
-            trace.node(node), chain, regs, opts.t_capture_ps, opts.n_frames,
+            trace.nodes[node], chain, regs, opts.t_capture_ps, opts.n_frames,
             t_start_ps=t_start_ps,
         )
         series = stitch_frames(ds, tau_nominal)  # fails here, before any file is written
@@ -324,7 +324,7 @@ def cmd_ro(args, ring, opts, chain, regs):
     def write(out: Path) -> None:
         # each node's series is the one stitched when its run was checked
         for node, (ds, series) in runs.items():
-            (out / f"node_{node}_edges.csv").write_text(trace.node(node).to_csv())
+            (out / f"node_{node}_edges.csv").write_text(trace.nodes[node].to_csv())
             save_dataset(ds, out / f"node_{node}")
             (out / f"node_{node}_stitched.csv").write_bytes(bit_lines(series[:, None]))
             width = int(np.ceil(np.sqrt(series.size)))
@@ -413,7 +413,8 @@ _CHECKERS = {
     "shrink": _check_shrink,
     "correct": _check_correct,
     "ro": _check_ro,
-    "sweep": lambda rep: [(True, f"{rep['n_frames']} frames")],
+    "sweep": lambda rep: [(isinstance(rep["n_frames"], int) and rep["n_frames"] >= 2,
+                           f"{rep['n_frames']} frames (SweepSpec.n_steps >= 2)")],
 }
 
 

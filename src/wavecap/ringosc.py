@@ -96,9 +96,6 @@ def sample_gate_delays(spec: RingSpec) -> np.ndarray:
 class RingTrace:
     nodes: tuple[DigitalWaveform, ...]
 
-    def node(self, i: int) -> DigitalWaveform:
-        return self.nodes[i]
-
 
 def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
     """Run the ring from release_time to duration and return node waveforms.

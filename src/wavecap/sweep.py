@@ -110,26 +110,22 @@ def _instants_fs(t_ps: np.ndarray) -> np.ndarray:
     return t_fs.astype(np.int64)
 
 
-def run_sweep(
-    spec: SweepSpec,
-    chain: ChainSpec | ChainInstance,
-    regs: RegisterSpec | RegisterBank,
-) -> SweepDataset:
-    """Capture n_steps frames, the n-th of the source shifted by n*dt."""
-    chain_spec = chain.spec if isinstance(chain, ChainInstance) else chain
+def run_sweep(spec: SweepSpec, chain: ChainSpec, regs: RegisterSpec) -> SweepDataset:
+    """Sample the chain and register bank from their specs, then capture
+    n_steps frames, the n-th of the source shifted by n*dt."""
     # validated before sampling: a chain past the device bound can exhaust memory there
-    report = validate_config(chain_spec, spec.t_capture_ps, spec.min_resolvable_gap_ps())
+    report = validate_config(chain, spec.t_capture_ps, spec.min_resolvable_gap_ps())
     if not report.ok:
         raise SweepError("invalid configuration: " + "; ".join(report.violations))
-    chain_inst = chain if isinstance(chain, ChainInstance) else sample_chain(chain)
-    reg_bank = regs if isinstance(regs, RegisterBank) else sample_registers(regs, chain_spec.k)
+    chain_inst = sample_chain(chain)
+    reg_bank = sample_registers(regs, chain.k)
 
     # Fixed capture phase t0, far enough in that the look-back window (plus
     # the largest accumulated shift) stays inside the generated waveform.
-    reach_ps = chain_spec.k * max(chain_spec.tau_rise_ps, chain_spec.tau_fall_ps)
-    lookback_ps = reach_ps * (1 + 6 * chain_spec.tau_sigma_ps / max(chain_spec.tau_rise_ps, 1e-9))
+    reach_ps = chain.k * max(chain.tau_rise_ps, chain.tau_fall_ps)
+    lookback_ps = reach_ps * (1 + 6 * chain.tau_sigma_ps / max(chain.tau_rise_ps, 1e-9))
     total_shift_ps = spec.dt_ps * (spec.n_steps - 1)
-    margin_ps = chain_spec.entry_delay_ps + 10 * spec.crystal_jitter_sigma_ps + 1_000
+    margin_ps = chain.entry_delay_ps + 10 * spec.crystal_jitter_sigma_ps + 1_000
     t0_ps = lookback_ps + total_shift_ps + margin_ps
     duration_ps = t0_ps + margin_ps
     if spec.source.edges_within(duration_ps) > MAX_SOURCE_EDGES:
@@ -170,12 +166,12 @@ def run_sweep(
     if last_fs >= 2**63:
         raise SweepError(f"a frame time of {last_fs / FS_PER_PS} ps does not fit int64 fs")
     t_abs_fs = ps_to_fs(t0_ps) + np.cumsum(dead) * t_capture_fs
-    return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain_spec, reg_bank.spec, spec)
+    return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain, regs, spec)
 
 
-def _default_start_ps(chain: ChainInstance, regs: RegisterBank, domain_start_fs: int) -> float:
-    """The earliest start whose first frame reads only inside a domain from domain_start_fs."""
-    earliest_fs = domain_start_fs + _reach_fs(chain) + _max_catchup_fs(chain)
+def _default_start_ps(chain: ChainInstance, regs: RegisterBank) -> float:
+    """The earliest start whose first frame reads only inside a domain from t = 0."""
+    earliest_fs = _reach_fs(chain) + _max_catchup_fs(chain)
     return fs_to_ps(earliest_fs - int(regs.skews_fs.min()))
 
 
@@ -185,7 +181,7 @@ def run_continuous(
     regs: RegisterSpec | RegisterBank,
     t_capture_ps: float,
     n_frames: int,
-    t_start_ps: Optional[float] = None,
+    t_start_ps: float,
 ) -> SweepDataset:
     """Capture frame m at exactly t_start + m*T, with no dead time."""
     if not 1 <= n_frames <= MAX_FRAMES:
@@ -194,9 +190,6 @@ def run_continuous(
     reg_bank = regs if isinstance(regs, RegisterBank) else sample_registers(
         regs, chain_inst.spec.k
     )
-    if t_start_ps is None:
-        t_start_ps = _default_start_ps(chain_inst, reg_bank, w.domain_fs[0] or 0)
-
     sample_fs = _instants_fs(t_start_ps + np.arange(n_frames, dtype=np.float64) * t_capture_ps)
     bits = capture_at(w, chain_inst, reg_bank, sample_fs)
     return SweepDataset(

@@ -145,17 +145,9 @@ def make_pll_output(spec: PllOutputSpec, duration_ps: float) -> DigitalWaveform:
     period = spec.period_fraction_fs()
     width = period * Fraction(spec.duty_cycle)
 
-    ideal: list[int] = []
-    n = 0
-    while True:
-        rise = offset + n * period
-        if rise > duration_fs:
-            break
-        ideal.append(int(round(rise)))
-        fall = rise + width
-        if fall <= duration_fs:
-            ideal.append(int(round(fall)))
-        n += 1
+    # rise n = 0..N lies at or before the duration; each fall, only if it does too
+    rises = (offset + n * period for n in range((duration_fs - offset) // period + 1))
+    ideal = [round(t) for rise in rises for t in (rise, rise + width) if t <= duration_fs]
 
     times = np.array(ideal, dtype=np.int64)
     sigma_fs = spec.period_jitter_sigma_ps * FS_PER_PS

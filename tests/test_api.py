@@ -8,6 +8,7 @@ to the benchmark can free it.
 
 import dataclasses
 import importlib
+import inspect
 import types
 
 import numpy as np
@@ -17,6 +18,7 @@ import wavecap
 from wavecap.calibrate import TransferFunction
 from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec, sample_chain, sample_registers
 from wavecap.correct import FidelityStats
+from wavecap.ringosc import RingTrace
 from wavecap.waveform import DigitalWaveform
 
 PACKAGE = [
@@ -169,7 +171,7 @@ def test_test_only_names_are_gone():
                          ("chain", "default_dnl_ramp")]:
         assert not hasattr(importlib.import_module(f"wavecap.{module}"), name)
     for cls, name in [(DigitalWaveform, "from_edges"), (DigitalWaveform, "edges_ps"),
-                      (DigitalWaveform, "value_at_fs"),
+                      (DigitalWaveform, "value_at_fs"), (RingTrace, "node"),
                       (CaptureFrame, "k"), (CaptureFrame, "phase_index"),
                       (TransferFunction, "time_of"), (FidelityStats, "mean_error")]:
         assert not hasattr(cls, name)
@@ -193,6 +195,21 @@ def test_run_continuous_draws_no_jitter(keyword):
     with pytest.raises(TypeError, match=keyword):
         wavecap.run_continuous(w, ChainSpec(4, 5.0, 5.0), RegisterSpec(), 10.0, 2,
                                t_start_ps=100.0, **{keyword: 0})
+
+
+def test_run_continuous_needs_its_start():
+    w = DigitalWaveform(1, np.array([], dtype=np.int64))
+    with pytest.raises(TypeError, match="t_start_ps"):
+        wavecap.run_continuous(w, ChainSpec(4, 5.0, 5.0), RegisterSpec(), 10.0, 2)
+
+
+def test_run_sweep_takes_specs():
+    # run_sweep samples its chain and register bank; run_continuous takes either form
+    sweep = inspect.signature(wavecap.run_sweep).parameters
+    assert [sweep[n].annotation for n in ("chain", "regs")] == ["ChainSpec", "RegisterSpec"]
+    continuous = inspect.signature(wavecap.run_continuous).parameters
+    assert [continuous[n].annotation for n in ("chain", "regs")] == [
+        "ChainSpec | ChainInstance", "RegisterSpec | RegisterBank"]
 
 
 @pytest.mark.parametrize("fn", ["capture", "capture_oracle"])

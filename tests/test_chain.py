@@ -79,6 +79,32 @@ def test_inverted_delays_need_override():
     ChainSpec(10, 4.0, 5.0, allow_inverted=True)
 
 
+@pytest.mark.parametrize(
+    "k, rise, fall, ramp, name",
+    [(4, 0.0004, 0.0004, None, "tau_rise_ps"), (4, 5.0, 0.0009, None, "tau_fall_ps"),
+     (4, 5.0, 5.0, (1.0, 1e-4), "tau_rise_ps"), (3, 0.0008, 0.0008, (2.0, 2.0), "tau_rise_ps"),
+     (4, 0.0, 5.0, None, "tau_rise_ps"), (4, 5.0, -1.0, None, "tau_fall_ps")],
+    ids=["rise-0.4fs", "fall-0.9fs", "ramp-0.5fs", "tap-past-ramp-0.8fs", "rise-0", "fall-negative"],
+)
+def test_mean_element_delay_below_1fs_is_rejected(k, rise, fall, ramp, name):
+    # taps past the ramp keep multiplier 1.0
+    with pytest.raises(ChainError, match=f"{name} times the smallest dnl_ramp multiplier"):
+        ChainSpec(k, rise, fall, dnl_ramp=ramp, allow_inverted=True)
+
+
+def test_mean_element_delay_of_1fs_is_accepted():
+    assert sample_chain(ChainSpec(1, 0.001, 0.001)).tau_fall_fs.tolist() == [1]
+    # a ramp as long as the chain leaves no tap at multiplier 1.0
+    inst = sample_chain(ChainSpec(2, 0.0008, 0.0008, dnl_ramp=(2.0, 2.0)))
+    assert inst.tau_rise_fs.tolist() == inst.tau_fall_fs.tolist() == [2, 2]
+
+
+def test_sampled_delays_must_be_positive():
+    # ChainSpec keeps every mean delay >= 1 fs, so only a hand-built instance gets here
+    with pytest.raises(ChainError, match="sampled element delays must be strictly positive"):
+        ChainInstance(ChainSpec(2, 5.0, 5.0), np.array([5_000, 0]), np.array([5_000, 5_000]))
+
+
 # -- sample_chain -----------------------------------------------------------
 
 
@@ -786,7 +812,7 @@ def test_equal_delays_never_annihilate():
     with mock.patch.object(
         chain_module, "_annihilation_elements", wraps=_annihilation_elements
     ) as annihilate:
-        ds = run_continuous(trace.node(0), spec, RegisterSpec(), 5_000.0, 200, t_start_ps=15_000)
+        ds = run_continuous(trace.nodes[0], spec, RegisterSpec(), 5_000.0, 200, t_start_ps=15_000)
     assert np.any(ds.bits) and annihilate.call_count == 0
 
 

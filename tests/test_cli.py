@@ -452,8 +452,8 @@ def set_recovered(**values):
         ("correct", "fig6", {}, "need 50%", set_recovered(improvement=0.4)),
         ("ro", "fig7", {}, "no timescale measurement",
          set_recovered(node_0_per_inverter_ps=250.0)),
-        # a sweep report's one line is its frame count, which no value fails
-        ("sweep", "fig3a", {}, "512 frames", None),
+        # a sweep has at least two steps
+        ("sweep", "fig3a", {}, "512 frames", lambda rep: rep.update(n_frames=1)),
     ],
     ids=["calibrate-jitter", "calibrate-floor", "correct-recovery", "ro-trace", "sweep"],
 )
@@ -733,9 +733,9 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         ("sweep", "fig3a", {}, "chain.k 1300\n", "expected 'key = value'"),
         ("sweep", "fig3a", {"chain.k": "2", "chain.dnl_ramp": "1,1,1"}, "",
          "dnl_ramp longer than the chain"),
-        # ro samples its chain without the coverage check, so 0.4 fs rounds to 0
+        # a 0.4 fs carry time would sample to 0 fs
         ("ro", "fig7", {"chain.tau_rise_ps": "0.0004", "chain.tau_fall_ps": "0.0004"}, "",
-         "sampled element delays must be strictly positive"),
+         "tau_rise_ps times the smallest dnl_ramp multiplier must be >= 1 fs"),
         ("ro", "fig7", {"ro.t_start_ps": "1e305", "ro.t_capture_ps": "1e305"}, "",
          "1.7e+306 ps is not a finite number of femtoseconds"),
         ("ro", "appendix-ro19", {"ro.n_frames": "1"}, "",

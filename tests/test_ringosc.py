@@ -25,14 +25,14 @@ from wavecap.waveform import DigitalWaveform
 def test_three_node_traveling_pulse():
     tr = simulate_ring(RingSpec(3, 240.0, initial_state=(0, 0, 1)), 50_000)
     for i in range(3):
-        d = np.diff(tr.node(i).edge_times_fs)
+        d = np.diff(tr.nodes[i].edge_times_fs)
         # every node toggles each 3*tau: high time 3*tau, period 6*tau
         assert np.all(d == ps_to_fs(3 * 240.0))
 
 
 def test_single_inverter_square_wave():
     tr = simulate_ring(RingSpec(1, 240.0), 10_000)
-    d = np.diff(tr.node(0).edge_times_fs)
+    d = np.diff(tr.nodes[0].edge_times_fs)
     assert np.all(d == ps_to_fs(240.0))
 
 
@@ -43,7 +43,7 @@ def test_min_pulse_must_fit_under_gate_delay():
 
 def test_unstable_init_symmetric_never_decays():
     tr = simulate_ring(RingSpec(3, 240.0, min_pulse_ps=0.0), 100_000)
-    late = tr.node(0).edge_times_fs
+    late = tr.nodes[0].edge_times_fs
     assert late[-1] > ps_to_fs(95_000)
 
 
@@ -54,7 +54,7 @@ def test_unstable_init_multi_timescale_and_bounded_activity():
         3, 240.0, tau_sigma_ps=10.0, tau_fall_extra_ps=120.0, min_pulse_ps=100.0, seed=4
     )
     tr = simulate_ring(spec, 2_000_000)
-    e = tr.node(0).edge_times_fs
+    e = tr.nodes[0].edge_times_fs
     gaps = np.unique(np.diff(e))
     assert gaps.size >= 4
     assert gaps.max() > 1.3 * gaps.min()
@@ -72,7 +72,7 @@ def test_pulse_width_floor_is_smallest_gate_delay():
     tr = simulate_ring(spec, 1_000_000)
     delays = sample_gate_delays(spec)
     for i in range(3):
-        d = np.diff(tr.node(i).edge_times_fs)
+        d = np.diff(tr.nodes[i].edge_times_fs)
         assert d.min() >= delays.min()
 
 
@@ -90,7 +90,7 @@ def test_gate_delays_equal_per_node_draws(n, sigma):
 
 def test_release_time_holds_initial_state():
     tr = simulate_ring(RingSpec(1, 240.0, release_time_ps=3_000.0), 10_000)
-    assert tr.node(0).edge_times_fs[0] == ps_to_fs(3_240.0)
+    assert tr.nodes[0].edge_times_fs[0] == ps_to_fs(3_240.0)
 
 
 def test_ring_size_is_bounded_before_the_node_state_is_built():
@@ -253,7 +253,7 @@ def test_high_time_conservation_per_lap():
     n, tau = 5, 311.0
     tr = simulate_ring(RingSpec(n, tau, initial_state=stable_pulse_state(n)), 100_000)
     for i in range(n):
-        w = tr.node(i)
+        w = tr.nodes[i]
         e = w.edge_times_fs
         assert np.all(np.diff(e) == ps_to_fs(n * tau))
 
@@ -300,7 +300,7 @@ def test_stitch_boundary_pulse_is_contiguous():
     chain = ChainSpec(
         128, 5.0, 5.0, tau_sigma_ps=0.0, entry_delay_ps=0.0, entry_min_pulse_ps=0.0
     )
-    ds = run_continuous(tr.node(0), chain, RegisterSpec(), 500.0, 80, t_start_ps=9_000)
+    ds = run_continuous(tr.nodes[0], chain, RegisterSpec(), 500.0, 80, t_start_ps=9_000)
     series = stitch_frames(ds, 5.0)
     # direct sampling of the trace on the same grid: stitched sample j sits
     # at t_end - (total-1-j) * tau, where t_end is the last frame's most
@@ -309,7 +309,7 @@ def test_stitch_boundary_pulse_is_contiguous():
     total = ds.n_frames * k_t
     t_end = ps_to_fs(9_000) + (ds.n_frames - 1) * ps_to_fs(500.0) - 5_000
     times = t_end - np.arange(total - 1, -1, -1, dtype=np.int64) * 5_000
-    direct = value_at_fs(tr.node(0), times)
+    direct = value_at_fs(tr.nodes[0], times)
     assert np.array_equal(series, direct)
 
 
@@ -318,7 +318,7 @@ def pulse_capture():
     spec = RingSpec(5, 311.0, initial_state=stable_pulse_state(5))
     tr = simulate_ring(spec, 60_000)
     chain = ChainSpec(128, 5.0, 5.0, tau_sigma_ps=0.0, entry_delay_ps=0.0)
-    return spec, run_continuous(tr.node(0), chain, RegisterSpec(), 500.0, 80, t_start_ps=9_000)
+    return spec, run_continuous(tr.nodes[0], chain, RegisterSpec(), 500.0, 80, t_start_ps=9_000)
 
 
 @pytest.mark.parametrize("tau_ps", [0.0, -5.0, float("nan"), float("inf")])
@@ -360,14 +360,14 @@ def test_stitch_matches_direct_sampling(n, tau_gate, tau_carry, k, n_frames):
         entry_min_pulse_ps=0.0,
     )
     ds = run_continuous(
-        tr.node(0), chain, RegisterSpec(), period, n_frames, t_start_ps=t_start
+        tr.nodes[0], chain, RegisterSpec(), period, n_frames, t_start_ps=t_start
     )
     series = stitch_frames(ds, float(tau_carry))
     step = ps_to_fs(float(tau_carry))
     total = n_frames * k
     t_end = ps_to_fs(t_start) + (n_frames - 1) * ps_to_fs(period) - step
     times = t_end - np.arange(total - 1, -1, -1, dtype=np.int64) * step
-    direct = value_at_fs(tr.node(0), times)
+    direct = value_at_fs(tr.nodes[0], times)
     assert np.array_equal(series, direct)
 
 
@@ -384,7 +384,7 @@ def run_timescale(tau_gate, n, capture_setup, n_frames=150):
     chain, regs = capture_setup
     spec = RingSpec(n, tau_gate, initial_state=stable_pulse_state(n))
     tr = simulate_ring(spec, 20_000 + n_frames * 5_000)
-    ds = run_continuous(tr.node(0), chain, regs, 5_000, n_frames, t_start_ps=15_000)
+    ds = run_continuous(tr.nodes[0], chain, regs, 5_000, n_frames, t_start_ps=15_000)
     return measure_node_timescale(spec, stitch_frames(ds, 5.0), 5.0)
 
 

@@ -477,6 +477,9 @@ seeds = st.integers(0, 2**32)
 def chain_specs(draw):
     k = draw(st.integers(1, 2000))
     rise, fall = draw(positive), draw(positive)
+    # each multiplier keeps the mean element delay >= 1 fs, as ChainSpec requires
+    low = max(1e-3, 1 / (1e3 * min(rise, fall)))
+    ramp = st.floats(low, 1e6).filter(lambda m: min(rise, fall) * m * 1e3 >= 1)
     return ChainSpec(
         k,
         rise,
@@ -484,7 +487,7 @@ def chain_specs(draw):
         tau_sigma_ps=draw(nonneg),
         entry_delay_ps=draw(nonneg),
         entry_min_pulse_ps=draw(nonneg),
-        dnl_ramp=draw(st.none() | st.lists(positive, max_size=min(k, 6)).map(tuple)),
+        dnl_ramp=draw(st.none() | st.lists(ramp, max_size=min(k, 6)).map(tuple)),
         seed=draw(seeds),
         allow_inverted=draw(st.booleans()) or rise < fall,
     )

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from wavecap.chain import ChainSpec, RegisterSpec, capture, sample_chain, sample_registers
 from wavecap.sweep import (
-    MAX_FRAMES, SweepDataset, SweepError, SweepSpec, _instants_fs, run_continuous, run_sweep,
+    MAX_FRAMES, SweepDataset, SweepError, SweepSpec, _default_start_ps, _instants_fs, run_continuous,
+    run_sweep,
 )
 from wavecap.units import WavecapError, ps_to_fs
 from wavecap.waveform import DigitalWaveform, PllOutputSpec, make_pll_output, shift_phase
@@ -149,9 +150,11 @@ def test_continuous_span_512_frames():
 
 
 def test_continuous_default_start_covers_entry_delay():
+    # the start `ro` takes when ro.t_start_ps is left out
     w = make_pll_output(PllOutputSpec(100e6, 0.25), 2e5)
-    chain = ChainSpec(64, 5.0, 4.9, entry_delay_ps=2000)
-    ds = run_continuous(w, chain, RegisterSpec(), 300, 4)
+    chain = sample_chain(ChainSpec(64, 5.0, 4.9, entry_delay_ps=2000))
+    regs = sample_registers(RegisterSpec(), 64)
+    ds = run_continuous(w, chain, regs, 300, 4, t_start_ps=_default_start_ps(chain, regs))
     assert ds.n_frames == 4
     # the default start is the exact look-back: entry delay plus 64 rise delays
     # plus the 6.4 ps rise/fall catch-up

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -219,3 +221,47 @@ def test_reject_short_pulses_matches_deletion_reference(gaps, init, min_fs):
     assert (got.initial_level, got.domain_fs) == (init, w.domain_fs)
     if min_fs <= 0 or len(times) < 2:
         assert got is w
+
+
+def pll_edges_by_walk(spec, duration_ps):
+    """make_pll_output's jitter-free edges as first written: walk the rises
+    until one passes the duration, each followed by its fall if inside."""
+    duration_fs = ps_to_fs(duration_ps)
+    offset = Fraction(ps_to_fs(spec.phase_offset_ps))
+    period = spec.period_fraction_fs()
+    width = period * Fraction(spec.duty_cycle)
+    ideal = []
+    n = 0
+    while True:
+        rise = offset + n * period
+        if rise > duration_fs:
+            break
+        ideal.append(int(round(rise)))
+        fall = rise + width
+        if fall <= duration_fs:
+            ideal.append(int(round(fall)))
+        n += 1
+    return ideal
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    frequency_hz=st.one_of(st.sampled_from([100e6, 600e6]), st.floats(1e6, 5e9)),
+    duty=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    offset_ps=st.floats(-3e5, 3e5),
+    duration_ps=st.floats(1e-3, 2e5),
+)
+@example(100e6, 0.25, 0.0, 40_000.0)  # the last rise lies on the duration
+@example(100e6, 0.25, 0.0, 2_500.0)  # the first fall lies on the duration
+@example(600e6, 0.5, -12_345.6, 20_000.0)
+@example(600e6, 0.3, 5e4, 1e4)  # the first rise lies past the duration: no edges
+def test_pll_edges_match_the_walk(frequency_hz, duty, offset_ps, duration_ps):
+    spec = PllOutputSpec(frequency_hz, duty, phase_offset_ps=offset_ps)
+    expected = pll_edges_by_walk(spec, duration_ps)
+    if any(a >= b for a, b in zip(expected, expected[1:])):  # a level under 1 fs wide
+        with pytest.raises(WaveformError, match="strictly increasing"):
+            make_pll_output(spec, duration_ps)
+        return
+    w = make_pll_output(spec, duration_ps)
+    assert w.edge_times_fs.tolist() == expected
+    assert (w.initial_level, w.domain_fs) == (0, (0, ps_to_fs(duration_ps)))
