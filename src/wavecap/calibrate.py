@@ -4,17 +4,16 @@ A dataset's frames are held as the runs (row, level, first and last tap) of
 its bits matrix.  Rows holding a short run are smoothed by merging it into its
 surroundings, and the edges of every frame, both polarities, are read off
 the run boundaries in one pass per dataset.  The datasets may come from any
-iterable, each read once for its phase steps and edges, so a generator
-holds one dataset's frames at a time.  Every (channel, polarity) track
-is then followed through the sweep, whose phase indices must ascend, in one
-array pass up to the track's first frame of several edges or no match, and
-by a per-frame loop from there.  A track is (steps, index, wraps) arrays;
-per polarity, the tracks are pooled on the steps all channels share at one
-wrap count into one (steps x channels) matrix of edge indices.  That pooled
-matrix feeds both the straight-line fit of edge index against unwrapped
-phase, whose reciprocal slope is the per-element delay, and the
-carry-index-to-time transfer function and its uncertainty, whose RMS is the
-single-shot precision.
+iterable, each read once: as it arrives, the track of each polarity is
+followed through the sweep, whose phase indices must ascend, in an array pass
+up to the track's first frame of several edges or no match and by a per-frame
+loop from there, so a generator holds one dataset's frames and edges at a
+time.  A track is (steps, index, wraps) arrays; per polarity, the tracks are
+pooled on the steps all channels share at one wrap count into one (steps x
+channels) matrix of edge indices.  That pooled matrix feeds both the
+straight-line fit of edge index against unwrapped phase, whose reciprocal
+slope is the per-element delay, and the carry-index-to-time transfer function
+and its uncertainty, whose RMS is the single-shot precision.
 """
 
 from __future__ import annotations
@@ -149,113 +148,98 @@ def extract_edges(frame: CaptureFrame | np.ndarray, min_run: int = 1) -> list[Ed
 _Track = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _estimate_step_carries(starts: np.ndarray, frame: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Per track, the median index drop from each edge to the nearest lower
-    edge of the track's next nonempty frame; NaN where there is none.  Track
-    t holds frames starts[t] up to starts[t + 1]; frame and index list every
-    edge (index >= 1), by frame and then index ascending."""
-    rank = np.cumsum(np.diff(frame, prepend=frame[:1]) != 0)  # of each nonempty frame
-    trk = np.searchsorted(starts, frame, side="right") - 1
+def _estimate_step_carries(index: np.ndarray, new: np.ndarray) -> float:
+    """The median index drop from each edge of one track to the nearest lower
+    edge of its next nonempty frame, NaN if none.  index lists the edges
+    (>= 1) by frame and then index ascending; new marks each frame's first."""
+    rank = new.cumsum()  # of each nonempty frame
     span = int(index.max(initial=0)) + 2
     key = rank * span + index  # ascending, one band of span per nonempty frame
     below = np.searchsorted(key, key + span) - 1  # the highest key under x in the next band
-    paired = (rank[below] == rank + 1) & (trk[below] == trk)
-    drops = (index - index[below])[paired]
-    cut = np.searchsorted(trk[paired], np.arange(len(starts) + 1))  # drops come track by track
-    return np.array([np.median(drops[a:z]) if z > a else np.nan for a, z in zip(cut, cut[1:])])
+    drops = np.sort((index - index[below])[rank[below] == rank + 1])
+    if not drops.size:
+        return math.nan
+    # np.median's value (the mean of two integers is exact), at a sort's cost
+    # rather than np.median's call overhead, which is paid once per track
+    return (drops[(drops.size - 1) // 2] + drops[drops.size // 2]).item() / 2
 
 
-def _track(steps, starts, frame, index, step, period_ps: float, dt_ps: float) -> list[_Track]:
-    """Follow one edge trajectory per track (frames as in
-    _estimate_step_carries, steps each frame's phase step, step each track's
-    finite index drop per frame), from the highest edge of its first nonempty
-    frame on to each later frame's edge nearest the last match less step per
-    frame since.  An upward jump close to a multiple of the per-period carry
-    span is a source-period wrap; any other jump beyond tolerance leaves the
-    frame unmatched."""
-    head = np.flatnonzero(np.diff(frame, prepend=-1))  # each nonempty frame's first edge
-    end = np.r_[head[1:], frame.size]
+def _track(steps, frame, index, new, step: float, period_ps: float, dt_ps: float) -> _Track:
+    """Follow one track (frame holding each edge's frame, the rest as in
+    _estimate_step_carries; steps each frame's phase step, step the index drop
+    per frame) from the highest edge of its first nonempty frame on to each
+    later frame's edge nearest the last match less step per frame since.  An
+    upward jump close to a multiple of the per-period carry span is a
+    source-period wrap; any other jump beyond tolerance leaves it unmatched."""
+    head = new.nonzero()[0]  # each nonempty frame's first edge
+    end = np.append(head[1:], frame.size)
     fr, x = frame[head], index[end - 1]
-    trk = np.searchsorted(starts, fr, side="right") - 1
-    new = np.diff(trk, prepend=-1) != 0
-    s = step[trk]
-    period_carries = period_ps / (dt_ps / s)
-    tol = np.maximum(period_carries / 4.0, 3 * s)
-    # one pass that takes every frame as matched, so that each prediction is
-    # the previous frame's edge less step per frame between (exact: step is a
-    # median of integers), and each match test is the loop's own expression
-    jump = x - (np.r_[x[:1], x[:-1]] - s * np.diff(fr, prepend=fr[:1]))
+    period_carries = period_ps / (dt_ps / step)
+    tol = max(period_carries / 4.0, 3 * step)
+    # one pass that takes every frame after the first as matched, so that each prediction
+    # is the previous frame's edge less step per frame between (exact: step is a median
+    # of integers), and each match test is the loop's own expression
+    jump = x[1:] - (x[:-1] - step * (fr[1:] - fr[:-1]))
     direct = np.abs(jump) <= tol
     wraps = np.rint(jump / period_carries)  # half to even, as round()
     wrap = (wraps > 0) & (np.abs(jump - wraps * period_carries) <= tol)
-    ok = new | (end - head == 1) & (direct | wrap)
-    # the pass holds up to a track's first frame with several edges or no match
-    own = np.flatnonzero(new)[np.cumsum(new) - 1]  # the first frame of each one's track
-    n_bad = np.cumsum(~ok)
-    m = np.cumsum(np.where(direct | new, 0, wraps))
-    m = (m - m[own]).astype(np.int64)
-
+    ok = (end - head == 1)[1:] & (direct | wrap)
+    # the pass holds up to the first frame with several edges or no match
+    c = fr.size if ok.all() else 1 + int(ok.argmin())
+    m = np.zeros(fr.size, dtype=np.int64)
+    m[1:] = np.where(direct, 0, wraps).cumsum()
     n = steps[fr]
-    bounds = np.searchsorted(trk, np.arange(len(starts) + 1))
-    cuts = bounds[:-1] + np.bincount(trk[n_bad == n_bad[own]], minlength=len(starts))
-    out = []
-    for a, c, z in zip(bounds.tolist(), cuts.tolist(), bounds[1:].tolist()):
-        more = []
-        if c < z:  # the loop takes the track on from the pass's last match
-            ref_x, ref_f, count = x[c - 1].item(), fr[c - 1].item(), m[c - 1].item()
-            st, pc, tl = s[c].item(), period_carries[c].item(), tol[c].item()
-            for g in range(c, z):
-                idx = index[head[g] : end[g]].tolist()
-                predicted = ref_x - st * (fr[g].item() - ref_f)
-                # the nearer of the two neighbours of predicted; a tie keeps the lower
-                i = bisect_left(idx, predicted)
-                if i == len(idx) or (i and predicted - idx[i - 1] <= idx[i] - predicted):
-                    i -= 1
-                jump = idx[i] - predicted
-                if not abs(jump) <= tl:
-                    w = round(jump / pc)
-                    if not (w > 0 and abs(jump - w * pc) <= tl):
-                        continue  # unmatched; keep coasting
-                    count += w
-                ref_x, ref_f = idx[i], fr[g].item()
-                more.append((n[g].item(), ref_x, count))
-        track = (n[a:c], x[a:c], m[a:c])
-        out.append(tuple(np.r_[t, u] for t, u in zip(track, zip(*more))) if more else track)
-    return out
+    more = []
+    # the loop takes the track on from the pass's last match
+    ref_x, ref_f, count = x[c - 1].item(), fr[c - 1].item(), m[c - 1].item()
+    for g in range(c, fr.size):
+        idx = index[head[g] : end[g]].tolist()
+        predicted = ref_x - step * (fr[g].item() - ref_f)
+        # the nearer of the two neighbours of predicted; a tie keeps the lower
+        i = bisect_left(idx, predicted)
+        if i == len(idx) or (i and predicted - idx[i - 1] <= idx[i] - predicted):
+            i -= 1
+        jump = idx[i] - predicted
+        if not abs(jump) <= tol:
+            w = round(jump / period_carries)
+            if not (w > 0 and abs(jump - w * period_carries) <= tol):
+                continue  # unmatched; keep coasting
+            count += w
+        ref_x, ref_f = idx[i], fr[g].item()
+        more.append((n[g].item(), ref_x, count))
+    track = (n[:c], x[:c], m[:c])
+    return tuple(np.concatenate((t, u)) for t, u in zip(track, zip(*more))) if more else track
 
 
 def _tracks(
     datasets: Iterable[SweepDataset], min_run: int, polarities: Sequence[int]
 ) -> tuple[SweepSpec, dict[int, list[_Track]]]:
     """The first dataset's sweep spec and, per polarity, one track per dataset,
-    whose grid must be the first one's and whose phase steps must ascend.  Of
-    each dataset only its steps and edges, all polarities from one pass over
-    its bits, are kept, and every track is followed in one _track call."""
+    whose grid must be the first one's and whose phase steps must ascend.  A
+    dataset's edges, all polarities from one pass over its bits, are tracked as
+    soon as it is read, and only its finished tracks are kept."""
     count = f" of {len(datasets)}" if isinstance(datasets, Sized) else ""
-    spec, steps, edges = None, [], []
+    spec, tracks = None, {pol: [] for pol in polarities}
     for d, ds in enumerate(datasets, start=1):
+        at = f"dataset {d}{count}"
         s, spec = ds.sweep_spec, spec or ds.sweep_spec
         if s is None or s.dt_ps != spec.dt_ps or s.source.frequency_hz != spec.source.frequency_hz:
             raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
         if not np.all(ds.phase_index[1:] > ds.phase_index[:-1]):
-            raise CalibrationError(f"dataset {d}{count}: phase indices must be strictly increasing")
-        steps += [ds.phase_index] * len(polarities)
-        edges.append(_edges(ds.bits, min_run))
+            raise CalibrationError(f"{at}: phase indices must be strictly increasing")
+        rows, ks, levels = _edges(ds.bits, min_run)
+        period = spec.source.period_ps
+        for pol in polarities:
+            frame, index = rows[levels == pol], ks[levels == pol]
+            new = np.ones(frame.size, dtype=bool)  # each nonempty frame's first edge
+            np.not_equal(frame[1:], frame[:-1], out=new[1:])
+            step = _estimate_step_carries(index, new)
+            if math.isnan(step):
+                raise CalibrationError(f"{at}: not enough {_NAMES[pol]} edges to track")
+            tracks[pol].append(_track(ds.phase_index, frame, index, new, step, period, spec.dt_ps))
     if spec is None:
         raise CalibrationError("no datasets")
-    # track i + d * len(polarities) is dataset d's polarity i; frames are
-    # numbered on from track to track
-    starts = np.cumsum([0] + [len(n) for n in steps])[:-1]
-    sel = [(rows, ks, levels == pol) for rows, ks, levels in edges for pol in polarities]
-    frame = np.concatenate([rows[s] + start for (rows, _, s), start in zip(sel, starts.tolist())])
-    index = np.concatenate([ks[s] for _, ks, s in sel])
-    step = _estimate_step_carries(starts, frame, index)
-    if np.isnan(step).any():
-        pol = polarities[np.argmax(np.isnan(step)) % len(polarities)]
-        raise CalibrationError(f"not enough {_NAMES[pol]} edges to track")
-    steps = np.concatenate(steps)
-    tracks = _track(steps, starts, frame, index, step, spec.source.period_ps, spec.dt_ps)
-    return spec, {pol: tracks[i :: len(polarities)] for i, pol in enumerate(polarities)}
+    return spec, tracks
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from . import __version__
 from .calibrate import MIN_PULSE_CARRIES, calibrate, shrink_analysis
 from .chain import MAX_CHAIN_LEN, ChainSpec, RegisterSpec, sample_chain, sample_registers
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
-from .ringosc import RingSpec, measure_node_timescale, simulate_ring, stitch_frames
+from .ringosc import RingError, RingSpec, measure_node_timescale, simulate_ring, stitch_frames
 from .storage import (
     bit_lines,
     check_format_version,
@@ -315,7 +315,11 @@ def cmd_ro(args, ring, opts, chain, regs):
         series = stitch_frames(ds, tau_nominal)  # fails here, before any file is written
         runs[node] = ds, series
         if opts.measure_timescale:
-            m = measure_node_timescale(ring, series, tau_nominal)
+            try:  # too few pulses is the one RingError a stitched series can raise here
+                m = measure_node_timescale(ring, series, tau_nominal)
+            except RingError as exc:
+                raise CliError(f"node {node}: {exc} in ro.n_frames = {opts.n_frames} frames of "
+                               f"ro.t_capture_ps = {opts.t_capture_ps} ps") from exc
             rec = report.setdefault("recovered", {})
             rec[f"node_{node}_per_inverter_ps"] = m.per_node_ps
             rec[f"node_{node}_err_ps"] = m.err_ps

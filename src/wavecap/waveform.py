@@ -108,6 +108,11 @@ class PllOutputSpec:
             raise WaveformError(f"frequency_hz must be positive, got {self.frequency_hz}")
         if not (0.0 < self.duty_cycle < 1.0):
             raise WaveformError(f"duty cycle must lie in (0, 1), got {self.duty_cycle}")
+        # make_pll_output rounds each edge to the nearest fs, half to even, so
+        # two edges exactly 1 fs apart can round to one: each level must be wider
+        period = self.period_fraction_fs()
+        if not 1 < period * Fraction(self.duty_cycle) < period - 1:
+            raise WaveformError(f"duty_cycle {self.duty_cycle} leaves a level of 1 fs or less")
         if self.period_jitter_sigma_ps < 0:
             raise WaveformError("jitter sigma must be >= 0")
 

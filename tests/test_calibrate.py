@@ -1,4 +1,6 @@
 import hashlib
+import math
+import sys
 import weakref
 from dataclasses import fields, replace
 from itertools import groupby
@@ -469,28 +471,27 @@ def dict_tracks(tracks):
     return {pol: [as_dict(t) for t in ts] for pol, ts in tracks.items()}
 
 
-def edge_arrays(tracks_frames):
-    """Per track, per frame, its edge indices, as _track's inputs: each track's
-    first frame, and every edge's frame (numbered across tracks) and index."""
-    starts = np.cumsum([0] + [len(frames) for frames in tracks_frames])[:-1]
-    frame, index = [], []
-    for start, frames in zip(starts.tolist(), tracks_frames):
-        for f, idx in enumerate(frames, start=start):
-            frame += [f] * len(idx)
-            index += sorted(idx)
-    return starts, np.array(frame, dtype=np.int64), np.array(index, dtype=np.int64)
+def edge_arrays(frames):
+    """One track's per-frame edge indices as _track's inputs: every edge's
+    frame and index, and the mask of each nonempty frame's first edge."""
+    frame, index, new = [], [], []
+    for f, idx in enumerate(frames):
+        frame += [f] * len(idx)
+        index += sorted(idx)
+        new += [j == 0 for j in range(len(idx))]
+    return np.array(frame, dtype=np.int64), np.array(index, dtype=np.int64), np.array(new, dtype=bool)
 
 
-def track_each(tracks_frames, steps, period_ps, dt_ps):
-    """_tracks' two calls on per-track frame lists, every track on the same
-    phase steps: _estimate_step_carries, raising where a step is NaN as
-    _tracks does, then _track; the tracks as dicts."""
-    starts, frame, index = edge_arrays(tracks_frames)
-    step = _estimate_step_carries(starts, frame, index)
-    if np.isnan(step).any():
+def track_each(frames, steps, period_ps, dt_ps):
+    """_tracks' two calls on one track's per-frame edge lists:
+    _estimate_step_carries, raising where the step is NaN as _tracks does,
+    then _track; the track as a dict."""
+    frame, index, new = edge_arrays(frames)
+    step = _estimate_step_carries(index, new)
+    if math.isnan(step):
         raise CalibrationError("not enough edges to track")
-    all_steps = np.tile(np.asarray(steps, dtype=np.int64), len(tracks_frames))
-    return [as_dict(t) for t in _track(all_steps, starts, frame, index, step, period_ps, dt_ps)]
+    steps = np.asarray(steps, dtype=np.int64)
+    return as_dict(_track(steps, frame, index, new, step, period_ps, dt_ps))
 
 
 def test_tracks_match_per_frame_reference(reference_datasets):
@@ -513,9 +514,9 @@ def test_track_on_edge_indices_matches_per_frame_reference(frames, dt):
         want = track_per_frame(as_edges, RISING, 1_000.0, dt)
     except CalibrationError:
         with pytest.raises(CalibrationError):
-            track_each([frames], range(len(frames)), 1_000.0, dt)
+            track_each(frames, range(len(frames)), 1_000.0, dt)
         return
-    assert track_each([frames], range(len(frames)), 1_000.0, dt) == [want]
+    assert track_each(frames, range(len(frames)), 1_000.0, dt) == want
 
 
 def saw(x0, n_frames, step=10, span=100):
@@ -584,12 +585,13 @@ def test_array_pass_matches_per_frame_reference(case):
             want_tracks.append(track_per_frame(rows, RISING, period_ps, 78.0))
         except CalibrationError:
             want_steps.append(float("nan"))
-    assert same_bits(_estimate_step_carries(*edge_arrays(tracks_frames)), np.array(want_steps))
+    got_steps = [_estimate_step_carries(*edge_arrays(frames)[1:]) for frames in tracks_frames]
+    assert same_bits(np.array(got_steps), np.array(want_steps))
     if len(want_tracks) < len(tracks_frames):
         with pytest.raises(CalibrationError):
-            track_each(tracks_frames, steps, period_ps, 78.0)
+            [track_each(frames, steps, period_ps, 78.0) for frames in tracks_frames]
         return
-    assert track_each(tracks_frames, steps, period_ps, 78.0) == want_tracks
+    assert [track_each(frames, steps, period_ps, 78.0) for frames in tracks_frames] == want_tracks
 
 
 def test_tracks_match_per_frame_reference_on_multi_edge_frames(multi_pulse_dataset):
@@ -792,6 +794,43 @@ def test_calibrate_holds_one_dataset_at_a_time(reference_datasets):
 
     assert calibrate(datasets(), 15).summary() == calibrate(reference_datasets, 15).summary()
     assert len(alive) == len(reference_datasets)
+
+
+def test_calibrate_holds_one_dataset_of_edges_at_a_time(reference_datasets, reference_result,
+                                                        monkeypatch):
+    alive = []  # weakrefs to the arrays of each _edges call so far
+    edges = _edges
+
+    def spy(bits, min_run):
+        out = edges(bits, min_run)
+        alive.append([weakref.ref(a) for a in out])
+        return out
+
+    def datasets():
+        for ds in reference_datasets:
+            assert sum(any(ref() is not None for ref in refs) for refs in alive) <= 1
+            yield ds
+
+    # wavecap.calibrate, as an attribute of the package, is the calibrate() function
+    monkeypatch.setattr(sys.modules[_edges.__module__], "_edges", spy)
+    assert calibrate(datasets(), 15).summary() == reference_result.summary()
+    assert len(alive) == len(reference_datasets)
+
+
+def test_too_few_edges_names_the_dataset_before_the_next_is_read(reference_datasets):
+    first = reference_datasets[0]
+    # each frame is ones up to a tap two lower than the frame before: rising edges only
+    top = 1200 - 2 * np.arange(first.n_frames)
+    only_rising = replace(first, bits=(np.arange(first.k) < top[:, None]).astype(np.uint8))
+
+    def datasets():
+        yield only_rising
+        pytest.fail("a second dataset was read")
+
+    with pytest.raises(CalibrationError, match="^dataset 1: not enough falling edges to track$"):
+        calibrate(datasets(), 15)
+    with pytest.raises(CalibrationError, match="^dataset 1 of 2: not enough falling edges"):
+        calibrate([only_rising, first], 15)
 
 
 def test_phase_order_message_counts_the_datasets_it_can(reference_datasets):

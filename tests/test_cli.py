@@ -739,13 +739,18 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         ("ro", "fig7", {"ro.t_start_ps": "1e305", "ro.t_capture_ps": "1e305"}, "",
          "1.7e+306 ps is not a finite number of femtoseconds"),
         ("ro", "appendix-ro19", {"ro.n_frames": "1"}, "",
-         "not enough pulses to estimate a timescale"),
+         "node 0: not enough pulses to estimate a timescale in ro.n_frames = 1 frames of "
+         "ro.t_capture_ps = 5000.0 ps"),
+        # a 0.01 fs high level, which would round to a rise and fall at one femtosecond
+        ("sweep", "fig3a", {"chain.tau_fall_ps": "4.91", "source.duty_cycle": "1e-9"}, "",
+         "duty_cycle 1e-09 leaves a level of 1 fs or less"),
         # one 2.5 ns pulse, fixed in every frame, fills one 25-carry bin
         ("shrink", "fig3c", {"sweep.dt_ps": "0", "source.frequency_hz": "100000000.0",
                              "source.duty_cycle": "0.25", "source.phase_offset_ps": "3000.0"},
          "", "fewer than two populated bins"),
     ],
-    ids=["kind", "no-equals", "dnl-ramp", "zero-delay", "ring-duration", "one-frame", "one-bin"],
+    ids=["kind", "no-equals", "dnl-ramp", "zero-delay", "ring-duration", "one-frame", "sub-fs-level",
+         "one-bin"],
 )
 def test_config_reaching_a_domain_error_exits_2(tmp_path, capsys, command, preset, edits, extra,
                                                 message):

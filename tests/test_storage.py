@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -499,9 +500,13 @@ reg_specs = st.builds(RegisterSpec, nonneg, nonneg, seeds)
 @st.composite
 def sweep_specs(draw):
     lo = draw(st.integers(2, 100))
+    frequency_hz = draw(positive)
+    period = Fraction(10**15) / Fraction(frequency_hz)
+    # each level stays over 1 fs wide, as PllOutputSpec requires
+    duty = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     source = PllOutputSpec(
-        draw(positive),
-        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        frequency_hz,
+        draw(duty.filter(lambda d: 1 < period * Fraction(d) < period - 1)),
         draw(fs_floats),
         draw(nonneg),
         draw(seeds),

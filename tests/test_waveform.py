@@ -223,6 +223,27 @@ def test_reject_short_pulses_matches_deletion_reference(gaps, init, min_fs):
         assert got is w
 
 
+# a 2**20 fs period: every level width below is exact in binary
+@pytest.mark.parametrize(
+    "duty, ok",
+    [
+        (2.0**-20, False),  # a 1 fs high level
+        (np.nextafter(2.0**-20, 1.0), True),
+        (1 - 2.0**-20, False),  # a 1 fs low level
+        (np.nextafter(1 - 2.0**-20, 0.0), True),
+    ],
+)
+def test_duty_cycle_leaves_each_level_over_1_fs(duty, ok):
+    frequency_hz = 1e15 / 2**20
+    assert PllOutputSpec(frequency_hz).period_fraction_fs() == 2**20
+    if not ok:
+        with pytest.raises(WaveformError, match=f"^duty_cycle {duty} leaves a level of 1 fs or less"):
+            PllOutputSpec(frequency_hz, duty)
+        return
+    times = make_pll_output(PllOutputSpec(frequency_hz, float(duty)), 5_000).edge_times_fs
+    assert min(np.diff(times)) == 1
+
+
 def pll_edges_by_walk(spec, duration_ps):
     """make_pll_output's jitter-free edges as first written: walk the rises
     until one passes the duration, each followed by its fall if inside."""
@@ -256,12 +277,13 @@ def pll_edges_by_walk(spec, duration_ps):
 @example(600e6, 0.5, -12_345.6, 20_000.0)
 @example(600e6, 0.3, 5e4, 1e4)  # the first rise lies past the duration: no edges
 def test_pll_edges_match_the_walk(frequency_hz, duty, offset_ps, duration_ps):
-    spec = PllOutputSpec(frequency_hz, duty, phase_offset_ps=offset_ps)
-    expected = pll_edges_by_walk(spec, duration_ps)
-    if any(a >= b for a, b in zip(expected, expected[1:])):  # a level under 1 fs wide
-        with pytest.raises(WaveformError, match="strictly increasing"):
-            make_pll_output(spec, duration_ps)
+    try:
+        spec = PllOutputSpec(frequency_hz, duty, phase_offset_ps=offset_ps)
+    except WaveformError:  # only a level of 1 fs or less, which rounding can close, is refused
+        period = Fraction(10**15) / Fraction(frequency_hz)
+        assert min(period * Fraction(duty), period * (1 - Fraction(duty))) <= 1
         return
+    expected = pll_edges_by_walk(spec, duration_ps)
     w = make_pll_output(spec, duration_ps)
     assert w.edge_times_fs.tolist() == expected
     assert (w.initial_level, w.domain_fs) == (0, (0, ps_to_fs(duration_ps)))
