@@ -8,12 +8,13 @@ iterable, each read once: as it arrives, the track of each polarity is
 followed through the sweep, whose phase indices must ascend, in an array pass
 up to the track's first frame of several edges or no match and by a per-frame
 loop from there, so a generator holds one dataset's frames and edges at a
-time.  A track is (steps, index, wraps) arrays; per polarity, the tracks are
-pooled on the steps all channels share at one wrap count into one (steps x
-channels) matrix of edge indices.  That pooled matrix feeds both the
-straight-line fit of edge index against unwrapped phase, whose reciprocal
-slope is the per-element delay, and the carry-index-to-time transfer function
-and its uncertainty, whose RMS is the single-shot precision.
+time.  A track is (steps, index, wraps) arrays; per polarity, each track's
+wraps are aligned with the first track's, and the tracks are pooled on the
+steps all channels share at one wrap count into one (steps x channels) matrix
+of edge indices.  That pooled matrix feeds both the straight-line fit of edge
+index against unwrapped phase, whose reciprocal slope is the per-element
+delay, and the carry-index-to-time transfer function and its uncertainty,
+whose RMS is the single-shot precision.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Iterable, Sequence, Sized
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -218,15 +219,13 @@ def _tracks(
     whose grid must be the first one's and whose phase steps must ascend.  A
     dataset's edges, all polarities from one pass over its bits, are tracked as
     soon as it is read, and only its finished tracks are kept."""
-    count = f" of {len(datasets)}" if isinstance(datasets, Sized) else ""
     spec, tracks = None, {pol: [] for pol in polarities}
     for d, ds in enumerate(datasets, start=1):
-        at = f"dataset {d}{count}"
         s, spec = ds.sweep_spec, spec or ds.sweep_spec
         if s is None or s.dt_ps != spec.dt_ps or s.source.frequency_hz != spec.source.frequency_hz:
             raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
         if not np.all(ds.phase_index[1:] > ds.phase_index[:-1]):
-            raise CalibrationError(f"{at}: phase indices must be strictly increasing")
+            raise CalibrationError(f"dataset {d}: phase indices must be strictly increasing")
         rows, ks, levels = _edges(ds.bits, min_run)
         period = spec.source.period_ps
         for pol in polarities:
@@ -235,7 +234,7 @@ def _tracks(
             np.not_equal(frame[1:], frame[:-1], out=new[1:])
             step = _estimate_step_carries(index, new)
             if math.isnan(step):
-                raise CalibrationError(f"{at}: not enough {_NAMES[pol]} edges to track")
+                raise CalibrationError(f"dataset {d}: not enough {_NAMES[pol]} edges to track")
             tracks[pol].append(_track(ds.phase_index, frame, index, new, step, period, spec.dt_ps))
     if spec is None:
         raise CalibrationError("no datasets")
@@ -261,6 +260,10 @@ def _pool(spec: SweepSpec, tracks: list[_Track], polarity: int) -> _PooledTrajec
     at = [np.searchsorted(n, steps) for n, _, _ in tracks]
     xs = np.stack([x[i] for (_, x, _), i in zip(tracks, at)], axis=1)  # steps x tracks
     wraps = np.stack([m[i] for (_, _, m), i in zip(tracks, at)], axis=1)
+    if steps.size:  # each track counts wraps from its own first match, so shift
+        # each by its most common difference from the first's (the least on a tie)
+        d = wraps - wraps[:, :1]
+        wraps -= np.array([np.bincount(c).argmax() for c in (d - d.min()).T]) + d.min()
     same = np.all(wraps == wraps[:, :1], axis=1)
     steps, wraps, xs = steps[same], wraps[same, 0], xs[same].astype(float)
     if len(steps) < 2:

@@ -29,7 +29,8 @@ from . import __version__
 from .calibrate import MIN_PULSE_CARRIES, calibrate, shrink_analysis
 from .chain import MAX_CHAIN_LEN, ChainSpec, RegisterSpec, sample_chain, sample_registers
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
-from .ringosc import RingError, RingSpec, measure_node_timescale, simulate_ring, stitch_frames
+from .ringosc import (EventBudgetError, RingError, RingSpec, measure_node_timescale,
+                      simulate_ring, stitch_frames)
 from .storage import (
     bit_lines,
     check_format_version,
@@ -190,20 +191,6 @@ def cmd_sweep(args, chain, regs, sweep):
     return report, write, f"wrote {dataset.n_frames} frames to {{out}}"
 
 
-class _Channels:
-    """calibrate's datasets, each made from its source only when reached, so
-    one channel's frames are held at a time; sized, for "dataset N of M"."""
-
-    def __init__(self, make, sources):
-        self.make, self.sources = make, sources
-
-    def __len__(self):
-        return len(self.sources)
-
-    def __iter__(self):
-        return map(self.make, self.sources)
-
-
 def cmd_calibrate(args, opts, chain, regs, sweep):
     if opts.n_channels * sweep.n_steps > MAX_FRAMES:
         raise CliError(f"calibrate.n_channels * sweep.n_steps > {MAX_FRAMES}, the frame bound")
@@ -217,7 +204,8 @@ def cmd_calibrate(args, opts, chain, regs, sweep):
         specs.append((ds.chain_spec, ds.sweep_spec))
         return ds
 
-    result = calibrate(_Channels(channel, args.inputs or range(opts.n_channels)), opts.min_run)
+    # a map makes each dataset only when calibrate() reaches it: one channel's frames at a time
+    result = calibrate(map(channel, args.inputs or range(opts.n_channels)), opts.min_run)
     chain, sweep = specs[0]
     report = {
         "kind": "calibrate",
@@ -302,7 +290,11 @@ def cmd_ro(args, ring, opts, chain, regs):
     t_start_ps = opts.t_start_ps
     if t_start_ps is None:
         t_start_ps = _default_start_ps(chain, regs)  # ring nodes are defined from t = 0
-    trace = simulate_ring(ring, t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
+    try:
+        trace = simulate_ring(ring, t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
+    except EventBudgetError as exc:  # name the keys that set the ring's work
+        raise CliError(f"{exc}: ring.n = {ring.n} nodes over ro.n_frames = {opts.n_frames} "
+                       f"frames of ro.t_capture_ps = {opts.t_capture_ps} ps") from exc
     report: dict = {"kind": "ro", "truth": {"tau_gate_ps": ring.tau_gate_ps, "n": ring.n}}
     tau_nominal = chain.spec.tau_fall_ps
     runs = {}

@@ -37,6 +37,10 @@ class RingError(WavecapError):
     pass
 
 
+class EventBudgetError(RingError):
+    pass
+
+
 # simulate_ring's work bound: ring events up to duration + min_pulse + 1 fs
 MAX_RING_EVENTS = 5_000_000
 
@@ -145,7 +149,7 @@ def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
             n_events += (horizon_fs - t) // period_fs + 1
             level ^= 1
         if n_events > MAX_RING_EVENTS:
-            raise RingError("event budget exceeded; runaway configuration")
+            raise EventBudgetError("event budget exceeded; runaway configuration")
 
     # repeat each arrival every period up to the duration, grouped by node
     arrivals.sort()

@@ -348,10 +348,18 @@ def tracks_per_frame(datasets, min_run, polarities):
 
 
 def pool_per_step(spec, tracks, polarity):
-    """Reference: one np.mean and np.std per phase step."""
+    """Reference: one np.mean and np.std per phase step, once each track's wrap
+    counts are shifted by their most frequent difference from the first
+    track's over the steps all tracks hold (the least of those on a tie)."""
     period, dt = spec.source.period_ps, spec.dt_ps
-    per_step = {}
+    shared = sorted(set(tracks[0]).intersection(*tracks[1:]))
+    aligned = []
     for track in tracks:
+        diffs = [track[n][1] - tracks[0][n][1] for n in shared]
+        shift = max(sorted(set(diffs)), key=diffs.count) if diffs else 0
+        aligned.append({n: (x, m - shift) for n, (x, m) in track.items()})
+    per_step = {}
+    for track in aligned:
         for n, (x, m) in track.items():
             per_step.setdefault(n, []).append((x, m))
     steps, wraps, u, mean, std = [], [], [], [], []
@@ -829,14 +837,15 @@ def test_too_few_edges_names_the_dataset_before_the_next_is_read(reference_datas
 
     with pytest.raises(CalibrationError, match="^dataset 1: not enough falling edges to track$"):
         calibrate(datasets(), 15)
-    with pytest.raises(CalibrationError, match="^dataset 1 of 2: not enough falling edges"):
+    with pytest.raises(CalibrationError, match="^dataset 1: not enough falling edges"):
         calibrate([only_rising, first], 15)
 
 
-def test_phase_order_message_counts_the_datasets_it_can(reference_datasets):
+def test_phase_order_message_names_the_dataset_by_position(reference_datasets):
+    # a list and an iterator are named alike: by position, not by count
     first, second = reference_datasets[:2]
     bad = replace(second, phase_index=second.phase_index[::-1].copy())
-    with pytest.raises(CalibrationError, match="^dataset 2 of 2: phase indices"):
+    with pytest.raises(CalibrationError, match="^dataset 2: phase indices"):
         calibrate([first, bad], 15)
     with pytest.raises(CalibrationError, match="^dataset 2: phase indices"):
         calibrate(iter([first, bad]), 15)

@@ -2,13 +2,16 @@ import hashlib
 import json
 import re
 import shutil
+import tempfile
 import typing
 from dataclasses import is_dataclass, replace
+from functools import partial
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecap import cli, storage
@@ -595,8 +598,58 @@ def test_calibrate_rejects_frames_out_of_phase_order(tmp_path, capsys, reorder):
                      phase_index=ds.phase_index[order])
     storage.save_dataset(ds, bad)
     assert run("calibrate", "--config", "preset:fig4", "--out", out, good, bad, "--quiet") == 2
-    assert "dataset 2 of 2: phase indices must be strictly increasing" in capsys.readouterr().err
+    assert "dataset 2: phase indices must be strictly increasing" in capsys.readouterr().err
     assert not (tmp_path / "cal").exists()
+
+
+def test_calibrate_makes_each_channel_only_when_it_is_reached(tmp_path, capsys, monkeypatch):
+    # the second channel fails, so neither the third nor the fourth is made
+    made = []
+
+    def made_out_of_order(make, *args):
+        made.append(args)
+        ds = make(*args)
+        return replace(ds, phase_index=ds.phase_index[::-1].copy()) if len(made) == 2 else ds
+
+    dirs = [str(tmp_path / f"ch{ch}") for ch in range(4)]
+    for d in dirs:
+        assert run("sweep", "--config", "preset:fig3a", "--out", d, "--quiet") == 0
+    cfg = set_config_values(tmp_path, "fig4", {"calibrate.n_channels": "4"})
+    monkeypatch.setattr(cli, "run_sweep", partial(made_out_of_order, cli.run_sweep))
+    assert run("calibrate", "--config", cfg, "--out", str(tmp_path / "cal"), "--quiet") == 2
+    assert "dataset 2: phase indices must be strictly increasing" in capsys.readouterr().err
+    assert [sweep.seed for sweep, _, _ in made] == [0, 1000]
+
+    made.clear()
+    monkeypatch.setattr(cli, "load_dataset", partial(made_out_of_order, cli.load_dataset))
+    assert run("calibrate", "--config", cfg, "--out", str(tmp_path / "cal"), *dirs, "--quiet") == 2
+    assert "dataset 2: phase indices must be strictly increasing" in capsys.readouterr().err
+    assert made == [(dirs[0],), (dirs[1],)]
+    assert not (tmp_path / "cal").exists()
+
+
+def test_calibrate_pools_channels_whose_wraps_start_one_apart(tmp_path, capsys):
+    # at 105 MHz half of fig4's channels first see a rising edge at step 0 and
+    # the rest 42 steps later, so their wrap counts differ by one
+    cfg = set_config_values(tmp_path, "fig4", {"source.frequency_hz": "105000000.0"})
+    out = str(tmp_path / "cal")
+    assert run("calibrate", "--config", cfg, "--out", out, "--quiet") == 0
+    assert run("report", out) == 0  # every check passes, each tau within 0.1 ps among them
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[3] for line in lines if "] tau_" in line] == ["tau_rise", "tau_fall"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mhz=st.integers(60, 200))
+@example(mhz=63)
+@example(mhz=105)
+def test_calibrate_pools_at_any_source_frequency(mhz):
+    # fig4 at two channels and --seed 0: the wrap bands of 63 and 105 MHz are
+    # under 0.05 MHz wide, so they are given as examples
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = set_config_values(Path(tmp), "fig4", {"calibrate.n_channels": "2",
+                                                    "source.frequency_hz": f"{mhz}e6"})
+        assert run("calibrate", "--config", cfg, "--out", f"{tmp}/cal", "--quiet") == 0
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -741,6 +794,10 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         ("ro", "appendix-ro19", {"ro.n_frames": "1"}, "",
          "node 0: not enough pulses to estimate a timescale in ro.n_frames = 1 frames of "
          "ro.t_capture_ps = 5000.0 ps"),
+        # a valid 5 ms capture of a ring with more events than the simulator's budget
+        ("ro", "appendix-ro19", {"ro.n_frames": "1000000"}, "",
+         "error: event budget exceeded; runaway configuration: ring.n = 19 nodes over "
+         "ro.n_frames = 1000000 frames of ro.t_capture_ps = 5000.0 ps\n"),
         # a 0.01 fs high level, which would round to a rise and fall at one femtosecond
         ("sweep", "fig3a", {"chain.tau_fall_ps": "4.91", "source.duty_cycle": "1e-9"}, "",
          "duty_cycle 1e-09 leaves a level of 1 fs or less"),
@@ -749,8 +806,8 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
                              "source.duty_cycle": "0.25", "source.phase_offset_ps": "3000.0"},
          "", "fewer than two populated bins"),
     ],
-    ids=["kind", "no-equals", "dnl-ramp", "zero-delay", "ring-duration", "one-frame", "sub-fs-level",
-         "one-bin"],
+    ids=["kind", "no-equals", "dnl-ramp", "zero-delay", "ring-duration", "one-frame", "event-budget",
+         "sub-fs-level", "one-bin"],
 )
 def test_config_reaching_a_domain_error_exits_2(tmp_path, capsys, command, preset, edits, extra,
                                                 message):
