@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .chain import FALLING, RISING, CaptureFrame
+from .storage import spec_to_config
 from .sweep import SweepDataset, SweepSpec
 from .units import WavecapError
 
@@ -215,15 +216,21 @@ def _track(steps, frame, index, new, step: float, period_ps: float, dt_ps: float
 def _tracks(
     datasets: Iterable[SweepDataset], min_run: int, polarities: Sequence[int]
 ) -> tuple[SweepSpec, dict[int, list[_Track]]]:
-    """The first dataset's sweep spec and, per polarity, one track per dataset,
-    whose grid must be the first one's and whose phase steps must ascend.  A
+    """The sweep spec and, per polarity, one track per dataset: a sweep whose
+    config, seeds aside, is the first one's and whose phase steps ascend.  A
     dataset's edges, all polarities from one pass over its bits, are tracked as
     soon as it is read, and only its finished tracks are kept."""
-    spec, tracks = None, {pol: [] for pol in polarities}
+    spec, first, tracks = None, None, {pol: [] for pol in polarities}
     for d, ds in enumerate(datasets, start=1):
-        s, spec = ds.sweep_spec, spec or ds.sweep_spec
-        if s is None or s.dt_ps != spec.dt_ps or s.source.frequency_hz != spec.source.frequency_hz:
+        if ds.sweep_spec is None:
             raise CalibrationError("datasets must be sweeps on one shared grid to be pooled")
+        # one chain and grid, so one truth: all of the config but its "*.seed = " lines
+        text = spec_to_config(ds.chain_spec, ds.reg_spec, ds.sweep_spec)
+        spec, lines = ds.sweep_spec, [ln for ln in text.splitlines() if ".seed = " not in ln]
+        first = first or lines
+        differs = [a.partition(" = ")[0] for a, b in zip(lines, first) if a != b]
+        if differs:
+            raise CalibrationError(f"dataset {d}: {differs[0]} differs from dataset 1")
         if not np.all(ds.phase_index[1:] > ds.phase_index[:-1]):
             raise CalibrationError(f"dataset {d}: phase indices must be strictly increasing")
         rows, ks, levels = _edges(ds.bits, min_run)
@@ -503,9 +510,9 @@ class CalibrationResult:
     single_shot_rise_ps: float
     single_shot_fall_ps: float
     fits: dict[int, CarryTimeFit]  # keyed by RISING and FALLING
-    min_run: int
 
     def summary(self) -> dict:
+        """The six figures of a calibration, as ``wavecap calibrate`` reports them."""
         return {
             "tau_rise_ps": self.tau_rise_ps,
             "tau_rise_err_ps": self.tau_rise_err_ps,
@@ -513,11 +520,6 @@ class CalibrationResult:
             "tau_fall_err_ps": self.tau_fall_err_ps,
             "single_shot_rise_ps": self.single_shot_rise_ps,
             "single_shot_fall_ps": self.single_shot_fall_ps,
-            "r2_rise": self.fits[RISING].r2,
-            "r2_fall": self.fits[FALLING].r2,
-            "n_points_rise": self.fits[RISING].n_points,
-            "n_points_fall": self.fits[FALLING].n_points,
-            "min_run": self.min_run,
         }
 
 
@@ -538,5 +540,4 @@ def calibrate(datasets: Iterable[SweepDataset], min_run: int = MIN_PULSE_CARRIES
         single_shot_rise_ps=single_shot_precision(tf_rise),
         single_shot_fall_ps=single_shot_precision(tf_fall),
         fits=fits,
-        min_run=min_run,
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .calibrate import MIN_PULSE_CARRIES, calibrate, shrink_analysis
-from .chain import MAX_CHAIN_LEN, ChainSpec, RegisterSpec, sample_chain, sample_registers
+from .chain import MAX_CHAIN_LEN, ChainSpec, LookbackError, RegisterSpec, sample_chain, sample_registers
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
 from .ringosc import (EventBudgetError, RingError, RingSpec, measure_node_timescale,
                       simulate_ring, stitch_frames)
@@ -88,6 +88,8 @@ class RoOptions:
             raise CliError("ro.t_capture_ps must be positive")
         if not 1 <= self.n_frames <= MAX_FRAMES:
             raise CliError(f"ro.n_frames must lie in [1, {MAX_FRAMES}], the frame bound")
+        if len(set(self.capture_nodes)) < len(self.capture_nodes):
+            raise CliError(f"ro.capture_nodes {list(self.capture_nodes)} repeats a node")
 
 
 # the spec read from each config key prefix, per command
@@ -210,14 +212,7 @@ def cmd_calibrate(args, opts, chain, regs, sweep):
     report = {
         "kind": "calibrate",
         "truth": {"tau_rise_ps": chain.tau_rise_ps, "tau_fall_ps": chain.tau_fall_ps},
-        "recovered": {
-            "tau_rise_ps": result.tau_rise_ps,
-            "tau_rise_err_ps": result.tau_rise_err_ps,
-            "tau_fall_ps": result.tau_fall_ps,
-            "tau_fall_err_ps": result.tau_fall_err_ps,
-            "single_shot_rise_ps": result.single_shot_rise_ps,
-            "single_shot_fall_ps": result.single_shot_fall_ps,
-        },
+        "recovered": result.summary(),
         # calibrate() pooled the datasets, so each has a sweep spec
         "jitter_sigma_ps": sweep.crystal_jitter_sigma_ps,
         "n_channels": len(specs),
@@ -287,31 +282,34 @@ def cmd_ro(args, ring, opts, chain, regs):
     if chain.k > MAX_CHAIN_LEN:  # before sampling, as run_sweep checks it
         raise CliError(f"device bound: chain.k = {chain.k} > {MAX_CHAIN_LEN}")
     chain, regs = sample_chain(chain), sample_registers(regs, chain.k)
-    t_start_ps = opts.t_start_ps
-    if t_start_ps is None:
-        t_start_ps = _default_start_ps(chain, regs)  # ring nodes are defined from t = 0
+    auto_ps = _default_start_ps(chain, regs)  # ring nodes are defined from t = 0
+    t_start_ps = auto_ps if opts.t_start_ps is None else opts.t_start_ps
+    span = f"ro.n_frames = {opts.n_frames} frames of ro.t_capture_ps = {opts.t_capture_ps} ps"
+    start = f"ro.t_start_ps = {t_start_ps} ps"
     try:
         trace = simulate_ring(ring, t_start_ps + opts.n_frames * opts.t_capture_ps + 1_000)
     except EventBudgetError as exc:  # name the keys that set the ring's work
-        raise CliError(f"{exc}: ring.n = {ring.n} nodes over ro.n_frames = {opts.n_frames} "
-                       f"frames of ro.t_capture_ps = {opts.t_capture_ps} ps") from exc
+        raise CliError(f"{exc}: ring.n = {ring.n} nodes over {span}") from exc
+    except RingError as exc:  # any other: name the keys that set the ring's run
+        raise CliError(f"{exc}: ring.release_time_ps = {ring.release_time_ps} ps, {start}, {span}") from exc
     report: dict = {"kind": "ro", "truth": {"tau_gate_ps": ring.tau_gate_ps, "n": ring.n}}
     tau_nominal = chain.spec.tau_fall_ps
     runs = {}
     lines = []
     for node in opts.capture_nodes:
-        ds = run_continuous(
-            trace.nodes[node], chain, regs, opts.t_capture_ps, opts.n_frames,
-            t_start_ps=t_start_ps,
-        )
-        series = stitch_frames(ds, tau_nominal)  # fails here, before any file is written
+        # a start or period the chain cannot read, or too few pulses, fails before any write
+        try:
+            ds = run_continuous(
+                trace.nodes[node], chain, regs, opts.t_capture_ps, opts.n_frames,
+                t_start_ps=t_start_ps,
+            )
+            series = stitch_frames(ds, tau_nominal)
+            m = measure_node_timescale(ring, series, tau_nominal) if opts.measure_timescale else None
+        except (LookbackError, RingError) as exc:
+            raise CliError(f"node {node}: {exc} in {span} from {start} (auto picks {auto_ps} ps) on "
+                           f"chain.k = {chain.k} taps of chain.tau_fall_ps = {tau_nominal} ps") from exc
         runs[node] = ds, series
-        if opts.measure_timescale:
-            try:  # too few pulses is the one RingError a stitched series can raise here
-                m = measure_node_timescale(ring, series, tau_nominal)
-            except RingError as exc:
-                raise CliError(f"node {node}: {exc} in ro.n_frames = {opts.n_frames} frames of "
-                               f"ro.t_capture_ps = {opts.t_capture_ps} ps") from exc
+        if m is not None:
             rec = report.setdefault("recovered", {})
             rec[f"node_{node}_per_inverter_ps"] = m.per_node_ps
             rec[f"node_{node}_err_ps"] = m.err_ps

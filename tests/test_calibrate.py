@@ -703,9 +703,10 @@ def sha256_of(a: np.ndarray) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
-def check_golden(datasets, summary, digests):
+def check_golden(datasets, summary, fit_stats, digests):
     result = calibrate(datasets, 15)
     assert result.summary() == summary
+    assert {pol: (fit.r2, fit.n_points) for pol, fit in result.fits.items()} == fit_stats
     tfs = {"rise": result.t_of_x, "fall": result.t_of_x_fall}
     got = {
         f"{pol}.{k}": sha256_of(getattr(tf, k))
@@ -730,12 +731,8 @@ def test_calibrate_golden(reference_datasets):
             "tau_fall_err_ps": 0.004118791515046094,
             "single_shot_rise_ps": 28.606178241945557,
             "single_shot_fall_ps": 28.694165008304285,
-            "r2_rise": 0.9999582677834686,
-            "r2_fall": 0.9999537374526443,
-            "n_points_rise": 317,
-            "n_points_fall": 291,
-            "min_run": 15,
         },
+        {RISING: (0.9999582677834686, 317), FALLING: (0.9999537374526443, 291)},
         {
             "rise.t_ps": "a999bb9c35b60924d8d047a60037b0170c6502ca636ddd87cf6f88fda2d5538f",
             "rise.dt_ps": "97f8120d796a8c81f92d2b5c47548ff79d50557a41df5d8b3d5cc7d9f7aacfb8",
@@ -755,12 +752,8 @@ def test_calibrate_golden_jitter_free():
             "tau_fall_err_ps": 0.0004747881715095009,
             "single_shot_rise_ps": 1.8508261862000408,
             "single_shot_fall_ps": 1.6053345321917332,
-            "r2_rise": 0.9999997003423021,
-            "r2_fall": 0.9999996654426924,
-            "n_points_rise": 320,
-            "n_points_fall": 295,
-            "min_run": 15,
         },
+        {RISING: (0.9999997003423021, 320), FALLING: (0.9999996654426924, 295)},
         {
             "rise.t_ps": "a442ee65e4de9ca0e1a09e6bd12ef012e6445d7386d363ef8cbdc20017ff35c9",
             "rise.dt_ps": "3bfa20fdc773ece8df40e3d6a41c16e328c5956937d318a061a70ee3687922fa",

@@ -2,6 +2,8 @@ import hashlib
 import json
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import typing
 from dataclasses import is_dataclass, replace
@@ -15,11 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavecap import cli, storage
+from wavecap.calibrate import calibrate
 from wavecap.cli import main
 from wavecap.chain import ChainSpec, RegisterSpec
 from wavecap.storage import load_dataset, parse_config_text
 from wavecap.sweep import SweepDataset, SweepSpec
 from wavecap.waveform import PllOutputSpec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -423,6 +428,54 @@ def test_unbounded_source_exits_2(tmp_path, capsys, key, value, message):
         assert "look-back" in err and key.split(".")[1] in err
 
 
+# ROADMAP item 10's sizing guard: each key that sizes a run's work, set far
+# past its bound, exits 2 with a message.  The cases run in one child
+# interpreter whose address space is capped, so a regression that allocates
+# without bound fails there instead of exhausting the host.
+SIZING_KEYS = ("chain.k", "sweep.n_steps", "calibrate.n_channels", "ro.n_frames", "ring.n",
+               "ro.t_capture_ps", "source.frequency_hz")
+PRESET_COMMANDS = {"fig3a": "sweep", "fig3c": "shrink", "fig4": "calibrate", "fig6": "correct",
+                   "fig7": "ro", "appendix-ro19": "ro"}
+
+SIZING_CHILD = """
+import contextlib, io, json, resource, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from wavecap.cli import main
+outcomes = []
+for command, cfg in json.loads(sys.argv[2]):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        try:
+            code = main([command, "--config", cfg, "--out", tmp + "/out", "--quiet"])
+        except Exception as exc:  # not a WavecapError, so a bug: named in the outcome
+            code = f"{type(exc).__name__}: {exc}"
+    outcomes.append([code, err.getvalue()])
+print(json.dumps(outcomes))
+"""
+
+
+def test_sizing_keys_past_their_bounds_exit_2(tmp_path):
+    cases = {}
+    for preset, command in PRESET_COMMANDS.items():
+        keys = [k for k in SIZING_KEYS if re.search(rf"^{re.escape(k)} = ", preset_text(preset), re.M)]
+        for key in keys:
+            for value in ("99999999999", "1e30"):
+                d = tmp_path / str(len(cases))
+                d.mkdir()
+                cases[preset, key, value] = command, set_config_values(d, preset, {key: value})
+    assert len(cases) == 42
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", SIZING_CHILD, str(ROOT / "src"), json.dumps(list(cases.values()))],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    outcomes = dict(zip(cases, json.loads(done.stdout)))
+    bad = {case: out for case, out in outcomes.items()
+           if not (out[0] == 0 or (out[0] == 2 and out[1].startswith("error: ")))}
+    assert bad == {}
+
+
 def test_shrink_and_report(tmp_path, capsys):
     out = tmp_path / "sh"
     assert run("shrink", "--config", "preset:fig3c", "--out", str(out), "--quiet") == 0
@@ -577,6 +630,8 @@ def test_calibrate_accepts_existing_datasets(tmp_path):
     )
     rep = json.loads((out / "report.json").read_text())
     assert rep["recovered"]["tau_rise_ps"] == pytest.approx(4.91, abs=0.05)
+    # the report renders the calibration as the library does, and only so
+    assert rep["recovered"] == calibrate(map(load_dataset, dirs), 15).summary()
     assert (out / "transfer.csv").read_text().startswith("index,t_ps,dt_ps")
 
 
@@ -805,9 +860,34 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         ("shrink", "fig3c", {"sweep.dt_ps": "0", "source.frequency_hz": "100000000.0",
                              "source.duty_cycle": "0.25", "source.phase_offset_ps": "3000.0"},
          "", "fewer than two populated bins"),
+        # ro names the keys behind each error of its ring, its capture and its stitching
+        ("ro", "appendix-ro19", {"ro.t_start_ps": "0"}, "",
+         "node 0: waveform does not cover [-5120.0, 0.0] ps in ro.n_frames = 150 frames of "
+         "ro.t_capture_ps = 5000.0 ps from ro.t_start_ps = 0.0 ps (auto picks 5120.0 ps)"),
+        ("ro", "appendix-ro19", {"ro.t_start_ps": "-1e9"}, "",
+         "duration must exceed release_time: ring.release_time_ps = 0.0 ps, "
+         "ro.t_start_ps = -1000000000.0 ps, ro.n_frames = 150 frames of ro.t_capture_ps"),
+        ("ro", "fig7", {"ring.release_time_ps": "1e9"}, "",
+         "duration must exceed release_time: ring.release_time_ps = 1000000000.0 ps"),
+        ("ro", "appendix-ro19", {"ro.t_capture_ps": "1e30"}, "",
+         "not finite in int64 fs: ring.release_time_ps = 0.0 ps, ro.t_start_ps = 15000.0 ps, "
+         "ro.n_frames = 150 frames of ro.t_capture_ps = 1e+30 ps"),
+        ("ro", "appendix-ro19", {"chain.k": "10"}, "",
+         "node 0: chain too short to cover the capture period in ro.n_frames = 150 frames of "
+         "ro.t_capture_ps = 5000.0 ps from ro.t_start_ps = 15000.0 ps (auto picks 50.0 ps) on "
+         "chain.k = 10 taps of chain.tau_fall_ps = 5.0 ps"),
+        ("ro", "appendix-ro19", {"ro.t_capture_ps": "100000"}, "",
+         "node 0: chain too short to cover the capture period in ro.n_frames = 150 frames of "
+         "ro.t_capture_ps = 100000.0 ps"),
+        ("ro", "appendix-ro19", {"ro.t_capture_ps": "1"}, "",
+         "node 0: capture period shorter than one carry in ro.n_frames = 150 frames of "
+         "ro.t_capture_ps = 1.0 ps"),
+        ("ro", "fig7", {"ro.capture_nodes": "0,0"}, "", "ro.capture_nodes [0, 0] repeats a node"),
     ],
     ids=["kind", "no-equals", "dnl-ramp", "zero-delay", "ring-duration", "one-frame", "event-budget",
-         "sub-fs-level", "one-bin"],
+         "sub-fs-level", "one-bin", "start-too-early", "run-ends-before-release", "release-after-run",
+         "period-past-int64", "chain-too-short", "period-past-chain", "period-under-a-carry",
+         "repeated-node"],
 )
 def test_config_reaching_a_domain_error_exits_2(tmp_path, capsys, command, preset, edits, extra,
                                                 message):
@@ -851,22 +931,40 @@ def manifest_not_json(d):
     (d / "manifest.json").write_text("{")
 
 
+def fig3a_sweep(d):
+    assert run("sweep", "--config", "preset:fig3a", "--out", str(d), "--quiet") == 0
+
+
+def other_chain_sweep(d):
+    # fig3a on a shorter, slower-rising chain: a dataset of another device
+    cfg = set_config_values(d.parent, "fig3a", {"chain.k": "1200", "chain.tau_rise_ps": "5.50"})
+    assert run("sweep", "--config", cfg, "--out", str(d), "--quiet") == 0
+
+
 @pytest.mark.parametrize(
-    "command, preset, make, message",
+    "command, preset, makes, message",
     [
-        ("calibrate", "fig4", flat_sweep, "degenerate trajectory: zero slope"),
-        ("calibrate", "fig4", continuous_run,
+        ("calibrate", "fig4", [flat_sweep], "degenerate trajectory: zero slope"),
+        ("calibrate", "fig4", [continuous_run],
          "datasets must be sweeps on one shared grid to be pooled"),
-        ("correct", "fig6", rekind, "unknown dataset kind 'burst'"),
-        ("correct", "fig6", manifest_not_json, "is not a valid manifest"),
+        ("correct", "fig6", [rekind], "unknown dataset kind 'burst'"),
+        ("correct", "fig6", [manifest_not_json], "is not a valid manifest"),
+        # two chains pool into no one truth, in either order
+        ("calibrate", "fig4", [fig3a_sweep, other_chain_sweep],
+         "error: dataset 2: chain.k differs from dataset 1\n"),
+        ("calibrate", "fig4", [other_chain_sweep, fig3a_sweep],
+         "error: dataset 2: chain.k differs from dataset 1\n"),
     ],
-    ids=["zero-slope", "not-a-sweep", "unknown-kind", "manifest-not-json"],
+    ids=["zero-slope", "not-a-sweep", "unknown-kind", "manifest-not-json", "mixed-chains",
+         "mixed-chains-reversed"],
 )
-def test_dataset_reaching_a_domain_error_exits_2(tmp_path, capsys, command, preset, make,
+def test_dataset_reaching_a_domain_error_exits_2(tmp_path, capsys, command, preset, makes,
                                                  message):
-    make(tmp_path / "ds")
+    dirs = [tmp_path / f"ds{i}" for i in range(len(makes))]
+    for make, d in zip(makes, dirs):
+        make(d)
     out = tmp_path / "x"
-    code = run(command, "--config", f"preset:{preset}", "--out", str(out), str(tmp_path / "ds"))
+    code = run(command, "--config", f"preset:{preset}", "--out", str(out), *map(str, dirs))
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
