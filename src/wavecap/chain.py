@@ -125,15 +125,17 @@ def validate_config(chain: ChainSpec, t_capture_ps: float, t_min_ps: float) -> C
     coverage = chain.k * chain.tau_fall_ps
     if coverage < t_capture_ps:
         violations.append(
-            f"coverage: K*tau_fall = {coverage:.1f} ps < capture period {t_capture_ps:.1f} ps"
+            f"coverage: chain.k*chain.tau_fall_ps = {coverage:.1f} ps "
+            f"< capture period {t_capture_ps:.1f} ps"
         )
     shrink = chain.k * (chain.tau_rise_ps - chain.tau_fall_ps)
     if shrink >= t_min_ps:
         violations.append(
-            f"pulse survival: K*(tau_rise-tau_fall) = {shrink:.1f} ps >= T_min {t_min_ps:.1f} ps"
+            f"pulse survival: chain.k*(chain.tau_rise_ps-chain.tau_fall_ps) = {shrink:.1f} ps "
+            f">= T_min {t_min_ps:.1f} ps"
         )
     if chain.k > MAX_CHAIN_LEN:
-        violations.append(f"device bound: K = {chain.k} > {MAX_CHAIN_LEN}")
+        violations.append(f"device bound: chain.k = {chain.k} > {MAX_CHAIN_LEN}")
     return ConfigReport(not violations, tuple(violations))
 
 

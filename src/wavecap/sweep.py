@@ -110,6 +110,25 @@ def _instants_fs(t_ps: np.ndarray) -> np.ndarray:
     return t_fs.astype(np.int64)
 
 
+def _jittered_draws(rng: np.random.Generator, n: int, sigma: float, lo: int,
+                    hi: int) -> tuple[np.ndarray, list[int]]:
+    """n steps of ``rng.normal(0.0, sigma)`` then ``rng.integers(lo, hi + 1)``,
+    draw for draw and bit for bit, in half the numpy calls."""
+    span = hi - lo + 1
+    bits = 32 if span <= 2**32 else 64
+    mask, threshold = 2**bits - 1, (2**bits - span) % span
+    words = iter(rng.bit_generator.random_raw, None)
+    uints = words if bits == 64 else (u for w in words for u in (w & mask, w >> 32))
+    z, dead = [], []
+    for _ in range(n):
+        z.append(rng.standard_normal())  # sigma * z is 0.0 + sigma * z
+        m = span * next(uints) if span > 1 else 0  # a span of 1 draws nothing
+        while m & mask < threshold:
+            m = span * next(uints)
+        dead.append(lo + (m >> bits))
+    return sigma * np.array(z), dead
+
+
 def run_sweep(spec: SweepSpec, chain: ChainSpec, regs: RegisterSpec) -> SweepDataset:
     """Sample the chain and register bank from their specs, then capture
     n_steps frames, the n-th of the source shifted by n*dt."""
@@ -138,17 +157,17 @@ def run_sweep(spec: SweepSpec, chain: ChainSpec, regs: RegisterSpec) -> SweepDat
                          f"{MAX_SOURCE_EDGES} edges; {name} sets {terms[name]:.6g} ps of it")
     base = make_pll_output(spec.source, duration_ps)
 
-    # the draw order fixes every output.  Only for sigma > 0 do the jitter
-    # and dead-cycle draws interleave, step by step; without jitter one
-    # bounded draw of n reads the stream exactly as n scalar draws would
+    # the draw order fixes every output.  Without jitter one bounded draw of
+    # n reads the stream exactly as n scalar draws would.  With it, each step
+    # draws its normal, then its dead cycles, so no bulk draw keeps the stream;
+    # the dead cycles are drawn by hand from raw words, by numpy's own rule:
+    # Lemire's multiply-and-reject on PCG64's 32-bit values (a word's low
+    # half, then its high half) up to a span of 2**32, else on whole words
     rng = np.random.default_rng(spec.seed)
     dead_lo, dead_hi = spec.relock_dead_cycles
     sigma = spec.crystal_jitter_sigma_ps
     if sigma > 0:
-        jitter_ps, dead = [], []
-        for _ in range(spec.n_steps):
-            jitter_ps.append(rng.normal(0.0, sigma))
-            dead.append(rng.integers(dead_lo, dead_hi + 1))
+        jitter_ps, dead = _jittered_draws(rng, spec.n_steps, sigma, dead_lo, dead_hi)
         jitter_fs = _instants_fs(jitter_ps)
     else:
         jitter_fs, dead = 0, rng.integers(dead_lo, dead_hi + 1, size=spec.n_steps)

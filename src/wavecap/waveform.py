@@ -112,7 +112,8 @@ class PllOutputSpec:
         # two edges exactly 1 fs apart can round to one: each level must be wider
         period = self.period_fraction_fs()
         if not 1 < period * Fraction(self.duty_cycle) < period - 1:
-            raise WaveformError(f"duty_cycle {self.duty_cycle} leaves a level of 1 fs or less")
+            raise WaveformError(f"duty_cycle {self.duty_cycle} leaves a level of 1 fs or less "
+                               f"at frequency_hz {self.frequency_hz}")
         if self.period_jitter_sigma_ps < 0:
             raise WaveformError("jitter sigma must be >= 0")
 

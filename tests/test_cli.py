@@ -856,6 +856,16 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         # a 0.01 fs high level, which would round to a rise and fall at one femtosecond
         ("sweep", "fig3a", {"chain.tau_fall_ps": "4.91", "source.duty_cycle": "1e-9"}, "",
          "duty_cycle 1e-09 leaves a level of 1 fs or less"),
+        # the frequency, not the preset's duty cycle, shrinks this level
+        ("sweep", "fig3a", {"source.frequency_hz": "1e30"}, "",
+         "duty_cycle 0.25 leaves a level of 1 fs or less at frequency_hz 1e+30"),
+        # the chain's design constraints name their config keys
+        ("sweep", "fig3a", {"chain.k": "99999999999"}, "",
+         "invalid configuration: pulse survival: chain.k*(chain.tau_rise_ps-chain.tau_fall_ps) = "
+         "36999999999.6 ps >= T_min 2500.0 ps; device bound: chain.k = 99999999999 > 1740\n"),
+        ("sweep", "fig3a", {"chain.k": "100"}, "",
+         "invalid configuration: coverage: chain.k*chain.tau_fall_ps = 454.0 ps < capture period "
+         "5000.0 ps\n"),
         # one 2.5 ns pulse, fixed in every frame, fills one 25-carry bin
         ("shrink", "fig3c", {"sweep.dt_ps": "0", "source.frequency_hz": "100000000.0",
                              "source.duty_cycle": "0.25", "source.phase_offset_ps": "3000.0"},
@@ -885,9 +895,9 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         ("ro", "fig7", {"ro.capture_nodes": "0,0"}, "", "ro.capture_nodes [0, 0] repeats a node"),
     ],
     ids=["kind", "no-equals", "dnl-ramp", "zero-delay", "ring-duration", "one-frame", "event-budget",
-         "sub-fs-level", "one-bin", "start-too-early", "run-ends-before-release", "release-after-run",
-         "period-past-int64", "chain-too-short", "period-past-chain", "period-under-a-carry",
-         "repeated-node"],
+         "sub-fs-level", "frequency-1e30", "chain-keys", "coverage-keys", "one-bin",
+         "start-too-early", "run-ends-before-release", "release-after-run", "period-past-int64",
+         "chain-too-short", "period-past-chain", "period-under-a-carry", "repeated-node"],
 )
 def test_config_reaching_a_domain_error_exits_2(tmp_path, capsys, command, preset, edits, extra,
                                                 message):

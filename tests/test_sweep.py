@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from wavecap.chain import ChainSpec, RegisterSpec, capture, sample_chain, sample_registers
 from wavecap.sweep import (
-    MAX_FRAMES, SweepDataset, SweepError, SweepSpec, _default_start_ps, _instants_fs, run_continuous,
-    run_sweep,
+    MAX_FRAMES, SweepDataset, SweepError, SweepSpec, _default_start_ps, _instants_fs, _jittered_draws,
+    run_continuous, run_sweep,
 )
 from wavecap.units import WavecapError, ps_to_fs
 from wavecap.waveform import DigitalWaveform, PllOutputSpec, make_pll_output, shift_phase
@@ -255,11 +255,13 @@ def test_run_sweep_equals_shift_per_step_loop(
         assert (t_row, n_row) == (t_fs, n)
 
 
-# -- jitter-free dead cycles: one bounded draw against the per-step loop ------
+# -- dead cycles: the bounded and hand-drawn paths against the per-step loop --
 
-# spans (hi - lo + 1) on both sides of numpy's 32- and 64-bit bounded fills
+# spans (hi - lo + 1) on both sides of numpy's 32- and 64-bit bounded fills;
+# 2**31 + 1 and 2**63 - 2 reject about half and a tiny share of their draws
 dead_ranges = st.one_of(
-    st.sampled_from([1, 2**32 - 1, 2**32, 2**32 + 1]), st.integers(1, 2**63 - 2)
+    st.sampled_from([1, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 2]),
+    st.integers(1, 2**63 - 2),
 ).flatmap(lambda span: st.integers(2, 2**63 - span).map(lambda lo: (lo, lo + span - 1)))
 
 
@@ -279,22 +281,54 @@ def test_one_bounded_draw_equals_per_step_draws(seed, n, lo_hi):
     assert rng.integers(0, 2**63 - 1) == after_per_step  # the same stream consumed
 
 
+def per_step_draws(rng, n, sigma, lo, hi):
+    """The sweep's jittered draw loop as first written: one scalar normal and
+    one scalar bounded integer per step."""
+    jitter_ps, dead = [], []
+    for _ in range(n):
+        jitter_ps.append(rng.normal(0.0, sigma))
+        dead.append(int(rng.integers(lo, hi + 1)))
+    return jitter_ps, dead
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 600), lo_hi=dead_ranges,
+       sigma=st.floats(1e-3, 1e3))
+@example(seed=0, n=600, lo_hi=(2, 2), sigma=30.0)
+@example(seed=1, n=600, lo_hi=(2, 2**31 + 2), sigma=30.0)
+@example(seed=2, n=600, lo_hi=(2, 2**32 + 1), sigma=30.0)
+@example(seed=3, n=600, lo_hi=(2, 2**32 + 2), sigma=30.0)
+def test_jittered_draws_equal_per_step_draws(seed, n, lo_hi, sigma):
+    rng = np.random.default_rng(seed)
+    jitter_ps, dead = per_step_draws(rng, n, sigma, *lo_hi)
+    state = rng.bit_generator.state["state"]
+    rng = np.random.default_rng(seed)
+    got_jitter_ps, got_dead = _jittered_draws(rng, n, sigma, *lo_hi)
+    assert got_jitter_ps.tolist() == jitter_ps
+    assert got_dead == dead
+    assert rng.bit_generator.state["state"] == state  # the same stream consumed
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n_steps=st.integers(2, 200),
-    span=st.sampled_from([1, 39, 2**32 - 1, 2**32, 2**32 + 1]),
+    span=st.sampled_from([1, 39, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]),
     lo=st.integers(2, 1000),
+    crystal_jitter_ps=st.sampled_from([0.0, 30.0]),
     seed=st.integers(0, 2**16),
 )
-def test_jitter_free_sweep_times_equal_per_step_draws(n_steps, span, lo, seed):
+def test_jitter_free_sweep_times_equal_per_step_draws(n_steps, span, lo, crystal_jitter_ps, seed):
     chain = ChainSpec(16, 5.0, 5.0)
     spec = SweepSpec(
         PllOutputSpec(500e6, 0.5, seed=seed), t_capture_ps=70.0, dt_ps=3.0, n_steps=n_steps,
-        relock_dead_cycles=(lo, lo + span - 1), seed=seed,
+        relock_dead_cycles=(lo, lo + span - 1), crystal_jitter_sigma_ps=crystal_jitter_ps,
+        seed=seed,
     )
     rng = np.random.default_rng(seed)
     t_fs, expected = ps_to_fs(sweep_t0_ps(spec, chain)[0]), []
     for _ in range(n_steps):
+        if crystal_jitter_ps > 0:
+            rng.normal(0.0, crystal_jitter_ps)
         t_fs += int(rng.integers(lo, lo + span)) * ps_to_fs(70.0)
         expected.append(t_fs)
     assert run_sweep(spec, chain, REGS).capture_time_fs.tolist() == expected
