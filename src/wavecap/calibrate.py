@@ -5,8 +5,8 @@ its bits matrix.  Rows holding a short run are smoothed by merging it into its
 surroundings, and the edges of every frame, both polarities, are read off
 the run boundaries in one pass per dataset.  The datasets may come from any
 iterable, each read once: as it arrives, the track of each polarity is
-followed through the sweep, whose phase indices must ascend, in an array pass
-up to the track's first frame of several edges or no match and by a per-frame
+followed through the sweep, frame n being phase step n, in an array pass up
+to the track's first frame of several edges or no match and by a per-frame
 loop from there, so a generator holds one dataset's frames and edges at a
 time.  A track is (steps, index, wraps) arrays; per polarity, each track's
 wraps are aligned with the first track's, and the tracks are pooled on the
@@ -166,10 +166,10 @@ def _estimate_step_carries(index: np.ndarray, new: np.ndarray) -> float:
     return (drops[(drops.size - 1) // 2] + drops[drops.size // 2]).item() / 2
 
 
-def _track(steps, frame, index, new, step: float, period_ps: float, dt_ps: float) -> _Track:
-    """Follow one track (frame holding each edge's frame, the rest as in
-    _estimate_step_carries; steps each frame's phase step, step the index drop
-    per frame) from the highest edge of its first nonempty frame on to each
+def _track(frame, index, new, step: float, period_ps: float, dt_ps: float) -> _Track:
+    """Follow one track (frame holding each edge's frame, which is its phase
+    step, the rest as in _estimate_step_carries; step the index drop per
+    frame) from the highest edge of its first nonempty frame on to each
     later frame's edge nearest the last match less step per frame since.  An
     upward jump close to a multiple of the per-period carry span is a
     source-period wrap; any other jump beyond tolerance leaves it unmatched."""
@@ -190,7 +190,6 @@ def _track(steps, frame, index, new, step: float, period_ps: float, dt_ps: float
     c = fr.size if ok.all() else 1 + int(ok.argmin())
     m = np.zeros(fr.size, dtype=np.int64)
     m[1:] = np.where(direct, 0, wraps).cumsum()
-    n = steps[fr]
     more = []
     # the loop takes the track on from the pass's last match
     ref_x, ref_f, count = x[c - 1].item(), fr[c - 1].item(), m[c - 1].item()
@@ -208,8 +207,8 @@ def _track(steps, frame, index, new, step: float, period_ps: float, dt_ps: float
                 continue  # unmatched; keep coasting
             count += w
         ref_x, ref_f = idx[i], fr[g].item()
-        more.append((n[g].item(), ref_x, count))
-    track = (n[:c], x[:c], m[:c])
+        more.append((ref_f, ref_x, count))
+    track = (fr[:c], x[:c], m[:c])
     return tuple(np.concatenate((t, u)) for t, u in zip(track, zip(*more))) if more else track
 
 
@@ -217,9 +216,9 @@ def _tracks(
     datasets: Iterable[SweepDataset], min_run: int, polarities: Sequence[int]
 ) -> tuple[SweepSpec, dict[int, list[_Track]]]:
     """The sweep spec and, per polarity, one track per dataset: a sweep whose
-    config, seeds aside, is the first one's and whose phase steps ascend.  A
-    dataset's edges, all polarities from one pass over its bits, are tracked as
-    soon as it is read, and only its finished tracks are kept."""
+    config, seeds aside, is the first one's.  A dataset's edges, all
+    polarities from one pass over its bits, are tracked as soon as it is
+    read, and only its finished tracks are kept."""
     spec, first, tracks = None, None, {pol: [] for pol in polarities}
     for d, ds in enumerate(datasets, start=1):
         if ds.sweep_spec is None:
@@ -231,8 +230,6 @@ def _tracks(
         differs = [a.partition(" = ")[0] for a, b in zip(lines, first) if a != b]
         if differs:
             raise CalibrationError(f"dataset {d}: {differs[0]} differs from dataset 1")
-        if not np.all(ds.phase_index[1:] > ds.phase_index[:-1]):
-            raise CalibrationError(f"dataset {d}: phase indices must be strictly increasing")
         rows, ks, levels = _edges(ds.bits, min_run)
         period = spec.source.period_ps
         for pol in polarities:
@@ -242,7 +239,7 @@ def _tracks(
             step = _estimate_step_carries(index, new)
             if math.isnan(step):
                 raise CalibrationError(f"dataset {d}: not enough {_NAMES[pol]} edges to track")
-            tracks[pol].append(_track(ds.phase_index, frame, index, new, step, period, spec.dt_ps))
+            tracks[pol].append(_track(frame, index, new, step, period, spec.dt_ps))
     if spec is None:
         raise CalibrationError("no datasets")
     return spec, tracks
@@ -285,7 +282,7 @@ def _pool(spec: SweepSpec, tracks: list[_Track], polarity: int) -> _PooledTrajec
 
 
 def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
-    """Weighted least squares y = a + b x; returns a, b, var_a, var_b, chi2red, r2."""
+    """Weighted least squares y = a + b x; returns a, b, var_b, chi2red, r2."""
     w = 1.0 / sigma**2
     sw = w.sum()
     xbar = (w * x).sum() / sw
@@ -297,10 +294,9 @@ def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     dof = max(x.size - 2, 1)
     chi2red = float((w * resid**2).sum() / dof)
     var_b = 1.0 / sxx
-    var_a = 1.0 / sw + xbar**2 / sxx
     ss_tot = ((y - y.mean()) ** 2).sum()
     r2 = 1.0 - float((resid**2).sum() / ss_tot) if ss_tot > 0 else 1.0
-    return a, b, var_a, var_b, chi2red, r2
+    return a, b, var_b, chi2red, r2
 
 
 @dataclass(frozen=True)
@@ -323,7 +319,7 @@ def _fit_polarity(tr: _PooledTrajectory) -> CarryTimeFit:
         sigma = np.where(np.isnan(sigma), med, sigma)
     sigma = np.maximum(sigma, QUANT_FLOOR_CARRIES)
 
-    a, b, var_a, var_b, chi2red, r2 = _wls_line(tr.u_ps, tr.x_mean, sigma)
+    a, b, var_b, chi2red, r2 = _wls_line(tr.u_ps, tr.x_mean, sigma)
     if b == 0 or not np.isfinite(b):
         raise CalibrationError("degenerate trajectory: zero slope")
     tau = 1.0 / abs(b)

@@ -114,7 +114,7 @@ class ConfigReport:
 
 
 def validate_config(chain: ChainSpec, t_capture_ps: float, t_min_ps: float) -> ConfigReport:
-    """Check the design constraints for continuous capture.
+    """Check a sweep's design constraints for continuous capture.
 
     Coverage uses the fall delay (the faster edge bounds how much history the
     chain holds); pulse survival bounds the accumulated rise/fall asymmetry.
@@ -126,13 +126,13 @@ def validate_config(chain: ChainSpec, t_capture_ps: float, t_min_ps: float) -> C
     if coverage < t_capture_ps:
         violations.append(
             f"coverage: chain.k*chain.tau_fall_ps = {coverage:.1f} ps "
-            f"< capture period {t_capture_ps:.1f} ps"
+            f"< sweep.t_capture_ps = {t_capture_ps:.1f} ps"
         )
     shrink = chain.k * (chain.tau_rise_ps - chain.tau_fall_ps)
     if shrink >= t_min_ps:
         violations.append(
             f"pulse survival: chain.k*(chain.tau_rise_ps-chain.tau_fall_ps) = {shrink:.1f} ps "
-            f">= T_min {t_min_ps:.1f} ps"
+            f">= min(source.duty_cycle, 1-source.duty_cycle)/source.frequency_hz = {t_min_ps:.1f} ps"
         )
     if chain.k > MAX_CHAIN_LEN:
         violations.append(f"device bound: chain.k = {chain.k} > {MAX_CHAIN_LEN}")

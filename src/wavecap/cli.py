@@ -29,7 +29,7 @@ from . import __version__
 from .calibrate import MIN_PULSE_CARRIES, calibrate, shrink_analysis
 from .chain import MAX_CHAIN_LEN, ChainSpec, LookbackError, RegisterSpec, sample_chain, sample_registers
 from .correct import CorrectionSpec, correct_dataset, dataset_fidelity
-from .ringosc import (EventBudgetError, RingError, RingSpec, measure_node_timescale,
+from .ringosc import (EventBudgetError, RingError, RingSpec, _stitched_taps, measure_node_timescale,
                       simulate_ring, stitch_frames)
 from .storage import (
     bit_lines,
@@ -281,6 +281,11 @@ def cmd_ro(args, ring, opts, chain, regs):
         raise CliError(f"ro.capture_nodes {list(opts.capture_nodes)} must lie in [0, {ring.n})")
     if chain.k > MAX_CHAIN_LEN:  # before sampling, as run_sweep checks it
         raise CliError(f"device bound: chain.k = {chain.k} > {MAX_CHAIN_LEN}")
+    taps = f"chain.k = {chain.k} taps of chain.tau_fall_ps = {chain.tau_fall_ps} ps"
+    try:  # stitch_frames's rule needs only these keys: check it before the ring is run
+        _stitched_taps(opts.t_capture_ps, chain.tau_fall_ps, chain.k)
+    except RingError as exc:
+        raise CliError(f"{exc}: ro.t_capture_ps = {opts.t_capture_ps} ps on {taps}") from exc
     chain, regs = sample_chain(chain), sample_registers(regs, chain.k)
     auto_ps = _default_start_ps(chain, regs)  # ring nodes are defined from t = 0
     t_start_ps = auto_ps if opts.t_start_ps is None else opts.t_start_ps
@@ -306,8 +311,8 @@ def cmd_ro(args, ring, opts, chain, regs):
             series = stitch_frames(ds, tau_nominal)
             m = measure_node_timescale(ring, series, tau_nominal) if opts.measure_timescale else None
         except (LookbackError, RingError) as exc:
-            raise CliError(f"node {node}: {exc} in {span} from {start} (auto picks {auto_ps} ps) on "
-                           f"chain.k = {chain.k} taps of chain.tau_fall_ps = {tau_nominal} ps") from exc
+            raise CliError(f"node {node}: {exc} in {span} from {start} (auto picks {auto_ps} ps) "
+                           f"on {taps}") from exc
         runs[node] = ds, series
         if m is not None:
             rec = report.setdefault("recovered", {})

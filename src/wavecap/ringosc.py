@@ -170,19 +170,23 @@ def simulate_ring(spec: RingSpec, duration_ps: float) -> RingTrace:
 
 
 def stitch_frames(dataset: SweepDataset, tau_ps: float) -> np.ndarray:
-    """Concatenate contiguous frames into one time-ordered bit series: the
-    taps covering one capture period at nominal carry time tau_ps, reversed
-    so index order matches signal time, read row by row off the bits matrix."""
+    """Concatenate contiguous frames, row by row off the bits matrix, into one
+    time-ordered bit series of each frame's _stitched_taps at nominal carry time tau_ps."""
     if dataset.t_capture_ps is None:
         raise RingError("dataset was not captured at a fixed period")
     if not 0 < tau_ps < np.inf:
         raise RingError(f"carry time tau_ps {tau_ps} must be positive and finite")
-    k_t = int(np.floor(dataset.t_capture_ps / float(tau_ps)))
+    return dataset.bits[:, _stitched_taps(dataset.t_capture_ps, tau_ps, dataset.k)].ravel()
+
+
+def _stitched_taps(t_capture_ps: float, tau_ps: float, k: int) -> slice:
+    """The taps, last first, that one capture period covers on a k-tap chain at carry time tau_ps."""
+    k_t = int(np.floor(t_capture_ps / float(tau_ps)))
     if k_t < 1:
         raise RingError("capture period shorter than one carry")
-    if k_t > dataset.k:
+    if k_t > k:
         raise RingError("chain too short to cover the capture period")
-    return dataset.bits[:, k_t - 1 :: -1].ravel()
+    return slice(k_t - 1, None, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A dataset directory holds:
 
     spec.config   flat ``key = value`` description of every generating spec
-    frames.csv    header ``phase_index,bit_1,...,bit_K``, one row per frame
-    times.csv     per-frame capture instants, femtosecond integers
+    frames.csv    header ``phase_index,bit_1,...,bit_K``, then row n: n, frame n's bits
+    times.csv     header ``phase_index,capture_time_fs``, then row n: n, frame n's time in fs
     manifest.json sha256 of each of the three payload files, and tool version
 
 Each fact is stored once: the bits only in frames.csv, the format version
@@ -57,7 +57,6 @@ __all__ = [
 
 FORMAT_VERSION = 1
 _PAYLOAD_FILES = frozenset({"spec.config", "frames.csv", "times.csv"})
-_TIMES_HEADER = "phase_index,capture_time_fs"
 
 
 class StorageError(WavecapError):
@@ -277,12 +276,11 @@ def _frames_header(k: int) -> bytes:
     return ("phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1)) + "\n").encode()
 
 
-def _frames_csv(phase_index: np.ndarray, bits: np.ndarray) -> memoryview:
-    """frames.csv as one uint8 buffer.  Adjacent rows whose ``index,``
-    prefixes have one width are one (rows, width + 2K) block of it, filled in
-    one pass; in any index order, at worst a block is one row."""
+def _frames_csv(bits: np.ndarray) -> memoryview:
+    """frames.csv as one uint8 buffer: the rows of one index width, each ``n,``
+    and frame n's bits, are one (rows, width + 2K) block of it, filled in one pass."""
     header = _frames_header(bits.shape[1])
-    digits = phase_index.astype("S20")  # an int64 has at most 20 characters
+    digits = np.arange(len(bits)).astype("S20")  # an int64 has at most 20 characters
     cells = digits.view(np.uint8).reshape(-1, 20)
     widths = np.char.str_len(digits) + 1  # the comma too
     bounds = np.cumsum(np.concatenate(([len(header)], widths + 2 * bits.shape[1])))
@@ -298,9 +296,9 @@ def _frames_csv(phase_index: np.ndarray, bits: np.ndarray) -> memoryview:
     return memoryview(buf)
 
 
-def _times_csv(phase_index: np.ndarray, times_fs: np.ndarray) -> bytes:
-    cells = np.stack([phase_index, times_fs], axis=1).ravel().tolist()
-    return (_TIMES_HEADER + "\n" + "%d,%d\n" * phase_index.size % tuple(cells)).encode()
+def _times_csv(times_fs: np.ndarray) -> bytes:
+    cells = np.stack([np.arange(times_fs.size), times_fs], axis=1).ravel().tolist()
+    return ("phase_index,capture_time_fs\n" + "%d,%d\n" * times_fs.size % tuple(cells)).encode()
 
 
 def write_pgm(bits_matrix: np.ndarray, path: Union[str, Path]) -> None:
@@ -325,8 +323,8 @@ def save_dataset(dataset: SweepDataset, directory: Union[str, Path]) -> None:
             dataset.sweep_spec,
             dataset.t_capture_ps,
         ).encode(),
-        "frames.csv": _frames_csv(dataset.phase_index, dataset.bits),
-        "times.csv": _times_csv(dataset.phase_index, dataset.capture_time_fs),
+        "frames.csv": _frames_csv(dataset.bits),
+        "times.csv": _times_csv(dataset.capture_time_fs),
     }
     for name, data in payloads.items():
         (d / name).write_bytes(data)
@@ -389,9 +387,9 @@ def _check_written(name: str, data: bytes, written: bytes | memoryview) -> None:
             )
 
 
-def _parse_frames_csv(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The phase indices and the (frames, K) bits matrix of frames.csv, which
-    must be byte for byte what _frames_csv writes for them."""
+def _parse_frames_csv(data: bytes, k: int) -> np.ndarray:
+    """The (frames, K) bits matrix of frames.csv, which must be byte for byte
+    what _frames_csv writes for it, each row's index its row number."""
     if not data.startswith(_frames_header(k)):
         raise CorruptFileError("frames.csv row 1: header does not match the chain length")
     # read as one buffer in blocks of rows whose ``index,`` prefixes have one
@@ -400,20 +398,18 @@ def _parse_frames_csv(data: bytes, k: int) -> tuple[np.ndarray, np.ndarray]:
     ends = np.flatnonzero(buf == ord("\n"))  # the header's own comes first
     widths = np.diff(ends) - 2 * k  # each row's ``index,`` prefix, its comma too
     widths = widths[: np.flatnonzero(np.append(widths, 0) < 2)[0]]
-    indices = np.empty(widths.size, dtype=np.int64)
     bits = np.empty((widths.size, k), dtype=np.uint8)
     starts = np.flatnonzero(np.diff(widths, prepend=0)).tolist()
     for a, b in zip(starts, [*starts[1:], widths.size]):
         w = int(widths[a])
         block = buf[ends[a] + 1 : ends[b] + 1].reshape(b - a, -1)
-        indices[a:b] = list(map(_int64, block[:, : w - 1].view(f"S{w - 1}").ravel().tolist()))
         np.subtract(block[:, w:-1:2], ord("0"), out=bits[a:b])
     # checked apart, as the writer renders any digit: a 2 would write back as read
     bad = np.flatnonzero(bits.max(axis=1, initial=0) > 1)
     if bad.size:
         raise CorruptFileError(f"frames.csv row {bad[0] + 2}: bits must be 0 or 1")
-    _check_written("frames.csv", data, _frames_csv(indices, bits))
-    return indices, bits
+    _check_written("frames.csv", data, _frames_csv(bits))
+    return bits
 
 
 def load_dataset(directory: Union[str, Path]) -> SweepDataset:
@@ -427,13 +423,13 @@ def load_dataset(directory: Union[str, Path]) -> SweepDataset:
     chain, regs, sweep, t_capture = config_to_specs(
         parse_config_text(_text("spec.config", blobs["spec.config"]))
     )
-    indices, bits = _parse_frames_csv(blobs["frames.csv"], chain.k)
-    times = np.zeros(indices.size, dtype=np.int64)
-    # times.csv's two header cells, then a phase index and a time per row
+    bits = _parse_frames_csv(blobs["frames.csv"], chain.k)
+    times = np.zeros(len(bits), dtype=np.int64)
+    # times.csv's two header cells, then a row number and a time per row
     cells = blobs["times.csv"].replace(b"\n", b",").split(b",")[3 : 2 * times.size + 3 : 2]
     times[: len(cells)] = [_int64(cell) for cell in cells]
-    _check_written("times.csv", blobs["times.csv"], _times_csv(indices, times))
-    return SweepDataset(bits, times, indices, chain, regs, sweep, t_capture_ps=t_capture)
+    _check_written("times.csv", blobs["times.csv"], _times_csv(times))
+    return SweepDataset(bits, times, chain, regs, sweep, t_capture_ps=t_capture)
 
 
 def write_report(report: dict, path: Union[str, Path]) -> None:

@@ -64,32 +64,24 @@ class SweepSpec:
         if self.crystal_jitter_sigma_ps < 0:
             raise SweepError("crystal jitter sigma must be >= 0")
 
-    def min_resolvable_gap_ps(self) -> float:
-        """Shortest level run of the source: the pulse-survival budget."""
-        p = self.source.period_ps
-        return min(self.source.duty_cycle, 1.0 - self.source.duty_cycle) * p
-
 
 @dataclass(frozen=True, eq=False)
 class SweepDataset:
-    """A run as one (frames, K) bit matrix, row f frame f with tap 1 first,
-    plus each frame's capture instant and phase step, and its specs."""
+    """A run as one (frames, K) bit matrix, row f frame f (a sweep's phase
+    step f) with tap 1 first, plus each frame's capture instant, and its specs."""
 
     bits: np.ndarray
     capture_time_fs: np.ndarray
-    phase_index: np.ndarray  # continuous runs: the frame number
     chain_spec: ChainSpec
     reg_spec: RegisterSpec
     sweep_spec: Optional[SweepSpec] = None
     t_capture_ps: Optional[float] = None  # continuous runs: frame period
 
     def __post_init__(self):
-        dtypes = {"bits": np.uint8, "capture_time_fs": np.int64, "phase_index": np.int64}
-        for name, dtype in dtypes.items():
+        for name, dtype in {"bits": np.uint8, "capture_time_fs": np.int64}.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        per_frame = {self.capture_time_fs.shape, self.phase_index.shape}
-        if self.bits.ndim != 2 or per_frame != {(len(self.bits),)}:
-            raise SweepError("a dataset needs (frames, K) bits and one time and index per frame")
+        if self.bits.ndim != 2 or self.capture_time_fs.shape != (len(self.bits),):
+            raise SweepError("a dataset needs (frames, K) bits and one time per frame")
 
     @property
     def k(self) -> int:
@@ -132,8 +124,10 @@ def _jittered_draws(rng: np.random.Generator, n: int, sigma: float, lo: int,
 def run_sweep(spec: SweepSpec, chain: ChainSpec, regs: RegisterSpec) -> SweepDataset:
     """Sample the chain and register bank from their specs, then capture
     n_steps frames, the n-th of the source shifted by n*dt."""
-    # validated before sampling: a chain past the device bound can exhaust memory there
-    report = validate_config(chain, spec.t_capture_ps, spec.min_resolvable_gap_ps())
+    # validated before sampling: a chain past the device bound can exhaust memory there;
+    # the source's shortest level run is the pulse-survival budget
+    duty = spec.source.duty_cycle
+    report = validate_config(chain, spec.t_capture_ps, min(duty, 1.0 - duty) * spec.source.period_ps)
     if not report.ok:
         raise SweepError("invalid configuration: " + "; ".join(report.violations))
     chain_inst = sample_chain(chain)
@@ -185,7 +179,7 @@ def run_sweep(spec: SweepSpec, chain: ChainSpec, regs: RegisterSpec) -> SweepDat
     if last_fs >= 2**63:
         raise SweepError(f"a frame time of {last_fs / FS_PER_PS} ps does not fit int64 fs")
     t_abs_fs = ps_to_fs(t0_ps) + np.cumsum(dead) * t_capture_fs
-    return SweepDataset(bits, t_abs_fs, np.arange(spec.n_steps), chain, regs, spec)
+    return SweepDataset(bits, t_abs_fs, chain, regs, spec)
 
 
 def _default_start_ps(chain: ChainInstance, regs: RegisterBank) -> float:
@@ -211,7 +205,4 @@ def run_continuous(
     )
     sample_fs = _instants_fs(t_start_ps + np.arange(n_frames, dtype=np.float64) * t_capture_ps)
     bits = capture_at(w, chain_inst, reg_bank, sample_fs)
-    return SweepDataset(
-        bits, sample_fs, np.arange(n_frames), chain_inst.spec, reg_bank.spec,
-        t_capture_ps=t_capture_ps,
-    )
+    return SweepDataset(bits, sample_fs, chain_inst.spec, reg_bank.spec, t_capture_ps=t_capture_ps)

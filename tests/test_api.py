@@ -19,6 +19,7 @@ from wavecap.calibrate import TransferFunction
 from wavecap.chain import CaptureFrame, ChainSpec, RegisterSpec, sample_chain, sample_registers
 from wavecap.correct import FidelityStats
 from wavecap.ringosc import RingTrace
+from wavecap.sweep import SweepDataset
 from wavecap.waveform import DigitalWaveform
 
 PACKAGE = [
@@ -172,12 +173,15 @@ def test_test_only_names_are_gone():
         assert not hasattr(importlib.import_module(f"wavecap.{module}"), name)
     for cls, name in [(DigitalWaveform, "from_edges"), (DigitalWaveform, "edges_ps"),
                       (DigitalWaveform, "value_at_fs"), (RingTrace, "node"),
-                      (CaptureFrame, "k"), (CaptureFrame, "phase_index"),
+                      (CaptureFrame, "k"), (CaptureFrame, "phase_index"), (SweepDataset, "phase_index"),
                       (TransferFunction, "time_of"), (FidelityStats, "mean_error")]:
         assert not hasattr(cls, name)
     # waveforms compare by identity; compare initial_level and edge_times_fs instead
     assert "__eq__" not in vars(DigitalWaveform)
     assert [f.name for f in dataclasses.fields(CaptureFrame)] == ["bits", "capture_time_fs"]
+    # a dataset's row n is its phase step n (or frame number n): no index field
+    assert [f.name for f in dataclasses.fields(SweepDataset)] == [
+        "bits", "capture_time_fs", "chain_spec", "reg_spec", "sweep_spec", "t_capture_ps"]
 
 
 @pytest.mark.parametrize("fn", ["capture", "capture_oracle"])

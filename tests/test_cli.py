@@ -558,10 +558,12 @@ def test_correct_filter_mode_preserves_phase_index(tmp_path):
         run("correct", "--config", "preset:fig6", "--out", str(out), str(raw), "--quiet")
         == 0
     )
-    a = load_dataset(raw)
-    b = load_dataset(out)
-    assert np.array_equal(a.phase_index, b.phase_index)
-    assert np.any(a.bits != b.bits)
+    def index_column(d):
+        return [row.partition(b",")[0] for row in (d / "frames.csv").read_bytes().splitlines()]
+
+    assert index_column(raw) == index_column(out)
+    assert (raw / "times.csv").read_bytes() == (out / "times.csv").read_bytes()
+    assert np.any(load_dataset(raw).bits != load_dataset(out).bits)
 
 
 def test_ro_fig7_artifacts(tmp_path):
@@ -638,47 +640,54 @@ def test_calibrate_accepts_existing_datasets(tmp_path):
 
 @pytest.mark.parametrize("reorder", ["shuffled", "halved", "reversed"])
 def test_calibrate_rejects_frames_out_of_phase_order(tmp_path, capsys, reorder):
-    # a sweep re-saved with its frames out of phase order, its hashes valid
-    good, raw, bad, out = (str(tmp_path / name) for name in ("good", "raw", "bad", "cal"))
-    for d, seed in ((good, "0"), (raw, "1000")):
-        assert run("sweep", "--config", "preset:fig3a", "--out", d, "--seed", seed, "--quiet") == 0
-    ds = load_dataset(raw)
+    # a sweep whose frames.csv rows are out of phase order, its hashes valid
+    good, bad, out = (tmp_path / name for name in ("good", "bad", "cal"))
+    for d, seed in ((good, "0"), (bad, "1000")):
+        assert run("sweep", "--config", "preset:fig3a", "--out", str(d), "--seed", seed, "--quiet") == 0
+    header, *rows = (bad / "frames.csv").read_bytes().splitlines(keepends=True)
     if reorder == "halved":  # every index twice
-        ds = replace(ds, phase_index=ds.phase_index // 2)
+        rows = [b"%d," % (n // 2) + row.partition(b",")[2] for n, row in enumerate(rows)]
     else:
-        order = np.arange(ds.n_frames)[::-1]
+        order = np.arange(len(rows))[::-1]
         if reorder == "shuffled":
-            order = np.random.default_rng(5).permutation(ds.n_frames)
-        ds = replace(ds, bits=ds.bits[order], capture_time_fs=ds.capture_time_fs[order],
-                     phase_index=ds.phase_index[order])
-    storage.save_dataset(ds, bad)
-    assert run("calibrate", "--config", "preset:fig4", "--out", out, good, bad, "--quiet") == 2
-    assert "dataset 2: phase indices must be strictly increasing" in capsys.readouterr().err
-    assert not (tmp_path / "cal").exists()
+            order = np.random.default_rng(5).permutation(len(rows))
+        rows = [rows[n] for n in order]
+    first = next(n for n, row in enumerate(rows) if not row.startswith(b"%d," % n))
+    data = header + b"".join(rows)
+    (bad / "frames.csv").write_bytes(data)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["hashes"]["frames.csv"] = hashlib.sha256(data).hexdigest()
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    assert run("calibrate", "--config", "preset:fig4", "--out", str(out), str(good), str(bad),
+               "--quiet") == 2
+    # row 1 is the header, so frame n is on row n + 2
+    assert f"error: frames.csv row {first + 2}, byte " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_makes_each_channel_only_when_it_is_reached(tmp_path, capsys, monkeypatch):
     # the second channel fails, so neither the third nor the fourth is made
     made = []
 
-    def made_out_of_order(make, *args):
+    def made_off_grid(make, *args):
         made.append(args)
         ds = make(*args)
-        return replace(ds, phase_index=ds.phase_index[::-1].copy()) if len(made) == 2 else ds
+        off_grid = replace(ds.sweep_spec, dt_ps=ds.sweep_spec.dt_ps + 1)
+        return replace(ds, sweep_spec=off_grid) if len(made) == 2 else ds
 
     dirs = [str(tmp_path / f"ch{ch}") for ch in range(4)]
     for d in dirs:
         assert run("sweep", "--config", "preset:fig3a", "--out", d, "--quiet") == 0
     cfg = set_config_values(tmp_path, "fig4", {"calibrate.n_channels": "4"})
-    monkeypatch.setattr(cli, "run_sweep", partial(made_out_of_order, cli.run_sweep))
+    monkeypatch.setattr(cli, "run_sweep", partial(made_off_grid, cli.run_sweep))
     assert run("calibrate", "--config", cfg, "--out", str(tmp_path / "cal"), "--quiet") == 2
-    assert "dataset 2: phase indices must be strictly increasing" in capsys.readouterr().err
+    assert "dataset 2: sweep.dt_ps differs from dataset 1" in capsys.readouterr().err
     assert [sweep.seed for sweep, _, _ in made] == [0, 1000]
 
     made.clear()
-    monkeypatch.setattr(cli, "load_dataset", partial(made_out_of_order, cli.load_dataset))
+    monkeypatch.setattr(cli, "load_dataset", partial(made_off_grid, cli.load_dataset))
     assert run("calibrate", "--config", cfg, "--out", str(tmp_path / "cal"), *dirs, "--quiet") == 2
-    assert "dataset 2: phase indices must be strictly increasing" in capsys.readouterr().err
+    assert "dataset 2: sweep.dt_ps differs from dataset 1" in capsys.readouterr().err
     assert made == [(dirs[0],), (dirs[1],)]
     assert not (tmp_path / "cal").exists()
 
@@ -844,8 +853,10 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         # a 0.4 fs carry time would sample to 0 fs
         ("ro", "fig7", {"chain.tau_rise_ps": "0.0004", "chain.tau_fall_ps": "0.0004"}, "",
          "tau_rise_ps times the smallest dnl_ramp multiplier must be >= 1 fs"),
-        ("ro", "fig7", {"ro.t_start_ps": "1e305", "ro.t_capture_ps": "1e305"}, "",
-         "1.7e+306 ps is not a finite number of femtoseconds"),
+        # a run that ends past int64 fs; a period as long would fail first, as past the chain
+        ("ro", "fig7", {"ro.t_start_ps": "1e305"}, "",
+         "duration 1e+305 ps after release is not finite in int64 fs: ring.release_time_ps = 0.0 ps, "
+         "ro.t_start_ps = 1e+305 ps, ro.n_frames = 16 frames of ro.t_capture_ps = 5000.0 ps"),
         ("ro", "appendix-ro19", {"ro.n_frames": "1"}, "",
          "node 0: not enough pulses to estimate a timescale in ro.n_frames = 1 frames of "
          "ro.t_capture_ps = 5000.0 ps"),
@@ -862,15 +873,17 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         # the chain's design constraints name their config keys
         ("sweep", "fig3a", {"chain.k": "99999999999"}, "",
          "invalid configuration: pulse survival: chain.k*(chain.tau_rise_ps-chain.tau_fall_ps) = "
-         "36999999999.6 ps >= T_min 2500.0 ps; device bound: chain.k = 99999999999 > 1740\n"),
+         "36999999999.6 ps >= min(source.duty_cycle, 1-source.duty_cycle)/source.frequency_hz = "
+         "2500.0 ps; device bound: chain.k = 99999999999 > 1740\n"),
         ("sweep", "fig3a", {"chain.k": "100"}, "",
-         "invalid configuration: coverage: chain.k*chain.tau_fall_ps = 454.0 ps < capture period "
-         "5000.0 ps\n"),
+         "invalid configuration: coverage: chain.k*chain.tau_fall_ps = 454.0 ps < "
+         "sweep.t_capture_ps = 5000.0 ps\n"),
         # one 2.5 ns pulse, fixed in every frame, fills one 25-carry bin
         ("shrink", "fig3c", {"sweep.dt_ps": "0", "source.frequency_hz": "100000000.0",
                              "source.duty_cycle": "0.25", "source.phase_offset_ps": "3000.0"},
          "", "fewer than two populated bins"),
-        # ro names the keys behind each error of its ring, its capture and its stitching
+        # ro names the keys behind each error of its ring, its capture and its stitching;
+        # a period the chain cannot span fails before the ring is simulated
         ("ro", "appendix-ro19", {"ro.t_start_ps": "0"}, "",
          "node 0: waveform does not cover [-5120.0, 0.0] ps in ro.n_frames = 150 frames of "
          "ro.t_capture_ps = 5000.0 ps from ro.t_start_ps = 0.0 ps (auto picks 5120.0 ps)"),
@@ -880,18 +893,17 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, pres
         ("ro", "fig7", {"ring.release_time_ps": "1e9"}, "",
          "duration must exceed release_time: ring.release_time_ps = 1000000000.0 ps"),
         ("ro", "appendix-ro19", {"ro.t_capture_ps": "1e30"}, "",
-         "not finite in int64 fs: ring.release_time_ps = 0.0 ps, ro.t_start_ps = 15000.0 ps, "
-         "ro.n_frames = 150 frames of ro.t_capture_ps = 1e+30 ps"),
+         "error: chain too short to cover the capture period: ro.t_capture_ps = 1e+30 ps on "
+         "chain.k = 1024 taps of chain.tau_fall_ps = 5.0 ps\n"),
         ("ro", "appendix-ro19", {"chain.k": "10"}, "",
-         "node 0: chain too short to cover the capture period in ro.n_frames = 150 frames of "
-         "ro.t_capture_ps = 5000.0 ps from ro.t_start_ps = 15000.0 ps (auto picks 50.0 ps) on "
-         "chain.k = 10 taps of chain.tau_fall_ps = 5.0 ps"),
+         "error: chain too short to cover the capture period: ro.t_capture_ps = 5000.0 ps on "
+         "chain.k = 10 taps of chain.tau_fall_ps = 5.0 ps\n"),
         ("ro", "appendix-ro19", {"ro.t_capture_ps": "100000"}, "",
-         "node 0: chain too short to cover the capture period in ro.n_frames = 150 frames of "
-         "ro.t_capture_ps = 100000.0 ps"),
+         "error: chain too short to cover the capture period: ro.t_capture_ps = 100000.0 ps on "
+         "chain.k = 1024 taps of chain.tau_fall_ps = 5.0 ps\n"),
         ("ro", "appendix-ro19", {"ro.t_capture_ps": "1"}, "",
-         "node 0: capture period shorter than one carry in ro.n_frames = 150 frames of "
-         "ro.t_capture_ps = 1.0 ps"),
+         "error: capture period shorter than one carry: ro.t_capture_ps = 1.0 ps on "
+         "chain.k = 1024 taps of chain.tau_fall_ps = 5.0 ps\n"),
         ("ro", "fig7", {"ro.capture_nodes": "0,0"}, "", "ro.capture_nodes [0, 0] repeats a node"),
     ],
     ids=["kind", "no-equals", "dnl-ramp", "zero-delay", "ring-duration", "one-frame", "event-budget",
@@ -910,6 +922,23 @@ def test_config_reaching_a_domain_error_exits_2(tmp_path, capsys, command, prese
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edits", [{"chain.k": "10"}, {"ro.t_capture_ps": "100000"},
+                                   {"ro.t_capture_ps": "1"}],
+                         ids=["chain-too-short", "period-past-chain", "period-under-a-carry"])
+def test_ro_checks_the_chain_spans_the_period_before_simulating_the_ring(tmp_path, capsys,
+                                                                          monkeypatch, edits):
+    def never(*args):
+        pytest.fail("simulate_ring ran on a capture period the chain cannot span")
+
+    monkeypatch.setattr(cli, "simulate_ring", never)
+    cfg = set_config_values(tmp_path, "appendix-ro19", edits)
+    out = tmp_path / "x"
+    assert run("ro", "--config", cfg, "--out", str(out), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("ro.t_capture_ps = ", "chain.k = ", "chain.tau_fall_ps = "))
+    assert not out.exists()
+
+
 def flat_sweep(d):
     """A sweep whose first frame holds one pulse and every later frame that
     pulse plus one above it: both edge tracks hold still, a zero slope."""
@@ -917,14 +946,14 @@ def flat_sweep(d):
     bits[:, 40:60] = 1
     bits[1:, 80:100] = 1
     spec = SweepSpec(PllOutputSpec(100e6), n_steps=6)
-    storage.save_dataset(SweepDataset(bits, np.arange(6), np.arange(6), ChainSpec(128, 5.0, 5.0),
-                                      RegisterSpec(), spec), d)
+    chain = ChainSpec(128, 5.0, 5.0)
+    storage.save_dataset(SweepDataset(bits, np.arange(6), chain, RegisterSpec(), spec), d)
 
 
 def continuous_run(d):
     bits = np.ones((4, 128), dtype=np.uint8)
-    storage.save_dataset(SweepDataset(bits, np.arange(4), np.arange(4), ChainSpec(128, 5.0, 5.0),
-                                      RegisterSpec(), t_capture_ps=5_000.0), d)
+    storage.save_dataset(SweepDataset(bits, np.arange(4), ChainSpec(128, 5.0, 5.0), RegisterSpec(),
+                                      t_capture_ps=5_000.0), d)
 
 
 def rekind(d):

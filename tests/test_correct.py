@@ -206,7 +206,7 @@ alphas = st.one_of(
 
 def dataset_of(bits):
     chain = ChainSpec(bits.shape[1], 5.0, 5.0)
-    return SweepDataset(bits, np.zeros(len(bits)), np.arange(len(bits)), chain, RegisterSpec())
+    return SweepDataset(bits, np.zeros(len(bits)), chain, RegisterSpec())
 
 
 @settings(max_examples=200, deadline=None)

@@ -265,7 +265,7 @@ def test_stitch_frames_reads_the_taps_within_one_period():
     # 940 taps of 5.319 ps fit in a 5,000 ps frame, read newest tap last
     bits = np.random.default_rng(0).integers(0, 2, (3, 1024), dtype=np.uint8)
     chain = ChainSpec(1024, 5.319, 5.319)
-    ds = SweepDataset(bits, [0, 1, 2], [0, 1, 2], chain, RegisterSpec(), t_capture_ps=5_000.0)
+    ds = SweepDataset(bits, [0, 1, 2], chain, RegisterSpec(), t_capture_ps=5_000.0)
     assert np.array_equal(stitch_frames(ds, 5.319), bits[:, 939::-1].ravel())
 
 

@@ -56,7 +56,7 @@ def test_round_trip_sweep(small_dataset, tmp_path):
     assert back.reg_spec == small_dataset.reg_spec
     assert back.sweep_spec == small_dataset.sweep_spec
     assert back.n_frames == small_dataset.n_frames
-    for name in ("bits", "capture_time_fs", "phase_index"):
+    for name in ("bits", "capture_time_fs"):
         assert np.array_equal(getattr(back, name), getattr(small_dataset, name))
 
 
@@ -73,7 +73,7 @@ def test_round_trip_continuous(tmp_path):
 
 def test_save_without_sweep_or_frame_period_writes_nothing(tmp_path):
     # neither a sweep spec nor t_capture_ps: the config could not be read back
-    ds = SweepDataset(np.zeros((1, 16)), [0], [0], ChainSpec(16, 5.0, 5.0), RegisterSpec())
+    ds = SweepDataset(np.zeros((1, 16)), [0], ChainSpec(16, 5.0, 5.0), RegisterSpec())
     with pytest.raises(StorageError, match="sweep spec or t_capture_ps"):
         save_dataset(ds, tmp_path)
     assert list(tmp_path.iterdir()) == []
@@ -138,8 +138,9 @@ def test_every_stored_byte_is_read(small_dataset, tmp_path):
     """One byte of frames.csv or times.csv overwritten, a line end included,
     and the manifest rehashed: load_dataset raises or returns different data,
     so no byte of the bits, indices, times or line ends is stored without
-    being read.  spec.config is left out: its key = value grammar strips
-    whitespace around each key and value."""
+    being read or, for an index, checked against its row number.
+    spec.config is left out: its key = value grammar strips whitespace
+    around each key and value."""
     save_dataset(small_dataset, tmp_path / "saved")
     saved = {path.name: path.read_bytes() for path in (tmp_path / "saved").iterdir()}
     ds = tmp_path / "ds"
@@ -163,7 +164,7 @@ def test_every_stored_byte_is_read(small_dataset, tmp_path):
             return
         assert not all(
             np.array_equal(getattr(back, field), getattr(small_dataset, field))
-            for field in ("bits", "capture_time_fs", "phase_index")
+            for field in ("bits", "capture_time_fs")
         ), (name, at, blob[at])
 
     case()
@@ -242,7 +243,7 @@ def per_bit_frames_csv(dataset):
     k = dataset.k
     header = "phase_index," + ",".join(f"bit_{i}" for i in range(1, k + 1))
     rows = [header]
-    for idx, bits in zip(dataset.phase_index.tolist(), dataset.bits):
+    for idx, bits in enumerate(dataset.bits):
         rows.append(str(idx) + "," + ",".join(str(int(b)) for b in bits))
     return ("\n".join(rows) + "\n").encode()
 
@@ -275,67 +276,51 @@ def per_row_parse(data, k):
     return indices, np.array([bits for _, bits in out], dtype=np.uint8).reshape(-1, k)
 
 
+# up to 12 rows, so the index cells cross from one digit to two
 frame_sets = st.integers(1, 12).flatmap(
-    lambda k: st.lists(
-        st.tuples(
-            st.integers(-5, 10**6),
-            st.lists(st.integers(0, 1), min_size=k, max_size=k),
-        ),
-        min_size=1,
-        max_size=6,
-    )
+    lambda k: st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=1, max_size=12)
 )
 
 
 def as_dataset(rows):
-    index, bits = zip(*rows)
-    chain = ChainSpec(len(bits[0]), 5.0, 5.0)
-    return SweepDataset(np.array(bits), np.zeros(len(rows)), index, chain, RegisterSpec())
+    chain = ChainSpec(len(rows[0]), 5.0, 5.0)
+    return SweepDataset(np.array(rows), np.zeros(len(rows)), chain, RegisterSpec())
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=frame_sets)
 def test_frames_csv_matches_per_bit_encoding(rows):
     ds = as_dataset(rows)
-    assert _frames_csv(ds.phase_index, ds.bits) == per_bit_frames_csv(ds)
+    assert _frames_csv(ds.bits) == per_bit_frames_csv(ds)
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
-# the first index after each prefix-width step a run should cross: -100 -> -99,
-# -10 -> -9, -1 -> 0, 9 -> 10, 99 -> 100, 999 -> 1000, and to 19 digits at +-10**18
-WIDTH_STEPS = [-(10**18) + 1, -99, -9, 0, 10, 100, 1000, 10**18]
 
 
 @st.composite
 def frame_payloads(draw):
-    """(phase indices, bits, capture times) of a dataset.  The indices are
-    0-5 runs of 1-40 ascending rows, most of them across a prefix-width step
-    or at an end of int64, and in half the draws shuffled."""
-    indices = []
-    for _ in range(draw(st.integers(0, 5))):
-        n = draw(st.integers(1, 40))
-        start = draw(st.one_of(
-            st.builds(lambda step, back: step - back, st.sampled_from(WIDTH_STEPS), st.integers(0, n)),
-            st.sampled_from([-(2**63), 2**63 - n]),
-            st.integers(-(2**63), 2**63 - n),
-        ))
-        indices += range(start, start + n)
-    if draw(st.booleans()):
-        indices = draw(st.permutations(indices))
-    shape = (len(indices), draw(st.integers(1, 5)))
+    """(bits, capture times) of a dataset of 0-110 frames: half the draws end
+    within 10 rows past 10 or 100, so the row numbers cross from one index
+    width to the next."""
+    n = draw(st.one_of(
+        st.integers(0, 12),
+        st.builds(lambda step, past: step + past, st.sampled_from([10, 100]), st.integers(0, 10)),
+    ))
+    shape = (n, draw(st.integers(1, 5)))
     bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, shape)
-    return indices, bits, draw(st.lists(INT64, min_size=len(indices), max_size=len(indices)))
+    return bits, draw(st.lists(INT64, min_size=n, max_size=n))
 
 
 @settings(max_examples=500, deadline=None)
 @given(payload=frame_payloads())
-@example(payload=([], np.zeros((0, 3)), []))  # a header-only dataset
-def test_payload_blocks_match_per_row_encoding_in_any_index_order(payload):
-    indices, bits, times = payload
-    ds = SweepDataset(bits, times, indices, ChainSpec(bits.shape[1], 5.0, 5.0), RegisterSpec())
-    assert _frames_csv(ds.phase_index, ds.bits) == per_bit_frames_csv(ds)
-    rows = ["phase_index,capture_time_fs", *(f"{i},{t}" for i, t in zip(indices, times))]
-    assert _times_csv(ds.phase_index, ds.capture_time_fs) == ("\n".join(rows) + "\n").encode()
+@example(payload=(np.zeros((0, 3)), []))  # a header-only dataset
+@example(payload=(np.ones((1001, 2)), [2**63 - 1] * 1001))  # index widths 1 to 4
+def test_payload_blocks_match_per_row_encoding(payload):
+    bits, times = payload
+    ds = SweepDataset(bits, times, ChainSpec(bits.shape[1], 5.0, 5.0), RegisterSpec())
+    assert _frames_csv(ds.bits) == per_bit_frames_csv(ds)
+    rows = ["phase_index,capture_time_fs", *(f"{n},{t}" for n, t in enumerate(times))]
+    assert _times_csv(ds.capture_time_fs) == ("\n".join(rows) + "\n").encode()
 
 
 @settings(max_examples=200, deadline=None)
@@ -375,13 +360,13 @@ def test_parse_frames_csv_matches_the_per_row_parser(rows, edits):
     data = text.encode()
     try:
         indices, bits = per_row_parse(data, ds.k)
-        read = SweepDataset(bits, np.zeros(len(indices)), indices, ds.chain_spec, ds.reg_spec)
+        read = SweepDataset(bits, np.zeros(len(indices)), ds.chain_spec, ds.reg_spec)
     except (CorruptFileError, OverflowError):  # OverflowError: a cell outside uint8
         read = None
+    # the per-bit writing numbers the rows, so an index other than its row's fails here
     if read is not None and per_bit_frames_csv(read) == data:
         got = _parse_frames_csv(data, ds.k)
-        assert [got[0].dtype, got[1].dtype] == [np.int64, np.uint8]
-        assert (got[0].tolist(), got[1].tolist()) == (indices.tolist(), bits.tolist())
+        assert got.dtype == np.uint8 and got.tolist() == bits.tolist()
     else:
         with pytest.raises(CorruptFileError):
             _parse_frames_csv(data, ds.k)
@@ -390,17 +375,16 @@ def test_parse_frames_csv_matches_the_per_row_parser(rows, edits):
 def test_frames_csv_is_read_without_copies_of_its_text():
     # fig6's shape: 256 frames of a 1,300-tap chain, with indices of 1-3 digits
     bits = np.random.default_rng(0).integers(0, 2, (256, 1300), dtype=np.uint8)
-    ds = SweepDataset(bits, np.zeros(256), np.arange(256), ChainSpec(1300, 5.0, 5.0), RegisterSpec())
-    data = bytes(_frames_csv(ds.phase_index, ds.bits))
+    data = bytes(_frames_csv(bits))
     tracemalloc.start()
     try:
         with mock.patch.object(storage, "_text", wraps=storage._text) as text:
-            indices, back = _parse_frames_csv(data, 1300)
+            back = _parse_frames_csv(data, 1300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     text.assert_not_called()
-    assert np.array_equal(indices, np.arange(256)) and np.array_equal(back, bits)
+    assert np.array_equal(back, bits)
     assert peak <= len(data) + bits.nbytes + 2**20
 
 
@@ -408,7 +392,7 @@ def test_a_byte_past_the_first_compared_block_names_its_row():
     # fig6's shape: 256 rows of 2,604 bytes, ten 64 KiB blocks; the last
     # row's last comma is in the last block
     bits = np.random.default_rng(0).integers(0, 2, (256, 1300), dtype=np.uint8)
-    data = bytearray(_frames_csv(np.arange(256), bits))
+    data = bytearray(_frames_csv(bits))
     data[-3] = ord(";")
     message = "^frames.csv row 257, byte 2602: b';' where save_dataset writes b','"
     with pytest.raises(CorruptFileError, match=message):
@@ -645,22 +629,54 @@ def test_other_spellings_of_the_saved_values_are_rejected(small_dataset, tmp_pat
         load_dataset(tmp_path)
 
 
+def index_column(indices):
+    """A file edit that gives the data rows the index cells indices(n) for n rows."""
+    def apply(data):
+        header, *rows = data.splitlines(keepends=True)
+        cells = [row.partition(b",")[2] for row in rows]
+        return header + b"".join(b"%d,%s" % (i, c) for i, c in zip(indices(len(rows)), cells))
+    return apply
+
+
+@pytest.mark.parametrize("names", [["frames.csv"], ["times.csv"], ["frames.csv", "times.csv"]],
+                         ids=["frames", "times", "both"])
+@pytest.mark.parametrize(
+    "indices, row",
+    [
+        (lambda n: [0, *range(2, n + 1)], 3),
+        (lambda n: [0, *range(n - 1)], 3),
+        (lambda n: range(n - 1, -1, -1), 2),
+        (lambda n: range(0, -n, -1), 3),
+        (lambda n: range(1, n + 1), 2),
+    ],
+    ids=["gapped", "repeated", "reversed", "negative", "from-1"],
+)
+def test_index_column_other_than_the_row_number_is_rejected(small_dataset, tmp_path, names, indices,
+                                                            row):
+    # row 1 is the header, so frame n is on row n + 2; frames.csv is read first
+    save_dataset(small_dataset, tmp_path)
+    for name in names:
+        rewrite_file(tmp_path, name, index_column(indices))
+    with pytest.raises(CorruptFileError, match=rf"^{re.escape(names[0])} row {row}, byte 1: "):
+        load_dataset(tmp_path)
+
+
 def test_saved_payloads_load_back_equal(tmp_path):
-    """Any dataset save_dataset writes, sweep or continuous, with phase
-    indices across all of int64 in any order, loads back equal."""
+    """Any dataset save_dataset writes, sweep or continuous, with times
+    across all of int64, loads back equal."""
     sweep = SweepSpec(PllOutputSpec(600e6, 0.5), 0.0, 10.0, 4)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(payload=frame_payloads(), continuous=st.booleans())
-    @example(payload=([], np.zeros((0, 3)), []), continuous=True)
+    @example(payload=(np.zeros((0, 3)), []), continuous=True)
     def case(payload, continuous):
-        indices, bits, times = payload
+        bits, times = payload
         kind = {"t_capture_ps": 320.0} if continuous else {"sweep_spec": sweep}
-        ds = SweepDataset(bits, times, indices, ChainSpec(bits.shape[1], 5.0, 5.0), RegisterSpec(), **kind)
+        ds = SweepDataset(bits, times, ChainSpec(bits.shape[1], 5.0, 5.0), RegisterSpec(), **kind)
         save_dataset(ds, tmp_path)
         back = load_dataset(tmp_path)
         assert (back.sweep_spec, back.t_capture_ps) == (ds.sweep_spec, ds.t_capture_ps)
-        for field in ("bits", "capture_time_fs", "phase_index"):
+        for field in ("bits", "capture_time_fs"):
             got, want = getattr(back, field), getattr(ds, field)
             assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 

@@ -91,22 +91,22 @@ def test_sweep_deterministic():
     )
     a = run_sweep(spec, MLAB, REGS)
     b = run_sweep(spec, MLAB, REGS)
-    for name in ("bits", "capture_time_fs", "phase_index"):
+    for name in ("bits", "capture_time_fs"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 @pytest.mark.parametrize(
-    "bits, times, index",
+    "bits, times",
     [
-        (np.zeros(16), [0], [0]),
-        (np.zeros((2, 16)), [0], [0, 1]),
-        (np.zeros((2, 16)), [0, 1], [[0, 1]]),
+        (np.zeros(16), [0]),
+        (np.zeros((2, 16)), [0]),
+        (np.zeros((2, 16)), [[0, 1]]),
     ],
-    ids=["bits-1d", "times-short", "index-2d"],
+    ids=["bits-1d", "times-short", "times-2d"],
 )
-def test_dataset_rejects_disagreeing_shapes(bits, times, index):
-    with pytest.raises(SweepError, match="one time and index per frame"):
-        SweepDataset(bits, times, index, ChainSpec(16, 5.0, 5.0), REGS)
+def test_dataset_rejects_disagreeing_shapes(bits, times):
+    with pytest.raises(SweepError, match="one time per frame"):
+        SweepDataset(bits, times, ChainSpec(16, 5.0, 5.0), REGS)
 
 
 def test_sweep_frame_count_is_bounded():
@@ -167,10 +167,10 @@ def test_continuous_equals_per_frame_capture():
     chain = sample_chain(ChainSpec(256, 4.91, 4.54, tau_sigma_ps=0.1, entry_min_pulse_ps=50))
     regs = sample_registers(RegisterSpec(skew_sigma_ps=3.0, seed=4), 256)
     ds = run_continuous(w, chain, regs, 700, 40, t_start_ps=5_000)
-    for m, (bits, t_fs, n) in enumerate(zip(ds.bits, ds.capture_time_fs, ds.phase_index)):
+    for m, (bits, t_fs) in enumerate(zip(ds.bits, ds.capture_time_fs)):
         f = capture(w, chain, regs, 5_000 + m * 700)
         assert np.array_equal(bits, f.bits)
-        assert (t_fs, n) == (f.capture_time_fs, m)
+        assert t_fs == f.capture_time_fs
 
 
 # -- run_sweep against the shift-per-step loop it replaced -------------------
@@ -248,11 +248,10 @@ def test_run_sweep_equals_shift_per_step_loop(
     ds = run_sweep(spec, chain, regs)
     expected = shift_per_step_sweep(spec, chain, regs)
     assert ds.n_frames == len(expected)
-    for row, t_row, n_row, (bits, t_fs, n) in zip(
-        ds.bits, ds.capture_time_fs, ds.phase_index, expected
-    ):
+    # row m of the dataset is phase step m
+    for m, (row, t_row, (bits, t_fs, n)) in enumerate(zip(ds.bits, ds.capture_time_fs, expected)):
         assert np.array_equal(row, bits)
-        assert (t_row, n_row) == (t_fs, n)
+        assert (t_row, m) == (t_fs, n)
 
 
 # -- dead cycles: the bounded and hand-drawn paths against the per-step loop --
